@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from lacuna.exact import format_rational
-from lacuna.moments import cumulant_vector
+from lacuna.moments import moments_to_cumulants, prefix_moments
 from lacuna.sequences import SequenceSpec, generate_terms
 
 
@@ -20,8 +20,8 @@ def main() -> None:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 40
     terms = generate_terms(SequenceSpec.pow2plus1(), n_max)
     print("n,kappa2,kappa4,kappa6,kappa4_law_holds,kappa6_law_holds")
-    for n in range(1, n_max + 1):
-        kappa = cumulant_vector(terms[:n], 6)
+    for n, moments in prefix_moments(terms, 1, n_max, 6):
+        kappa = moments_to_cumulants(moments)
         quartic = kappa[3] == Fraction(-3 * n + 28, 8) if n >= 4 else ""
         sextic = kappa[5] == Fraction(45 * n * n + 380 * n - 1875, 16) if n >= 7 else ""
         print(

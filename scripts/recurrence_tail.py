@@ -13,7 +13,7 @@ Usage: python scripts/recurrence_tail.py [SEQ] [M_MAX]
 
 import sys
 
-from lacuna.moments import cumulant_vector
+from lacuna.moments import moments_to_cumulants, prefix_moments
 from lacuna.recurrence import detect_affine_tail, dominant_root_check, structural_slope
 from lacuna.sequences import generate_terms, parse_sequence
 
@@ -31,8 +31,12 @@ def main() -> None:
     print(f"# {spec.label()}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}")
     print("m,w_detected,b_detected,n1,w_pattern_sweep,routes_agree,gap_bound_stable")
     terms = generate_terms(spec, N_TO)
+    rows = [
+        (n, moments_to_cumulants(moments))
+        for n, moments in prefix_moments(terms, N_FROM, N_TO, m_max)
+    ]
     for m in range(2, m_max + 1):
-        points = [(n, cumulant_vector(terms[:n], m)[m - 1]) for n in range(N_FROM, N_TO + 1)]
+        points = [(n, kappas[m - 1]) for n, kappas in rows]
         fit = detect_affine_tail(points, m)
         w = structural_slope(m, poly, 8)
         stable = w == structural_slope(m, poly, 16)

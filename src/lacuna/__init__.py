@@ -44,6 +44,7 @@ from .moments import (
     moment_oracle_quadrature,
     moment_vector,
     moments_to_cumulants,
+    prefix_moments,
 )
 from .multiplicity import (
     SignedTuple,

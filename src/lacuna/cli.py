@@ -17,17 +17,17 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import LacunaError
 from .exact import format_rational
 from .moments import (
     compare_table,
-    cumulant_vector,
     independent_cumulants,
+    moment,
     moment_oracle_quadrature,
-    moment_vector,
+    moments_to_cumulants,
+    prefix_moments,
 )
 from .multiplicity import (
     SignedTuple,
@@ -37,7 +37,7 @@ from .multiplicity import (
     zero_sum_profile,
 )
 from .partitions import minimal_members
-from .recurrence import OffsetPattern, detect_affine_tail, structural_slope
+from .recurrence import detect_affine_tail, structural_slope
 from .sequences import generate_terms, parse_sequence
 
 _SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
@@ -135,15 +135,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _threads(args: argparse.Namespace) -> int:
     value = getattr(args, "threads", None)
     if value is None:
-        value = int(os.environ.get("LACUNA_THREADS", "1"))
+        try:
+            value = int(os.environ.get("LACUNA_THREADS", "1"))
+        except ValueError as exc:
+            raise _UsageError(f"bad LACUNA_THREADS: {exc}") from exc
     if value < 1:
         raise _UsageError("thread count must be >= 1")
     return value
 
 
-def _parse_seq(args: argparse.Namespace):
+def _checked(fn, *args):
+    """fn(*args), reporting a rejected argument value (ValueError) as a usage error."""
     try:
-        return parse_sequence(args.seq)
+        return fn(*args)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -186,18 +190,16 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _table_command(args: argparse.Namespace, value_key: str) -> str:
-    spec = _parse_seq(args)
-    threads = _threads(args)
+    spec = _checked(parse_sequence, args.seq)
+    _threads(args)  # validated only: the moment engine runs single-threaded
     n_from, n_to = _n_range(args)
     m_top = _m_range(args)
     single_m = args.m is not None
-    terms = generate_terms(spec, n_to)
+    terms = _checked(generate_terms, spec, n_to)
     rows = []
-    for n in range(n_from, n_to + 1):
-        if value_key == "mu":
-            vector = moment_vector(terms[:n], m_top, threads=threads)
-        else:
-            vector = cumulant_vector(terms[:n], m_top, threads=threads)
+    for n, vector in prefix_moments(terms, n_from, n_to, m_top):
+        if value_key == "kappa":
+            vector = moments_to_cumulants(vector)
         orders = (m_top,) if single_m else tuple(range(1, m_top + 1))
         for m in orders:
             rows.append({"n": n, "m": m, value_key: format_rational(vector[m - 1])})
@@ -224,12 +226,13 @@ def _independent_command(args: argparse.Namespace) -> str:
 
 
 def _compare_command(args: argparse.Namespace) -> str:
-    spec = _parse_seq(args)
+    spec = _checked(parse_sequence, args.seq)
     if not 1 <= args.n_from <= args.n_to:
         raise _UsageError("need 1 <= --n-from <= --n-to")
     if args.m_max < 1:
         raise _UsageError("--m-max must be >= 1")
-    table = compare_table(spec, args.n_from, args.n_to, args.m_max, threads=_threads(args))
+    _threads(args)  # validated only: the moment engine runs single-threaded
+    table = _checked(compare_table, spec, args.n_from, args.n_to, args.m_max)
     rows = [
         {
             "n": row.n,
@@ -249,16 +252,16 @@ def _compare_command(args: argparse.Namespace) -> str:
 
 
 def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
-    spec = _parse_seq(args)
+    spec = _checked(parse_sequence, args.seq)
     if args.m < 1:
         raise _UsageError("--m must be >= 1")
     if not 1 <= args.n_from <= args.n_to:
         raise _UsageError("need 1 <= --n-from <= --n-to")
-    threads = _threads(args)
-    terms = generate_terms(spec, args.n_to)
+    _threads(args)  # validated only: the moment engine runs single-threaded
+    terms = _checked(generate_terms, spec, args.n_to)
     points = [
-        (n, cumulant_vector(terms[:n], args.m, threads=threads)[args.m - 1])
-        for n in range(args.n_from, args.n_to + 1)
+        (n, moments_to_cumulants(moments)[args.m - 1])
+        for n, moments in prefix_moments(terms, args.n_from, args.n_to, args.m)
     ]
     fit = detect_affine_tail(points, args.m)
     payload = {
@@ -276,7 +279,7 @@ def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def _slope_command(args: argparse.Namespace) -> str:
-    spec = _parse_seq(args)
+    spec = _checked(parse_sequence, args.seq)
     if args.m < 1:
         raise _UsageError("--m must be >= 1")
     if args.gap_bound < 1:
@@ -305,14 +308,14 @@ def _slope_command(args: argparse.Namespace) -> str:
 
 
 def _mult_inspect_command(args: argparse.Namespace) -> str:
-    spec = _parse_seq(args)
+    spec = _checked(parse_sequence, args.seq)
     try:
         indices = tuple(int(v) for v in args.indices.split(","))
         signs = tuple(_SIGN_TOKENS[v.strip()] for v in args.signs.split(","))
         tup = SignedTuple(indices, signs)
     except (ValueError, KeyError) as exc:
         raise _UsageError(f"bad tuple: {exc}") from exc
-    terms = generate_terms(spec, max(indices))
+    terms = _checked(generate_terms, spec, max(indices))
     profile = zero_sum_profile(tup, terms)
     upset = upset_partitions(profile, tup.order)
     payload = {
@@ -330,12 +333,12 @@ def _mult_inspect_command(args: argparse.Namespace) -> str:
 
 
 def _oracle_command(args: argparse.Namespace) -> str:
-    spec = _parse_seq(args)
+    spec = _checked(parse_sequence, args.seq)
     if args.n < 1 or args.m < 1:
         raise _UsageError("--n and --m must be >= 1")
-    terms = generate_terms(spec, args.n)
+    terms = _checked(generate_terms, spec, args.n)
     approx = moment_oracle_quadrature(terms, args.m)
-    exact = moment_vector(terms, args.m)[args.m - 1]
+    exact = moment(terms, args.m)
     payload = {
         "sequence": spec.label(),
         "n": args.n,

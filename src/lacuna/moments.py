@@ -2,8 +2,9 @@
 
 The m-th moment of S_n = sum_k cos(2 pi a_k w) over w in [0,1] is
 2**-m times the number of signed zero-sum index tuples, so the
-production path is constant-term extraction on a sparse Laurent
-polynomial, followed by the classical moment-to-cumulant recursion.
+production path (``prefix_moments``) grows the powers of a sparse
+Laurent polynomial one term at a time and extracts constant terms,
+followed by the classical moment-to-cumulant recursion.
 Two independent cross-checks ride along: a pruned depth-first count of
 the same tuples, and an equally-spaced quadrature rule that is exact
 for trigonometric polynomials of the arising degree (up to float
@@ -23,40 +24,74 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 from typing import Sequence
 
-import numpy as np
-
 from .errors import IndexOutOfRange, TooLarge
-from .laurent import laurent_from_terms, laurent_mul, laurent_power_const_term
+from .laurent import SparseLaurent
 from .multiplicity import mult_of_values
 from .sequences import SequenceSpec, generate_terms
 
 MAX_ORACLE_SAMPLES = 10**7
+MAX_POWER_SUPPORT = 10**7  # a-priori exponent count of the largest held power P^k
 MAX_SWEEP_ORDER = 6
 MAX_SWEEP_TERMS = 12
 
 
+def prefix_moments(
+    terms: Sequence[int], n_from: int, n_to: int, m_max: int
+) -> list[tuple[int, list[Fraction]]]:
+    """(n, [E S_n**1 .. E S_n**m_max]) for every n from n_from to n_to.
+
+    Grows P_n**0 .. P_n**ceil(m_max/2) in place one term at a time.  A
+    list, not a generator, so the work is done inside the call.
+    """
+    if m_max < 1 or not 0 <= n_from <= n_to <= len(terms):
+        raise ValueError(f"need m_max >= 1 and 0 <= n_from <= n_to <= {len(terms)}")
+    half = (m_max + 1) // 2
+    support = min(comb(2 * n_to + half - 1, half), 2 * half * max(terms[:n_to], default=0) + 1)
+    if support > MAX_POWER_SUPPORT:
+        raise TooLarge(f"P^{half} may hold {support} exponents, over the cap {MAX_POWER_SUPPORT}")
+    powers: list[SparseLaurent] = [{0: 1}] + [{} for _ in range(half)]
+    rows = []
+    for n in range(n_to + 1):
+        if n:
+            _add_term(powers, terms[n - 1])
+        if n >= n_from:
+            rows.append((n, [_moment_of(powers, m) for m in range(1, m_max + 1)]))
+    return rows
+
+
+def _add_term(powers: list[SparseLaurent], a: int) -> None:
+    """P**k += sum_{j>=1} C(k, j) q**j P**(k-j), q = x**a + x**-a, for each held k > 0.
+
+    Highest k first, so every P**(k-j) read is still the old power; all
+    coefficients are positive, so no entry ever cancels to zero.
+    """
+    for k in range(len(powers) - 1, 0, -1):
+        target = powers[k]
+        get = target.get
+        for j in range(1, k + 1):
+            for i in range(j + 1):  # q**j = sum_i C(j, i) x**(a(2i - j))
+                s, w = a * (2 * i - j), comb(k, j) * comb(j, i)
+                for e, c in powers[k - j].items():
+                    e += s
+                    target[e] = get(e, 0) + w * c
+
+
+def _moment_of(powers: list[SparseLaurent], m: int) -> Fraction:
+    """[x^0] P**m / 2**m; every P**k is symmetric, so an even m sums squares."""
+    lo, hi = powers[m // 2], powers[(m + 1) // 2]
+    if lo is hi:
+        return Fraction(sum(c * c for c in lo.values()), 2**m)
+    return Fraction(sum(c * hi.get(-e, 0) for e, c in lo.items()), 2**m)
+
+
 def moment(terms: Sequence[int], m: int, threads: int = 1) -> Fraction:
     """E[S_n**m] exactly, via constant-term extraction."""
-    count = laurent_power_const_term(laurent_from_terms(terms), m, threads=threads)
-    return Fraction(count, 2**m)
+    return moment_vector(terms, m)[m - 1]
 
 
 def moment_vector(terms: Sequence[int], m_max: int, threads: int = 1) -> list[Fraction]:
-    """E[S_n**m] for m = 1..m_max, sharing the polynomial powers."""
-    if m_max < 1:
-        raise ValueError("need m_max >= 1")
-    poly = laurent_from_terms(terms)
-    powers = {0: {0: 1}, 1: poly}
-    for k in range(2, (m_max + 1) // 2 + 1):
-        powers[k] = laurent_mul(powers[k - 1], poly, threads=threads)
-    out = []
-    for m in range(1, m_max + 1):
-        a = powers[(m + 1) // 2]
-        b = powers[m // 2]
-        if len(b) < len(a):
-            a, b = b, a
-        out.append(Fraction(sum(c * b.get(-e, 0) for e, c in a.items()), 2**m))
-    return out
+    """E[S_n**m] for m = 1..m_max, the last row of ``prefix_moments``; ``threads`` is unused."""
+    return prefix_moments(terms, len(terms), len(terms), m_max)[-1][1]
 
 
 def moment_dfs(terms: Sequence[int], m: int) -> Fraction:
@@ -201,8 +236,6 @@ def independent_cumulants(m_max: int) -> list[Fraction]:
     return moments_to_cumulants([arcsine_moment(m) for m in range(1, m_max + 1)])
 
 
-# 2*pi to more digits than an x86 long double holds.
-_TWO_PI = np.longdouble("6.28318530717958647692528676655900576839")
 _ORACLE_SLAB = 1 << 20
 
 
@@ -218,6 +251,8 @@ def moment_oracle_quadrature(
     evaluation runs in extended precision (long double) over bounded
     slabs of the grid.
     """
+    import numpy as np  # only the float diagnostics need numpy; keeps start-up fast
+
     if m < 1:
         raise ValueError("need m >= 1")
     if not terms:
@@ -225,7 +260,8 @@ def moment_oracle_quadrature(
     samples = m * max(terms) + 1
     if samples > sample_cap:
         raise TooLarge(f"{samples} quadrature nodes exceed the cap {sample_cap}")
-    step = _TWO_PI / samples
+    # 2*pi to more digits than an x86 long double holds.
+    step = np.longdouble("6.28318530717958647692528676655900576839") / samples
     reduced = [a % samples for a in terms]
     total = np.longdouble(0)
     for start in range(0, samples, _ORACLE_SLAB):
@@ -263,14 +299,14 @@ class CumulantTable:
 def compare_table(
     spec: SequenceSpec, n_from: int, n_to: int, m_max: int, threads: int = 1
 ) -> CumulantTable:
-    """Tabulate kappa_m(S_n), n * kappa independent, and the difference."""
+    """Tabulate kappa_m(S_n), n * kappa independent, and the difference; ``threads`` is unused."""
     if not 1 <= n_from <= n_to:
         raise ValueError("need 1 <= n_from <= n_to")
     terms = generate_terms(spec, n_to)
     reference = independent_cumulants(m_max)
     rows = []
-    for n in range(n_from, n_to + 1):
-        kappas = cumulant_vector(terms[:n], m_max, threads=threads)
+    for n, moments in prefix_moments(terms, n_from, n_to, m_max):
+        kappas = moments_to_cumulants(moments)
         for m in range(1, m_max + 1):
             model = n * reference[m - 1]
             rows.append(CompareRow(n, m, kappas[m - 1], model, kappas[m - 1] - model))

@@ -24,8 +24,6 @@ from itertools import product
 from math import factorial, isfinite, lcm
 from typing import Sequence
 
-import numpy as np
-
 from .errors import RootFindingFailed, TooFewPoints, TooLarge, ZeroModulus
 from .multiplicity import MAX_LATTICE_SIZE, mult_of_values
 from .parallel import map_ordered
@@ -345,6 +343,8 @@ def dominant_root_check(p: Sequence[int], tol: float = 1e-9) -> RootCheck:
     p/q test are reported, with a warning when they certify that the
     polynomial is not irreducible.
     """
+    import numpy as np  # only the float diagnostics need numpy; keeps start-up fast
+
     coeffs = _strip(p)
     if not coeffs:
         raise ZeroModulus("zero polynomial")

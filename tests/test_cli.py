@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lacuna
 from lacuna.cli import run
 from lacuna.exact import parse_rational
 
@@ -168,6 +173,43 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "cumulants", "--seq", "fibonacci", "--m", "2")[0] == 2
     assert invoke(capsys, "cumulants", "--seq", "fibonacci", "--n", "3")[0] == 2
     assert invoke(capsys, "wat")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "env, argv, expected",
+    [
+        ({}, ["cumulants", "--seq", "explicit:1,2", "--n", "5", "--m", "2"], 2),
+        ({}, ["compare", "--seq", "explicit:1,2", "--n-from", "1", "--n-to", "5", "--m-max", "2"], 2),
+        ({"LACUNA_THREADS": "abc"}, ["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2"], 2),
+        ({}, ["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"], 2),
+        ({}, ["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3),
+    ],
+    ids=[
+        "explicit-too-short",
+        "compare-explicit-too-short",
+        "bad-thread-env",
+        "index-zero",
+        "power-support-guard",
+    ],
+)
+def test_failures_print_one_error_line(capsys, monkeypatch, env, argv, expected):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = invoke(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(lacuna.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, lacuna.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_guard_errors_exit_three(capsys):

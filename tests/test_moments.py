@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna import moments
 from lacuna.errors import IndexOutOfRange, TooLarge
+from lacuna.laurent import laurent_from_terms, laurent_power_const_term_full
 from lacuna.moments import (
     arcsine_moment,
     compare_table,
@@ -19,6 +22,7 @@ from lacuna.moments import (
     moment_oracle_quadrature,
     moment_vector,
     moments_to_cumulants,
+    prefix_moments,
 )
 from lacuna.sequences import SequenceSpec, generate_terms
 
@@ -64,6 +68,57 @@ def test_moment_vector_consistent_with_single_calls():
 def test_moment_threads_do_not_change_result():
     terms = terms_of(POW2, 12)
     assert moment_vector(terms, 5, threads=4) == moment_vector(terms, 5, threads=1)
+
+
+@given(
+    terms=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    m_max=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_prefix_moments_match_full_expansion_on_every_prefix(terms, m_max, data):
+    # Small values collide often, so duplicates and cancellations are common.
+    n_to = len(terms)
+    n_from = data.draw(st.integers(1, n_to))
+    rows = prefix_moments(terms, n_from, n_to, m_max)
+    assert [n for n, _ in rows] == list(range(n_from, n_to + 1))
+    for n, mu in rows:
+        poly = laurent_from_terms(terms[:n])
+        assert mu == [
+            Fraction(laurent_power_const_term_full(poly, m), 2**m) for m in range(1, m_max + 1)
+        ]
+    assert moment_vector(terms, m_max) == prefix_moments(terms, n_to, n_to, m_max)[-1][1]
+
+
+def test_prefix_moments_ranges():
+    terms = terms_of(FIB, 4)
+    assert prefix_moments(terms, 0, 1, 2) == [(0, [0, 0]), (1, [0, Fraction(1, 2)])]
+    assert moment_vector([], 3) == [0, 0, 0]  # S_0 = 0
+    for n_from, n_to, m_max in ((3, 2, 2), (1, 5, 2), (1, 4, 0), (-1, 4, 2)):
+        with pytest.raises(ValueError):
+            prefix_moments(terms, n_from, n_to, m_max)
+
+
+def test_power_support_guard_trips_before_growing(monkeypatch):
+    def never(powers, a):
+        raise AssertionError("the guard must fire before any power grows")
+
+    monkeypatch.setattr(moments, "_add_term", never)
+    terms = terms_of(POW2, 40)
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="30872016"):
+        prefix_moments(terms, 40, 40, 10)  # C(84, 5) = 30,872,016 > 10**7
+    assert time.perf_counter() - started < 1.0
+
+
+def test_power_support_guard_bound_is_the_estimate(monkeypatch):
+    # pow2plus1, n = 5, m = 4: min(C(11, 2), 2 * 2 * 33 + 1) = 55 exponents.
+    terms = terms_of(POW2, 5)
+    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 55)
+    assert prefix_moments(terms, 5, 5, 4)[-1][1][3] == moment_dfs(terms, 4)
+    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 54)
+    with pytest.raises(TooLarge, match="55"):
+        prefix_moments(terms, 5, 5, 4)
 
 
 def test_even_moments_are_nonnegative_and_dyadic():
