@@ -3,7 +3,7 @@
 Every value that is exact in the engine stays exact on the wire:
 rationals serialize as "p/q" strings (denominator omitted when 1) and
 big integers as decimal strings, never floats.  Identical invocations
-produce byte-identical output regardless of thread count.
+produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 computation guard tripped,
 4 requested validity check failed.
@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -69,14 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
             "roundpow:eta=3.14159265358979323846,prec=128",
         )
 
-    def with_threads(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads (default: LACUNA_THREADS or 1); never changes results",
-        )
-
     for name, help_text in (("moments", "raw moments E[S_n^m]"), ("cumulants", "cumulants kappa_m(S_n)")):
         p = sub.add_parser(name, help=help_text)
         with_seq(p)
@@ -85,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-to", type=int)
         p.add_argument("--m", type=int)
         p.add_argument("--m-max", type=int)
-        with_threads(p)
         common(p, table=True)
 
     p = sub.add_parser("independent", help="cumulants of the i.i.d. comparison model")
@@ -98,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--m-max", type=int, required=True)
-    with_threads(p)
     common(p, table=True)
 
     p = sub.add_parser("detect-linear", help="detect an eventual affine law for 2^m kappa_m")
@@ -107,14 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--require-linear", action="store_true", help="exit 4 when no affine tail exists")
-    with_threads(p)
     common(p)
 
     p = sub.add_parser("slope", help="structural per-unit growth of 2^m kappa_m")
     with_seq(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--gap-bound", type=int, default=8)
-    with_threads(p)
     common(p)
 
     p = sub.add_parser("mult-inspect", help="zero-sum structure and multiplicity of one tuple")
@@ -130,18 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     return parser
-
-
-def _threads(args: argparse.Namespace) -> int:
-    value = getattr(args, "threads", None)
-    if value is None:
-        try:
-            value = int(os.environ.get("LACUNA_THREADS", "1"))
-        except ValueError as exc:
-            raise _UsageError(f"bad LACUNA_THREADS: {exc}") from exc
-    if value < 1:
-        raise _UsageError("thread count must be >= 1")
-    return value
 
 
 def _checked(fn, *args):
@@ -191,7 +166,6 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def _table_command(args: argparse.Namespace, value_key: str) -> str:
     spec = _checked(parse_sequence, args.seq)
-    _threads(args)  # validated only: the moment engine runs single-threaded
     n_from, n_to = _n_range(args)
     m_top = _m_range(args)
     single_m = args.m is not None
@@ -231,7 +205,6 @@ def _compare_command(args: argparse.Namespace) -> str:
         raise _UsageError("need 1 <= --n-from <= --n-to")
     if args.m_max < 1:
         raise _UsageError("--m-max must be >= 1")
-    _threads(args)  # validated only: the moment engine runs single-threaded
     table = _checked(compare_table, spec, args.n_from, args.n_to, args.m_max)
     rows = [
         {
@@ -257,7 +230,6 @@ def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
         raise _UsageError("--m must be >= 1")
     if not 1 <= args.n_from <= args.n_to:
         raise _UsageError("need 1 <= --n-from <= --n-to")
-    _threads(args)  # validated only: the moment engine runs single-threaded
     terms = _checked(generate_terms, spec, args.n_to)
     points = [
         (n, moments_to_cumulants(moments)[args.m - 1])
@@ -288,9 +260,8 @@ def _slope_command(args: argparse.Namespace) -> str:
     if data is None:
         raise _UsageError(f"sequence {spec.label()} has no recurrence polynomial")
     poly, _ = data
-    threads = _threads(args)
-    w = structural_slope(args.m, poly, args.gap_bound, threads=threads)
-    w_doubled = structural_slope(args.m, poly, 2 * args.gap_bound, threads=threads)
+    w = structural_slope(args.m, poly, args.gap_bound)
+    w_doubled = structural_slope(args.m, poly, 2 * args.gap_bound)
     if w != w_doubled:
         print(
             f"warning: slope changed from {w} to {w_doubled} when doubling the gap "

@@ -13,9 +13,7 @@ signed index tuples (i_1..i_m, e_1..e_m) with e_1*a_{i_1} + ... = 0.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from .parallel import map_ordered, split_chunks
+from typing import Iterable
 
 SparseLaurent = dict[int, int]
 
@@ -29,50 +27,30 @@ def laurent_from_terms(terms: Iterable[int]) -> SparseLaurent:
     return poly
 
 
-def _convolve(items: Sequence[tuple[int, int]], other: SparseLaurent) -> SparseLaurent:
-    out: SparseLaurent = {}
-    get = out.get
-    for e1, c1 in items:
-        for e2, c2 in other.items():
-            e = e1 + e2
-            out[e] = get(e, 0) + c1 * c2
-    return out
-
-
-def laurent_mul(a: SparseLaurent, b: SparseLaurent, threads: int = 1) -> SparseLaurent:
-    """Exact product; zero coefficients are removed from the result.
-
-    With ``threads > 1`` the smaller operand is split into contiguous
-    chunks convolved independently and merged in order; integer
-    addition makes the result identical for every thread count.
-    """
+def laurent_mul(a: SparseLaurent, b: SparseLaurent) -> SparseLaurent:
+    """Exact product; zero coefficients are removed from the result."""
     if len(a) > len(b):
         a, b = b, a
-    items = list(a.items())
-    if threads <= 1 or len(items) < 2 * threads:
-        merged = _convolve(items, b)
-    else:
-        partials = map_ordered(
-            lambda chunk: _convolve(chunk, b), split_chunks(items, threads), threads
-        )
-        merged = partials[0]
-        for part in partials[1:]:
-            for e, c in part.items():
-                merged[e] = merged.get(e, 0) + c
-    return {e: c for e, c in merged.items() if c}
+    out: SparseLaurent = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
-def laurent_pow(p: SparseLaurent, k: int, threads: int = 1) -> SparseLaurent:
+def laurent_pow(p: SparseLaurent, k: int) -> SparseLaurent:
     """p**k by repeated multiplication; k = 0 gives the constant 1."""
     if k < 0:
         raise ValueError("negative power of a Laurent polynomial")
     out: SparseLaurent = {0: 1}
     for _ in range(k):
-        out = laurent_mul(out, p, threads=threads)
+        out = laurent_mul(out, p)
     return out
 
 
-def laurent_power_const_term(p: SparseLaurent, m: int, threads: int = 1) -> int:
+def laurent_power_const_term(p: SparseLaurent, m: int) -> int:
     """[x^0] p**m by meet-in-the-middle.
 
     Forms A = p**ceil(m/2) and B = p**floor(m/2) and returns
@@ -82,8 +60,8 @@ def laurent_power_const_term(p: SparseLaurent, m: int, threads: int = 1) -> int:
     if m < 1:
         raise ValueError("power must be >= 1")
     hi = (m + 1) // 2
-    a = laurent_pow(p, hi, threads=threads)
-    b = a if m % 2 == 0 else laurent_pow(p, m // 2, threads=threads)
+    a = laurent_pow(p, hi)
+    b = a if m % 2 == 0 else laurent_pow(p, m // 2)
     if len(b) < len(a):
         a, b = b, a
     return sum(c * b.get(-e, 0) for e, c in a.items())

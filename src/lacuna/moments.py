@@ -84,13 +84,13 @@ def _moment_of(powers: list[SparseLaurent], m: int) -> Fraction:
     return Fraction(sum(c * hi.get(-e, 0) for e, c in lo.items()), 2**m)
 
 
-def moment(terms: Sequence[int], m: int, threads: int = 1) -> Fraction:
+def moment(terms: Sequence[int], m: int) -> Fraction:
     """E[S_n**m] exactly, via constant-term extraction."""
     return moment_vector(terms, m)[m - 1]
 
 
-def moment_vector(terms: Sequence[int], m_max: int, threads: int = 1) -> list[Fraction]:
-    """E[S_n**m] for m = 1..m_max, the last row of ``prefix_moments``; ``threads`` is unused."""
+def moment_vector(terms: Sequence[int], m_max: int) -> list[Fraction]:
+    """E[S_n**m] for m = 1..m_max, the last row of ``prefix_moments``."""
     return prefix_moments(terms, len(terms), len(terms), m_max)[-1][1]
 
 
@@ -159,14 +159,14 @@ def cumulants_to_moments(cumulants: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def cumulant(terms: Sequence[int], m: int, threads: int = 1) -> Fraction:
+def cumulant(terms: Sequence[int], m: int) -> Fraction:
     """kappa_m(S_n) exactly, through the moment route."""
-    return cumulant_vector(terms, m, threads=threads)[m - 1]
+    return cumulant_vector(terms, m)[m - 1]
 
 
-def cumulant_vector(terms: Sequence[int], m_max: int, threads: int = 1) -> list[Fraction]:
+def cumulant_vector(terms: Sequence[int], m_max: int) -> list[Fraction]:
     """kappa_1..kappa_{m_max}, sharing the moment computation."""
-    return moments_to_cumulants(moment_vector(terms, m_max, threads=threads))
+    return moments_to_cumulants(moment_vector(terms, m_max))
 
 
 def cumulant_via_multiplicity(terms: Sequence[int], n: int, m: int) -> Fraction:
@@ -296,10 +296,8 @@ class CumulantTable:
     rows: tuple[CompareRow, ...]
 
 
-def compare_table(
-    spec: SequenceSpec, n_from: int, n_to: int, m_max: int, threads: int = 1
-) -> CumulantTable:
-    """Tabulate kappa_m(S_n), n * kappa independent, and the difference; ``threads`` is unused."""
+def compare_table(spec: SequenceSpec, n_from: int, n_to: int, m_max: int) -> CumulantTable:
+    """Tabulate kappa_m(S_n), n * kappa independent, and the difference."""
     if not 1 <= n_from <= n_to:
         raise ValueError("need 1 <= n_from <= n_to")
     terms = generate_terms(spec, n_to)

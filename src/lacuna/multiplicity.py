@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .errors import IndexOutOfRange, TooLarge
 from .partitions import (
+    MAX_GROUND_SIZE,
     SetPartition,
     all_partitions,
     join,
@@ -34,7 +35,6 @@ from .partitions import (
 )
 
 MAX_PROFILE_SIZE = 20  # 2**m subset scan guard
-MAX_LATTICE_SIZE = 12  # partition enumeration guard
 _PROFILE_CLOSURE_CHECK_LIMIT = 128
 
 
@@ -52,6 +52,8 @@ class SignedTuple:
             raise ValueError("tuple must have at least one entry")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +1 or -1")
+        if any(i < 1 for i in self.indices):
+            raise ValueError(f"indices are 1-based, got {min(self.indices)}")
 
     @property
     def order(self) -> int:
@@ -134,8 +136,8 @@ def upset_partitions(profile: ZeroSumProfile, m: int) -> list[SetPartition]:
     """Partitions of {1..m} whose every block is a zero-sum subset."""
     if m != profile.m:
         raise ValueError("profile was computed for a different tuple order")
-    if m > MAX_LATTICE_SIZE:
-        raise TooLarge(f"partition lattice of [{m}] refused (limit m <= {MAX_LATTICE_SIZE})")
+    if m > MAX_GROUND_SIZE:
+        raise TooLarge(f"partition lattice of [{m}] refused (limit m <= {MAX_GROUND_SIZE})")
     out = []
     for pi in all_partitions(m):
         if all(mask in profile.masks for mask in pi.block_masks()):
@@ -162,7 +164,7 @@ def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
     if not upset:
         return 0
     mins = minimal_members(upset)
-    if len(mins) > MAX_LATTICE_SIZE * 2:
+    if len(mins) > MAX_GROUND_SIZE * 2:
         raise TooLarge(f"{len(mins)} minimal partitions; crosscut sweep refused")
     one = top(m)
     total = 0
@@ -193,8 +195,8 @@ def _lattice_masks(m: int) -> list[tuple[tuple[int, ...], int]]:
 
 def mult_from_profile(masks: frozenset[int], m: int) -> int:
     """Moebius sum over zero-sum partitions, memoized per profile."""
-    if m > MAX_LATTICE_SIZE:
-        raise TooLarge(f"partition lattice of [{m}] refused (limit m <= {MAX_LATTICE_SIZE})")
+    if m > MAX_GROUND_SIZE:
+        raise TooLarge(f"partition lattice of [{m}] refused (limit m <= {MAX_GROUND_SIZE})")
     key = (m, masks)
     cached = _MULT_CACHE.get(key)
     if cached is None:

@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 from .errors import GroundSetMismatch, TooLarge
 
-# Bell numbers blow up fast; the lattice is only ever enumerated for the
-# small-m multiplicity cross-checks.
+# Bell numbers blow up fast.  This one limit bounds every lattice walk,
+# here and in ``multiplicity``, and the offset-pattern order in ``recurrence``.
 MAX_GROUND_SIZE = 12
 
 

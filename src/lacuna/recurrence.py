@@ -25,8 +25,8 @@ from math import factorial, isfinite, lcm
 from typing import Sequence
 
 from .errors import RootFindingFailed, TooFewPoints, TooLarge, ZeroModulus
-from .multiplicity import MAX_LATTICE_SIZE, mult_of_values
-from .parallel import map_ordered
+from .multiplicity import mult_of_values
+from .partitions import MAX_GROUND_SIZE
 
 Poly = tuple[int, ...]
 
@@ -181,7 +181,7 @@ def _encoded_powers(p: Poly, max_offset: int) -> tuple[int, ...]:
     Each reduced power is a rational vector of length deg(p); after
     clearing denominators the vectors are packed into single integers in
     a balanced base large enough that any signed sum of up to
-    MAX_LATTICE_SIZE encodings is zero exactly when the vector sum is.
+    MAX_GROUND_SIZE encodings is zero exactly when the vector sum is.
     """
     d = len(p) - 1
     lead = Fraction(p[-1])
@@ -204,7 +204,7 @@ def _encoded_powers(p: Poly, max_offset: int) -> tuple[int, ...]:
             scale = lcm(scale, x.denominator)
     ints = [[int(x * scale) for x in vec] for vec in vectors]
     largest = max((abs(x) for vec in ints for x in vec), default=0) or 1
-    base = 2 * MAX_LATTICE_SIZE * largest + 1
+    base = 2 * MAX_GROUND_SIZE * largest + 1
     encoded = []
     for vec in ints:
         packed = 0
@@ -224,8 +224,8 @@ def pattern_multiplicity(pattern: OffsetPattern, p: Sequence[int]) -> int:
     make the subset sums single integers, so the tuple machinery is
     reused unchanged.
     """
-    if pattern.order > MAX_LATTICE_SIZE:
-        raise TooLarge(f"pattern order {pattern.order} exceeds {MAX_LATTICE_SIZE}")
+    if pattern.order > MAX_GROUND_SIZE:
+        raise TooLarge(f"pattern order {pattern.order} exceeds {MAX_GROUND_SIZE}")
     modulus = _validate_pattern_modulus(p)
     encoded = _encoded_powers(modulus, max(pattern.offsets))
     values = [sign * encoded[off] for off, sign in zip(pattern.offsets, pattern.signs)]
@@ -263,7 +263,7 @@ def _slope_contribution(gaps: tuple[int, ...], m: int, encoded: Sequence[int], f
     return total
 
 
-def structural_slope(m: int, p: Sequence[int], gap_bound: int, threads: int = 1) -> int:
+def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
     """Per-unit growth w of 2**m * kappa_m for the sequence of modulus p.
 
     Sums pattern multiplicities over all offset patterns whose sorted
@@ -277,26 +277,18 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int, threads: int = 1)
         raise ValueError("order must be >= 1")
     if gap_bound < 0:
         raise ValueError("gap bound must be >= 0")
-    if m > MAX_LATTICE_SIZE:
-        raise TooLarge(f"order {m} exceeds {MAX_LATTICE_SIZE}")
+    if m > MAX_GROUND_SIZE:
+        raise TooLarge(f"order {m} exceeds {MAX_GROUND_SIZE}")
     sweep = (gap_bound + 1) ** (m - 1) * 2**m
     if sweep > MAX_PATTERN_SWEEP:
         raise TooLarge(f"pattern sweep of size {sweep} refused")
     modulus = _validate_pattern_modulus(p)
     encoded = _encoded_powers(modulus, (m - 1) * gap_bound)
     fact = [factorial(i) for i in range(m + 1)]
-
-    if m == 1:
-        return _slope_contribution((), 1, encoded, fact)
-
-    def sweep_leading_gap(first: int) -> int:
-        subtotal = 0
-        for rest in product(range(gap_bound + 1), repeat=m - 2):
-            subtotal += _slope_contribution((first, *rest), m, encoded, fact)
-        return subtotal
-
-    partials = map_ordered(sweep_leading_gap, range(gap_bound + 1), threads)
-    return sum(partials)
+    return sum(
+        _slope_contribution(gaps, m, encoded, fact)
+        for gaps in product(range(gap_bound + 1), repeat=m - 1)
+    )
 
 
 def detect_affine_tail(values: Sequence[tuple[int, Fraction]], m: int) -> AffineFit:

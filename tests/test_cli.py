@@ -173,28 +173,28 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "cumulants", "--seq", "fibonacci", "--m", "2")[0] == 2
     assert invoke(capsys, "cumulants", "--seq", "fibonacci", "--n", "3")[0] == 2
     assert invoke(capsys, "wat")[0] == 2
+    argv = ["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"]
+    assert invoke(capsys, *argv)[0] == 2
 
 
 @pytest.mark.parametrize(
-    "env, argv, expected",
+    "argv, expected",
     [
-        ({}, ["cumulants", "--seq", "explicit:1,2", "--n", "5", "--m", "2"], 2),
-        ({}, ["compare", "--seq", "explicit:1,2", "--n-from", "1", "--n-to", "5", "--m-max", "2"], 2),
-        ({"LACUNA_THREADS": "abc"}, ["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2"], 2),
-        ({}, ["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"], 2),
-        ({}, ["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3),
+        (["cumulants", "--seq", "explicit:1,2", "--n", "5", "--m", "2"], 2),
+        (["compare", "--seq", "explicit:1,2", "--n-from", "1", "--n-to", "5", "--m-max", "2"], 2),
+        (["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"], 2),
+        (["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"], 2),
+        (["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3),
     ],
     ids=[
         "explicit-too-short",
         "compare-explicit-too-short",
-        "bad-thread-env",
         "index-zero",
+        "negative-index",
         "power-support-guard",
     ],
 )
-def test_failures_print_one_error_line(capsys, monkeypatch, env, argv, expected):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_failures_print_one_error_line(capsys, argv, expected):
     code, out, err = invoke(capsys, *argv)
     assert code == expected
     assert out == ""
@@ -229,12 +229,9 @@ def test_guard_errors_exit_three(capsys):
     assert code == 3
 
 
-def test_output_is_deterministic_across_threads_and_runs(capsys):
+def test_output_is_deterministic_across_runs(capsys):
     argv = ["compare", "--seq", "fibonacci", "--n-from", "3", "--n-to", "8", "--m-max", "4"]
-    first = invoke(capsys, *argv)
-    second = invoke(capsys, *argv)
-    threaded = invoke(capsys, *argv, "--threads", "4")
-    assert first == second == threaded
+    assert invoke(capsys, *argv) == invoke(capsys, *argv)
 
 
 def test_json_rationals_round_trip(capsys):
@@ -273,10 +270,3 @@ def test_out_file_written(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "m,kappa"
-
-
-def test_env_var_thread_fallback(capsys, monkeypatch):
-    argv = ["cumulants", "--seq", "pow2plus1", "--n", "6", "--m", "4"]
-    baseline = invoke(capsys, *argv)
-    monkeypatch.setenv("LACUNA_THREADS", "3")
-    assert invoke(capsys, *argv) == baseline

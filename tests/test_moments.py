@@ -65,11 +65,6 @@ def test_moment_vector_consistent_with_single_calls():
     assert vector == [moment(terms, m) for m in range(1, 7)]
 
 
-def test_moment_threads_do_not_change_result():
-    terms = terms_of(POW2, 12)
-    assert moment_vector(terms, 5, threads=4) == moment_vector(terms, 5, threads=1)
-
-
 @given(
     terms=st.lists(st.integers(1, 12), min_size=1, max_size=6),
     m_max=st.integers(1, 5),

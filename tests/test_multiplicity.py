@@ -38,6 +38,8 @@ def test_signed_tuple_validation():
         SignedTuple((1,), (2,))
     with pytest.raises(ValueError):
         SignedTuple((), ())
+    with pytest.raises(ValueError):
+        SignedTuple((0,), (1,))
 
 
 def test_signed_values_checks_range():

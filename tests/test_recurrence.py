@@ -198,12 +198,6 @@ def test_structural_slope_order_one_is_zero():
     assert structural_slope(1, FIB_POLY, 8) == 0
 
 
-def test_structural_slope_threads_identical():
-    assert structural_slope(3, FIB_POLY, 6, threads=4) == structural_slope(
-        3, FIB_POLY, 6, threads=1
-    )
-
-
 def test_structural_slope_guard():
     with pytest.raises(TooLarge):
         structural_slope(12, FIB_POLY, 16)
