@@ -6,16 +6,18 @@ multiplicity is the Moebius-weighted count over the upset of partitions
 all of whose blocks cancel.  Multiplicities are what cumulants sum:
 kappa_m(S_n) = 2**-m * sum over all tuples of mult(T).
 
-Two independently coded routes are kept side by side:
+The production route is ``mult_of_values``: it reads the zero-sum
+profile off the signed values and runs the set-partition
+moment-cumulant recursion over the profile alone (``mult_from_profile``),
+at a cost quadratic in the number of zero-sum subsets.
+
+Two independently coded lattice routes stay as correctness oracles:
 
 * ``mult_moebius``   - the defining Moebius sum over zero-sum partitions;
 * ``mult_crosscut``  - the alternating count of subfamilies of minimal
   zero-sum partitions whose join is the top partition.
 
-Both are exhaustive over the partition lattice and guarded to small m;
-they are correctness oracles, not the production path.  The production
-sweeps go through ``mult_of_values`` which memoizes the Moebius sum per
-zero-sum profile.
+Both are exhaustive over the partition lattice and guarded to small m.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .partitions import (
 )
 
 MAX_PROFILE_SIZE = 20  # 2**m subset scan guard
+MAX_PROFILE_MASKS = 2**MAX_GROUND_SIZE  # the recursion tests up to len(masks)**2 / 2 pairs
+MAX_CROSSCUT_SUBFAMILIES = 2**14  # each costs up to len(mins) joins of ~15 us
 _PROFILE_CLOSURE_CHECK_LIMIT = 128
 
 
@@ -164,8 +168,11 @@ def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
     if not upset:
         return 0
     mins = minimal_members(upset)
-    if len(mins) > MAX_GROUND_SIZE * 2:
-        raise TooLarge(f"{len(mins)} minimal partitions; crosscut sweep refused")
+    if 2 ** len(mins) > MAX_CROSSCUT_SUBFAMILIES:
+        raise TooLarge(
+            f"{len(mins)} minimal partitions give 2**{len(mins)} subfamilies; crosscut "
+            f"sweep refused (limit {MAX_CROSSCUT_SUBFAMILIES})"
+        )
     one = top(m)
     total = 0
     for pick in range(1, 1 << len(mins)):
@@ -179,33 +186,28 @@ def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fast path shared by the cumulant and offset-pattern sweeps.
-
-_LATTICE_CACHE: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-_MULT_CACHE: dict[tuple[int, frozenset[int]], int] = {}
-
-
-def _lattice_masks(m: int) -> list[tuple[tuple[int, ...], int]]:
-    cached = _LATTICE_CACHE.get(m)
-    if cached is None:
-        cached = [(pi.block_masks(), moebius_to_top(pi)) for pi in all_partitions(m)]
-        _LATTICE_CACHE[m] = cached
-    return cached
+# Production route shared by the cumulant and offset-pattern sweeps.
 
 
 def mult_from_profile(masks: frozenset[int], m: int) -> int:
-    """Moebius sum over zero-sum partitions, memoized per profile."""
-    if m > MAX_GROUND_SIZE:
-        raise TooLarge(f"partition lattice of [{m}] refused (limit m <= {MAX_GROUND_SIZE})")
-    key = (m, masks)
-    cached = _MULT_CACHE.get(key)
-    if cached is None:
-        cached = 0
-        for blocks, mu in _lattice_masks(m):
-            if all(b in masks for b in blocks):
-                cached += mu
-        _MULT_CACHE[key] = cached
-    return cached
+    """Multiplicity of a tuple of order m from its zero-sum profile.
+
+    Set-partition moment-cumulant recursion (Rota 1964; Speed 1983) with
+    the profile's indicator as the moments: visiting the masks by size,
+    kappa(S) = 1 - sum kappa(B) over profile masks B, strictly inside S,
+    that hold the lowest element of S and leave S ^ B in the profile.
+    Equals the Moebius sum over the zero-sum partition upset.
+    """
+    if len(masks) > MAX_PROFILE_MASKS:
+        raise TooLarge(f"zero-sum profile of {len(masks)} subsets refused (limit {MAX_PROFILE_MASKS})")
+    full = (1 << m) - 1
+    if full not in masks:
+        return 0
+    kappa: dict[int, int] = {}
+    for s in sorted(masks, key=int.bit_count):
+        low = s & -s
+        kappa[s] = 1 - sum(k for b, k in kappa.items() if b & low and b & s == b and s ^ b in kappa)
+    return kappa[full]
 
 
 def mult_of_values(values: Sequence[int]) -> int:
@@ -215,6 +217,8 @@ def mult_of_values(values: Sequence[int]) -> int:
     what lets the recurrence module reuse this for offset patterns.
     Returns 0 immediately unless the full sum vanishes.
     """
+    if len(values) > MAX_PROFILE_SIZE:
+        raise TooLarge(f"2**{len(values)} subset scan refused (limit m <= {MAX_PROFILE_SIZE})")
     if sum(values) != 0:
         return 0
     return mult_from_profile(_profile_from_values(values), len(values))

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby
 from math import factorial, isfinite, lcm
 from typing import Sequence
 
@@ -232,37 +232,6 @@ def pattern_multiplicity(pattern: OffsetPattern, p: Sequence[int]) -> int:
     return mult_of_values(values)
 
 
-def _slope_contribution(gaps: tuple[int, ...], m: int, encoded: Sequence[int], fact: Sequence[int]) -> int:
-    offsets = [0]
-    for g in gaps:
-        offsets.append(offsets[-1] + g)
-    groups: list[tuple[int, int]] = []
-    i = 0
-    while i < m:
-        j = i
-        while j < m and offsets[j] == offsets[i]:
-            j += 1
-        groups.append((offsets[i], j - i))
-        i = j
-    total = 0
-    for split in product(*(range(mu + 1) for _, mu in groups)):
-        signed_total = 0
-        for (off, mu), plus in zip(groups, split):
-            signed_total += (2 * plus - mu) * encoded[off]
-        if signed_total:
-            continue
-        values: list[int] = []
-        weight = fact[m]
-        for (off, mu), plus in zip(groups, split):
-            values.extend([encoded[off]] * plus)
-            values.extend([-encoded[off]] * (mu - plus))
-            weight //= fact[plus] * fact[mu - plus]
-        mult = mult_of_values(values)
-        if mult:
-            total += weight * mult
-    return total
-
-
 def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
     """Per-unit growth w of 2**m * kappa_m for the sequence of modulus p.
 
@@ -272,6 +241,14 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
     contributes one tuple per admissible base index, hence w per unit n.
     The bound is a working cutoff, not a proven one: recompute at twice
     the bound and compare (``gap_bound_stable`` in the CLI).
+
+    Patterns are walked as sorted (offset, sign) entries, one position at
+    a time, carrying the partial sum of the packed encodings; within a
+    run of equal offsets ``+`` comes before ``-``, so each multiset is
+    visited once.  The last entry is not enumerated: it is looked up as
+    the signed encoding that closes the partial sum to zero.  Only these
+    zero-sum patterns reach ``mult_of_values``, each weighted by m!
+    over the factorials of its runs of equal entries.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
@@ -284,11 +261,37 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
         raise TooLarge(f"pattern sweep of size {sweep} refused")
     modulus = _validate_pattern_modulus(p)
     encoded = _encoded_powers(modulus, (m - 1) * gap_bound)
-    fact = [factorial(i) for i in range(m + 1)]
-    return sum(
-        _slope_contribution(gaps, m, encoded, fact)
-        for gaps in product(range(gap_bound + 1), repeat=m - 1)
-    )
+    closers: dict[int, list[tuple[int, int]]] = {}  # signed encoding -> its entries
+    for off, value in enumerate(encoded):
+        for sign in (1, -1):
+            closers.setdefault(sign * value, []).append((off, sign))
+    entries: list[tuple[int, int]] = []
+    total = 0
+
+    def walk(partial: int, last_off: int, last_sign: int, reach: int) -> None:
+        nonlocal total
+        if len(entries) == m - 1:
+            for off, sign in closers.get(-partial, ()):
+                if last_off < off <= last_off + reach or (off == last_off and sign <= last_sign):
+                    total += _closed_contribution(entries + [(off, sign)], encoded)
+            return
+        for off in range(last_off, last_off + reach + 1):
+            for sign in (1, -1) if off > last_off or last_sign == 1 else (-1,):
+                entries.append((off, sign))
+                walk(partial + sign * encoded[off], off, sign, gap_bound)
+                entries.pop()
+
+    # The first entry sits at offset 0; a virtual (0, +) before it allows either sign.
+    walk(0, 0, 1, 0)
+    return total
+
+
+def _closed_contribution(entries: list[tuple[int, int]], encoded: Sequence[int]) -> int:
+    """Index orderings of a sorted zero-sum pattern times its multiplicity."""
+    weight = factorial(len(entries))
+    for _, run in groupby(entries):
+        weight //= factorial(len(list(run)))
+    return weight * mult_of_values([sign * encoded[off] for off, sign in entries])
 
 
 def detect_affine_tail(values: Sequence[tuple[int, Fraction]], m: int) -> AffineFit:

@@ -185,6 +185,10 @@ def test_usage_errors_exit_two(capsys):
         (["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"], 2),
         (["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"], 2),
         (["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3),
+        (
+            ["mult-inspect", "--seq", "explicit:5", "--indices", "1,1,1,1,1,1,1,1", "--signs", "+,-,+,-,+,-,+,-"],
+            3,
+        ),
     ],
     ids=[
         "explicit-too-short",
@@ -192,6 +196,7 @@ def test_usage_errors_exit_two(capsys):
         "index-zero",
         "negative-index",
         "power-support-guard",
+        "crosscut-subfamily-guard",
     ],
 )
 def test_failures_print_one_error_line(capsys, argv, expected):

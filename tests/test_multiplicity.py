@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from lacuna.errors import IndexOutOfRange, TooLarge
 from lacuna.multiplicity import (
+    MAX_PROFILE_MASKS,
     SignedTuple,
     mult_crosscut,
+    mult_from_profile,
     mult_moebius,
     mult_of_values,
     signed_subset_sum,
@@ -164,6 +166,36 @@ def test_mult_of_values_matches_tuple_route():
     for tup in all_tuples(4, 3):
         vals = signed_values(tup, POW2)
         assert mult_of_values(vals) == mult_moebius(tup, POW2)
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=0, max_size=7).map(lambda v: v + [-sum(v)])
+)
+@settings(max_examples=150, deadline=None)
+def test_profile_recursion_matches_lattice(values):
+    # Small values make many zero-sum subsets, so the profiles are rich.
+    terms = sorted({abs(v) for v in values})
+    tup = SignedTuple(
+        tuple(terms.index(abs(v)) + 1 for v in values),
+        tuple(1 if v >= 0 else -1 for v in values),
+    )
+    assert mult_of_values(values) == mult_moebius(tup, terms)
+
+
+def test_profile_recursion_large_order():
+    # m = 12 is beyond what the lattice oracle finishes quickly.
+    assert mult_of_values([1, -1] * 6) == -9460
+    assert mult_of_values([0] * 12) == 0
+
+
+def test_multiplicity_guards_refuse_large_inputs():
+    with pytest.raises(TooLarge):
+        mult_of_values([1, -1] * 11)
+    with pytest.raises(TooLarge):
+        mult_from_profile(frozenset(range(1, MAX_PROFILE_MASKS + 2)), 13)
+    eight = SignedTuple((1,) * 8, (1, -1) * 4)  # 24 minimal partitions
+    with pytest.raises(TooLarge, match="2\\*\\*24 subfamilies"):
+        mult_crosscut(eight, [5])
 
 
 def test_mult_handles_duplicate_indices():

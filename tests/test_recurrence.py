@@ -16,7 +16,7 @@ from lacuna.recurrence import (
     rational_roots,
     structural_slope,
 )
-from lacuna.sequences import SequenceSpec, generate_terms
+from lacuna.sequences import SequenceSpec, generate_terms, parse_sequence
 
 FIB_POLY = (-1, -1, 1)  # z^2 - z - 1
 DOUBLE_POLY = (-2, 1)  # z - 2
@@ -207,7 +207,7 @@ def test_structural_slope_matches_ordered_enumeration():
     # Tiny orders: sum pattern multiplicities over raw ordered offset
     # vectors, no multiset weighting.
     for poly in (FIB_POLY, DOUBLE_POLY):
-        for m, bound in ((2, 3), (3, 3)):
+        for m, bound in ((2, 3), (3, 3), (4, 2)):
             total = 0
             for offsets in product(range(3 * bound + 1), repeat=m):
                 if min(offsets) != 0:
@@ -220,6 +220,23 @@ def test_structural_slope_matches_ordered_enumeration():
                 for signs in product((1, -1), repeat=m):
                     total += pattern_multiplicity(OffsetPattern(offsets, signs), poly)
             assert structural_slope(m, poly, bound) == total
+
+
+@pytest.mark.parametrize(
+    "seq, m, bound, w, w_doubled",
+    [
+        ("fibonacci", 5, 6, 640, 640),
+        ("fibonacci", 8, 1, -912870, -5322310),
+        ("geometric:c=1,eta=2", 8, 1, -146062, -141582),
+        ("recurrence:poly=-1,-1,-1,1;init=1,1,2", 8, 1, -501270, -553350),
+    ],
+    ids=["fibonacci-5", "fibonacci-8", "double-8", "tribonacci-8"],
+)
+def test_structural_slope_pinned_values(seq, m, bound, w, w_doubled):
+    # The slopes the CLI prints at the bound and at its doubled recheck.
+    poly, _ = parse_sequence(seq).recurrence_data()
+    assert structural_slope(m, poly, bound) == w
+    assert structural_slope(m, poly, 2 * bound) == w_doubled
 
 
 def test_structural_slope_agrees_with_detected_tail_for_lucas():
