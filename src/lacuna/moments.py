@@ -247,9 +247,9 @@ def moment_oracle_quadrature(
     With N = m * max(a_k) + 1 nodes the rule integrates the degree
     m * max(a_k) trigonometric polynomial S_n**m without aliasing, so
     the only error is float rounding.  Arguments are reduced to
-    a_k * j mod N in exact integer arithmetic before the cosine, and
-    evaluation runs in extended precision (long double) over bounded
-    slabs of the grid.
+    a_k * j mod N in exact integer arithmetic, so each term gathers from
+    one table of the N long-double cosines cos(2*pi*r/N) (16*N bytes, at
+    most 160 MB), slab by bounded slab of the grid.
     """
     import numpy as np  # only the float diagnostics need numpy; keeps start-up fast
 
@@ -263,13 +263,13 @@ def moment_oracle_quadrature(
     # 2*pi to more digits than an x86 long double holds.
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples
     reduced = [a % samples for a in terms]
+    table = np.cos(step * np.arange(samples, dtype=np.int64).astype(np.longdouble))
     total = np.longdouble(0)
     for start in range(0, samples, _ORACLE_SLAB):
         grid = np.arange(start, min(start + _ORACLE_SLAB, samples), dtype=np.int64)
         acc = np.zeros(grid.size, dtype=np.longdouble)
         for a in reduced:
-            residues = a * grid % samples
-            acc += np.cos(step * residues.astype(np.longdouble))
+            acc += table[a * grid % samples]
         total += (acc**m).sum(dtype=np.longdouble)
     return float(total / samples)
 

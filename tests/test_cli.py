@@ -135,6 +135,16 @@ def test_slope_reports_stability(capsys):
     assert payload["gap_bound_stable"] is True
 
 
+def test_slope_walk_guard_admits_doubled_bound_six(capsys):
+    # The recheck at g = 6 walks 7**6 * 2**7 = 15,059,072 prefixes, under the cap.
+    code, out, err = invoke(capsys, "slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["w"] == "-4536742"
+    assert payload["gap_bound_stable"] is False
+    assert err.startswith("warning: slope changed from -4536742 to -4174982")
+
+
 def test_slope_rejects_sequences_without_recurrence(capsys):
     code, _, err = invoke(capsys, "slope", "--seq", "explicit:3,5,9", "--m", "2")
     assert code == 2
@@ -189,6 +199,7 @@ def test_usage_errors_exit_two(capsys):
             ["mult-inspect", "--seq", "explicit:5", "--indices", "1,1,1,1,1,1,1,1", "--signs", "+,-,+,-,+,-,+,-"],
             3,
         ),
+        (["slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "4"], 3),
     ],
     ids=[
         "explicit-too-short",
@@ -197,6 +208,7 @@ def test_usage_errors_exit_two(capsys):
         "negative-index",
         "power-support-guard",
         "crosscut-subfamily-guard",
+        "pattern-walk-guard",
     ],
 )
 def test_failures_print_one_error_line(capsys, argv, expected):

@@ -275,6 +275,34 @@ def test_oracle_sample_guard():
         moment_oracle_quadrature(terms_of(POW2, 40), 6)
 
 
+def test_oracle_pinned_values():
+    fib = terms_of(FIB, 26)
+    assert moment_oracle_quadrature(fib[:25], 6) == 76266.0
+    # N = 9 * 121393 + 1 = 1,092,538 nodes: two slabs of the grid.
+    two_slabs = moment_oracle_quadrature(fib, 9)
+    assert two_slabs == 258281237.015625
+    assert Fraction(two_slabs) == Fraction(16529999169, 64) == moment(fib, 9)
+
+
+def quadrature_per_term(terms, m):
+    """The oracle's rule with one long-double cosine per term and node."""
+    import numpy as np
+
+    samples = m * max(terms) + 1
+    step = np.longdouble("6.28318530717958647692528676655900576839") / samples
+    grid = np.arange(samples, dtype=np.int64)
+    acc = np.zeros(samples, dtype=np.longdouble)
+    for a in terms:
+        acc += np.cos(step * ((a % samples) * grid % samples).astype(np.longdouble))
+    return float((acc**m).sum(dtype=np.longdouble) / samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 400), min_size=1, max_size=7), st.integers(1, 7))
+def test_oracle_matches_per_term_cosines_exactly(terms, m):
+    assert moment_oracle_quadrature(terms, m) == quadrature_per_term(terms, m)
+
+
 # --- comparison table --------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from lacuna.moments import cumulant_vector
 from lacuna.recurrence import (
     AffineFit,
     OffsetPattern,
+    _encoded_powers,
     detect_affine_tail,
     dominant_root_check,
     eta_relation_holds,
@@ -201,6 +202,16 @@ def test_structural_slope_order_one_is_zero():
 def test_structural_slope_guard():
     with pytest.raises(TooLarge):
         structural_slope(12, FIB_POLY, 16)
+    # 9**6 * 2**7 = 68,024,448 depth-7 prefixes: refused before walking.
+    with pytest.raises(TooLarge, match="68024448 prefixes"):
+        structural_slope(8, FIB_POLY, 8)
+
+
+def test_encoded_powers_base_follows_order():
+    # 25 * z**0 - z**1 is not divisible by z**2 - z - 1, but a base sized
+    # for 12 summands (25) packed these 26 encodings to zero.
+    e0, e1 = _encoded_powers(FIB_POLY, 1, 26)
+    assert 25 * e0 - e1 != 0
 
 
 def test_structural_slope_matches_ordered_enumeration():
