@@ -36,7 +36,7 @@ from .multiplicity import (
     zero_sum_profile,
 )
 from .partitions import minimal_members
-from .recurrence import detect_affine_tail, structural_slope
+from .recurrence import detect_affine_tail, minimal_polynomial, structural_slope
 from .sequences import generate_terms, parse_sequence
 
 _SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
@@ -259,7 +259,13 @@ def _slope_command(args: argparse.Namespace) -> str:
     data = spec.recurrence_data()
     if data is None:
         raise _UsageError(f"sequence {spec.label()} has no recurrence polynomial")
-    poly, _ = data
+    spec_poly, _ = data
+    poly = minimal_polynomial(_checked(generate_terms, spec, 2 * (len(spec_poly) - 1)))
+    if poly != spec_poly:
+        print(
+            f"note: slope uses the minimal polynomial {poly} of the terms, not the spec's {spec_poly}",
+            file=sys.stderr,
+        )
     w = structural_slope(args.m, poly, args.gap_bound)
     w_doubled = structural_slope(args.m, poly, 2 * args.gap_bound)
     if w != w_doubled:
@@ -355,8 +361,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if ok else 4

@@ -13,10 +13,6 @@ class TooLarge(LacunaError):
     """A size guard tripped (enumeration or sample count would explode)."""
 
 
-class TooShort(LacunaError):
-    """Not enough terms for a ratio statistic."""
-
-
 class TooFewPoints(LacunaError):
     """Not enough consecutive data points for tail detection."""
 

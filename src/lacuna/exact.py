@@ -10,16 +10,6 @@ estimates, the quadrature cross-check).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-
-Rational = Fraction
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 when k is negative or exceeds n."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def format_rational(value: Fraction) -> str:
@@ -27,13 +17,3 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` back into a canonical rational."""
-    return Fraction(text)
-
-
-def format_int(value: int) -> str:
-    """Decimal string form used for big integers in machine output."""
-    return str(value)

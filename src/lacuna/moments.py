@@ -4,11 +4,12 @@ The m-th moment of S_n = sum_k cos(2 pi a_k w) over w in [0,1] is
 2**-m times the number of signed zero-sum index tuples, so the
 production path (``prefix_moments``) grows the powers of a sparse
 Laurent polynomial one term at a time and extracts constant terms,
-followed by the classical moment-to-cumulant recursion.
-Two independent cross-checks ride along: a pruned depth-first count of
-the same tuples, and an equally-spaced quadrature rule that is exact
-for trigonometric polynomials of the arising degree (up to float
-rounding).
+followed by the classical moment-to-cumulant recursion.  The
+``oracle`` command cross-checks one moment against an equally-spaced
+quadrature rule that is exact for trigonometric polynomials of the
+arising degree (up to float rounding).  The independently coded test
+routes (a pruned depth-first tuple count, summed tuple multiplicities)
+live with the tests, not here.
 
 The independent comparison model replaces the shared argument w by an
 i.i.d. uniform argument per summand; each summand then follows the
@@ -20,19 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
-from .errors import IndexOutOfRange, TooLarge
+from .errors import TooLarge
 from .laurent import SparseLaurent
-from .multiplicity import mult_of_values
 from .sequences import SequenceSpec, generate_terms
 
 MAX_ORACLE_SAMPLES = 10**7
 MAX_POWER_SUPPORT = 10**7  # a-priori exponent count of the largest held power P^k
-MAX_SWEEP_ORDER = 6
-MAX_SWEEP_TERMS = 12
 
 
 def prefix_moments(
@@ -94,50 +91,10 @@ def moment_vector(terms: Sequence[int], m_max: int) -> list[Fraction]:
     return prefix_moments(terms, len(terms), len(terms), m_max)[-1][1]
 
 
-def moment_dfs(terms: Sequence[int], m: int) -> Fraction:
-    """E[S_n**m] by pruned depth-first search; independent of the Laurent route.
-
-    Walks multisets of (term, sign) picks with terms taken in
-    non-increasing order, pruning once |partial sum| exceeds
-    (slots left) * (largest remaining term), which no completion can
-    cancel.  Each multiset is weighted by its number of orderings.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    values = sorted(terms, reverse=True)
-    n = len(values)
-    fact = [factorial(i) for i in range(m + 1)]
-    total = 0
-
-    def descend(symbol: int, left: int, partial: int, weight_denom: int) -> None:
-        nonlocal total
-        if left == 0:
-            if partial == 0:
-                total += fact[m] // weight_denom
-            return
-        if symbol == 2 * n:
-            return
-        value = values[symbol // 2]
-        if abs(partial) > left * value:
-            return  # every remaining symbol is <= value in magnitude
-        contribution = value if symbol % 2 == 0 else -value
-        for copies in range(left + 1):
-            descend(
-                symbol + 1,
-                left - copies,
-                partial + copies * contribution,
-                weight_denom * fact[copies],
-            )
-
-    descend(0, m, 0, 1)
-    return Fraction(total, 2**m)
-
-
 def moments_to_cumulants(moments: Sequence[Fraction]) -> list[Fraction]:
     """Cumulants k_1..k_M from raw moments mu_1..mu_M.
 
-    Uses the recursion k_m = mu_m - sum_{j<m} C(m-1, j-1) k_j mu_{m-j},
-    the coefficient-wise inverse of ``cumulants_to_moments``.
+    Uses the recursion k_m = mu_m - sum_{j<m} C(m-1, j-1) k_j mu_{m-j}.
     """
     out: list[Fraction] = []
     for m in range(1, len(moments) + 1):
@@ -146,72 +103,6 @@ def moments_to_cumulants(moments: Sequence[Fraction]) -> list[Fraction]:
             acc -= comb(m - 1, j - 1) * out[j - 1] * moments[m - j - 1]
         out.append(acc)
     return out
-
-
-def cumulants_to_moments(cumulants: Sequence[Fraction]) -> list[Fraction]:
-    """Raw moments from cumulants; inverse of ``moments_to_cumulants``."""
-    out: list[Fraction] = []
-    for m in range(1, len(cumulants) + 1):
-        acc = Fraction(cumulants[m - 1])
-        for j in range(1, m):
-            acc += comb(m - 1, j - 1) * Fraction(cumulants[j - 1]) * out[m - j - 1]
-        out.append(acc)
-    return out
-
-
-def cumulant(terms: Sequence[int], m: int) -> Fraction:
-    """kappa_m(S_n) exactly, through the moment route."""
-    return cumulant_vector(terms, m)[m - 1]
-
-
-def cumulant_vector(terms: Sequence[int], m_max: int) -> list[Fraction]:
-    """kappa_1..kappa_{m_max}, sharing the moment computation."""
-    return moments_to_cumulants(moment_vector(terms, m_max))
-
-
-def cumulant_via_multiplicity(terms: Sequence[int], n: int, m: int) -> Fraction:
-    """kappa_m(S_n) as 2**-m times the sum of tuple multiplicities.
-
-    Exhaustive over sorted representatives of (index, sign) multisets
-    with multinomial weights; guarded to small m and n.  Must agree
-    with ``cumulant`` on every input; kept as an independently coded
-    route through the partition calculus.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if m > MAX_SWEEP_ORDER or n > MAX_SWEEP_TERMS:
-        raise TooLarge(
-            f"tuple sweep refused for m={m}, n={n} "
-            f"(limits m <= {MAX_SWEEP_ORDER}, n <= {MAX_SWEEP_TERMS})"
-        )
-    if n < 1 or n > len(terms):
-        raise IndexOutOfRange(f"n={n} outside the materialized {len(terms)} terms")
-    signed = []
-    for i in range(n):
-        signed.append(terms[i])
-        signed.append(-terms[i])
-    fact = [factorial(i) for i in range(m + 1)]
-    total = 0
-    for combo in combinations_with_replacement(range(2 * n), m):
-        partial = 0
-        for s in combo:
-            partial += signed[s]
-        if partial:
-            continue
-        mult = mult_of_values([signed[s] for s in combo])
-        if not mult:
-            continue
-        weight = fact[m]
-        run = 1
-        for prev, cur in zip(combo, combo[1:]):
-            if prev == cur:
-                run += 1
-            else:
-                weight //= fact[run]
-                run = 1
-        weight //= fact[run]
-        total += weight * mult
-    return Fraction(total, 2**m)
 
 
 def arcsine_moment(order: int) -> Fraction:
@@ -224,11 +115,6 @@ def arcsine_moment(order: int) -> Fraction:
     return Fraction(comb(2 * j, j), 4**j)
 
 
-def independent_cumulant(m: int) -> Fraction:
-    """Cumulant of a single arcsine summand; zero for odd m."""
-    return independent_cumulants(m)[m - 1]
-
-
 def independent_cumulants(m_max: int) -> list[Fraction]:
     """Arcsine cumulants for m = 1..m_max."""
     if m_max < 1:
@@ -239,9 +125,7 @@ def independent_cumulants(m_max: int) -> list[Fraction]:
 _ORACLE_SLAB = 1 << 20
 
 
-def moment_oracle_quadrature(
-    terms: Sequence[int], m: int, sample_cap: int = MAX_ORACLE_SAMPLES
-) -> float:
+def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     """Float cross-check of E[S_n**m] by equally spaced sampling.
 
     With N = m * max(a_k) + 1 nodes the rule integrates the degree
@@ -258,8 +142,8 @@ def moment_oracle_quadrature(
     if not terms:
         raise ValueError("need at least one term")
     samples = m * max(terms) + 1
-    if samples > sample_cap:
-        raise TooLarge(f"{samples} quadrature nodes exceed the cap {sample_cap}")
+    if samples > MAX_ORACLE_SAMPLES:
+        raise TooLarge(f"{samples} quadrature nodes exceed the cap {MAX_ORACLE_SAMPLES}")
     # 2*pi to more digits than an x86 long double holds.
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples
     reduced = [a % samples for a in terms]

@@ -89,18 +89,6 @@ def signed_values(t: SignedTuple, terms: Sequence[int]) -> list[int]:
     return [s * terms[i - 1] for i, s in zip(t.indices, t.signs)]
 
 
-def signed_subset_sum(t: SignedTuple, positions: Sequence[int], terms: Sequence[int]) -> int:
-    """Sum of e_r * a_{i_r} over the given 1-based positions (empty sum is 0)."""
-    vals = signed_values(t, terms)
-    m = t.order
-    total = 0
-    for p in positions:
-        if not 1 <= p <= m:
-            raise IndexOutOfRange(f"position {p} outside 1..{m}")
-        total += vals[p - 1]
-    return total
-
-
 def _subset_sums(values: Sequence[int]) -> list[int]:
     m = len(values)
     sums = [0] * (1 << m)

@@ -60,11 +60,6 @@ class SetPartition:
         return "|".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
-def bottom(m: int) -> SetPartition:
-    """The all-singletons partition."""
-    return SetPartition(tuple((i,) for i in range(1, m + 1)))
-
-
 def top(m: int) -> SetPartition:
     """The one-block partition."""
     return SetPartition((tuple(range(1, m + 1)),))

@@ -5,12 +5,15 @@ an irreducible integer polynomial P with a dominant real root eta > 1,
 the cancellation pattern of large-index tuples depends only on the
 offsets of the indices from their minimum and on the signs: a subset
 cancels exactly when P divides the corresponding power sum of z.  That
-reduces tail behavior to a finite sweep over offset patterns and makes
-the per-unit growth of 2**m * kappa_m computable without touching any
-concrete term.
+reduces tail behavior to a finite walk over offset patterns
+(``structural_slope``) and makes the per-unit growth of 2**m * kappa_m
+computable without touching any concrete term.  ``minimal_polynomial``
+recovers the shortest P from the terms themselves, so a spec with a
+redundant factor is walked on the polynomial its terms satisfy.
 
 Everything here works with coefficient tuples low-to-high, so z**2-z-1
-is (-1, -1, 1).  Reductions are exact over the rationals; numeric root
+is (-1, -1, 1).  Divisibility is tested exactly, through packed
+integer encodings of the powers of z reduced mod P; numeric root
 finding appears only in the dominant-root diagnostic.
 """
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial, isfinite, lcm
+from math import factorial, gcd, isfinite, lcm
 from typing import Sequence
 
 from .errors import RootFindingFailed, TooFewPoints, TooLarge, ZeroModulus
@@ -33,39 +36,7 @@ Poly = tuple[int, ...]
 # Prefixes the slope walk visits; about 0.35 us each on a 2-core host, ~10 s at the cap.
 MAX_PATTERN_SWEEP = 30_000_000
 _RATIONAL_ROOT_SCAN_LIMIT = 10**12
-
-
-@dataclass(frozen=True)
-class OffsetPattern:
-    """Offsets of a tuple's indices from their minimum, plus signs.
-
-    The minimum offset is 0 by construction; repeats are allowed and
-    mean repeated indices.
-    """
-
-    offsets: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.offsets) != len(self.signs):
-            raise ValueError("offsets and signs must have equal length")
-        if not self.offsets:
-            raise ValueError("pattern must have at least one entry")
-        if min(self.offsets) != 0:
-            raise ValueError("smallest offset must be 0")
-        if any(o < 0 for o in self.offsets):
-            raise ValueError("offsets must be nonnegative")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
-
-    @property
-    def order(self) -> int:
-        return len(self.offsets)
-
-    def gap(self) -> int:
-        """Largest difference between consecutive sorted offsets."""
-        ordered = sorted(self.offsets)
-        return max((b - a for a, b in zip(ordered, ordered[1:])), default=0)
+_PERRON_MARGIN = 1e-9  # the dominant root must beat every other modulus by this much
 
 
 @dataclass(frozen=True)
@@ -85,26 +56,36 @@ def _strip(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
     return out
 
 
-def poly_reduce_mod(q: Sequence[int | Fraction], p: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-    """Remainder of q on division by p over the rationals.
+def minimal_polynomial(terms: Sequence[int]) -> Poly:
+    """Shortest recurrence polynomial of the terms, primitive and low-to-high.
 
-    Coefficients are low-to-high; the result is trimmed, so divisibility
-    is ``poly_reduce_mod(q, p) == ()``.
+    Berlekamp-Massey over the rationals (Berlekamp 1968; Massey 1969):
+    the connection polynomial C = 1 + c_1 x + ... + c_L x**L it builds
+    has s_k + c_1 s_{k-1} + ... + c_L s_{k-L} = 0 for every k >= L, and
+    the recurrence polynomial is z**L * C(1/z).  The first 2d terms of a
+    sequence of recurrence order d determine it.
     """
-    divisor = _strip(p)
-    if not divisor:
-        raise ZeroModulus("reduction modulo the zero polynomial")
-    rem = _strip(q)
-    d = len(divisor) - 1
-    lead = divisor[-1]
-    while len(rem) - 1 >= d and rem:
-        shift = len(rem) - 1 - d
-        factor = rem[-1] / lead
-        for i in range(d + 1):
-            rem[shift + i] -= factor * divisor[i]
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return tuple(rem)
+    c, b = [Fraction(1)], [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for k in range(len(terms)):
+        delta = sum(x * terms[k - i] for i, x in enumerate(c))
+        if delta == 0:
+            shift += 1
+            continue
+        factor = delta / last
+        updated = c + [Fraction(0)] * (len(b) + shift - len(c))
+        for i, x in enumerate(b):
+            updated[i + shift] -= factor * x
+        if 2 * length <= k:
+            length, b, last, shift = k + 1 - length, c, delta, 1
+        else:
+            shift += 1
+        c = updated
+    c += [Fraction(0)] * (length + 1 - len(c))
+    scale = lcm(*(x.denominator for x in c))
+    coeffs = [int(x * scale) for x in reversed(c)]
+    common = gcd(*coeffs)
+    return tuple(x // common for x in coeffs)
 
 
 def _divisors(value: int) -> list[int]:
@@ -160,21 +141,6 @@ def _validate_pattern_modulus(p: Sequence[int]) -> Poly:
     return tuple(int(c) for c in coeffs)
 
 
-def eta_relation_holds(pattern: OffsetPattern, p: Sequence[int]) -> bool:
-    """Whether the signed power sum of the dominant root vanishes.
-
-    For irreducible p this holds exactly when p divides
-    sum_j sign_j * z**offset_j, by conjugating the root relation through
-    the Galois action.  Irreducibility is the caller's assertion; use
-    ``dominant_root_check`` to flag rational factors.
-    """
-    modulus = _validate_pattern_modulus(p)
-    coeffs = [0] * (max(pattern.offsets) + 1)
-    for off, sign in zip(pattern.offsets, pattern.signs):
-        coeffs[off] += sign
-    return poly_reduce_mod(coeffs, modulus) == ()
-
-
 @lru_cache(maxsize=None)
 def _encoded_powers(p: Poly, max_offset: int, order: int) -> tuple[int, ...]:
     """Injective integer encodings of z**0 .. z**max_offset reduced mod p.
@@ -215,22 +181,6 @@ def _encoded_powers(p: Poly, max_offset: int, order: int) -> tuple[int, ...]:
             weight *= base
         encoded.append(packed)
     return tuple(encoded)
-
-
-def pattern_multiplicity(pattern: OffsetPattern, p: Sequence[int]) -> int:
-    """Multiplicity of a pattern with cancellation read off the modulus.
-
-    Same Moebius calculus as for concrete tuples, but a subset counts as
-    zero-sum when p divides its signed power sum.  The packed encodings
-    make the subset sums single integers, so the tuple machinery is
-    reused unchanged.
-    """
-    if pattern.order > MAX_GROUND_SIZE:
-        raise TooLarge(f"pattern order {pattern.order} exceeds {MAX_GROUND_SIZE}")
-    modulus = _validate_pattern_modulus(p)
-    encoded = _encoded_powers(modulus, max(pattern.offsets), pattern.order)
-    values = [sign * encoded[off] for off, sign in zip(pattern.offsets, pattern.signs)]
-    return mult_of_values(values)
 
 
 def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
@@ -332,7 +282,7 @@ class RootCheck:
     rational: tuple[Fraction, ...]
 
 
-def dominant_root_check(p: Sequence[int], tol: float = 1e-9) -> RootCheck:
+def dominant_root_check(p: Sequence[int]) -> RootCheck:
     """Check for a unique real root > 1 strictly dominating all others.
 
     Root finding is numeric (companion matrix) and only diagnostic; the
@@ -358,7 +308,7 @@ def dominant_root_check(p: Sequence[int], tol: float = 1e-9) -> RootCheck:
         eta = real_above_one[0]
         others = list(roots)
         others.remove(min(others, key=lambda z: abs(z - eta)))
-        perron = all(eta > abs(z) + tol for z in others)
+        perron = all(eta > abs(z) + _PERRON_MARGIN for z in others)
     else:
         eta = max(abs(z) for z in roots)
         perron = False

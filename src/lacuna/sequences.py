@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous, TooShort
+from .errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous
 from .recurrence import rational_roots
-
-KINDS = ("explicit", "pow2plus1", "fibonacci", "lucas", "geometric", "recurrence", "roundpow")
 
 # Rounded powers must clear half-integers by this margin after error
 # propagation, or generation refuses.
@@ -100,7 +98,7 @@ class SequenceSpec:
         return self.kind
 
     def recurrence_data(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Minimal polynomial and initial terms, when the family has them."""
+        """Recurrence polynomial and initial terms, when the family has them."""
         if self.kind == "fibonacci":
             return (-1, -1, 1), (1, 1)
         if self.kind == "lucas":
@@ -172,26 +170,19 @@ def generate_terms(spec: SequenceSpec, n: int) -> list[int]:
         terms = list(spec.values[:n])
         _check_positive(terms)
         return terms
-    if spec.kind == "pow2plus1":
-        return [2**k + 1 for k in range(1, n + 1)]
-    if spec.kind == "fibonacci":
-        return _iterate_recurrence((-1, -1, 1), (1, 1), n)
-    if spec.kind == "lucas":
-        return _iterate_recurrence((-1, -1, 1), (1, 3), n)
-    if spec.kind == "geometric":
-        return [spec.c * spec.eta**k for k in range(1, n + 1)]
-    if spec.kind == "recurrence":
-        if len(spec.poly) - 1 >= 2 and rational_roots(spec.poly):
-            warnings.warn(
-                "recurrence polynomial has a rational root and is not irreducible; "
-                "relation checks assume irreducibility",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return _iterate_recurrence(spec.poly, spec.init, n)
     if spec.kind == "roundpow":
         return _rounded_powers(spec.eta_decimal, spec.prec, n)
-    raise ValueError(f"unknown sequence kind {spec.kind!r}")
+    data = spec.recurrence_data()
+    if data is None:
+        raise ValueError(f"unknown sequence kind {spec.kind!r}")
+    if spec.kind == "recurrence" and len(spec.poly) - 1 >= 2 and rational_roots(spec.poly):
+        warnings.warn(
+            "recurrence polynomial has a rational root and is not irreducible; "
+            "relation checks assume irreducibility",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return _iterate_recurrence(*data, n)
 
 
 def _check_positive(terms) -> None:
@@ -247,16 +238,3 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
         terms.append(nearest)
     return terms
 
-
-def hadamard_ratio(terms) -> Fraction:
-    """Smallest consecutive ratio a_{k+1}/a_k, exactly."""
-    if len(terms) < 2:
-        raise TooShort("need at least two terms for a gap ratio")
-    return min(Fraction(b, a) for a, b in zip(terms, terms[1:]))
-
-
-def ratio_limit_estimate(terms) -> float:
-    """Last consecutive ratio as a float; diagnostic only."""
-    if len(terms) < 2:
-        raise TooShort("need at least two terms for a ratio estimate")
-    return float(Fraction(terms[-1], terms[-2]))

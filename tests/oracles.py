@@ -1,0 +1,290 @@
+"""Independently coded reference routes that the tests hold production against.
+
+None of these ships in ``lacuna``: each recomputes a quantity that the
+package computes one way, by a different route, so that agreement is
+evidence for both.
+
+* Laurent powers by repeated multiplication and their constant terms,
+  by full expansion or meet-in-the-middle, against ``prefix_moments``.
+* ``moment_dfs``: a pruned depth-first count of signed zero-sum tuples.
+* ``cumulant_via_multiplicity``: cumulants as summed tuple
+  multiplicities, against the moment route.
+* ``cumulants_to_moments``: the inverse of ``moments_to_cumulants``.
+* Offset patterns with subset cancellation read off the recurrence
+  modulus (``pattern_multiplicity``, ``eta_relation_holds``), against
+  the structural slope walk.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb, factorial
+from typing import Iterable, Sequence
+
+from lacuna.errors import IndexOutOfRange, TooLarge, ZeroModulus
+from lacuna.laurent import SparseLaurent, laurent_mul
+from lacuna.moments import independent_cumulants, moment_vector, moments_to_cumulants
+from lacuna.multiplicity import mult_of_values
+from lacuna.partitions import MAX_GROUND_SIZE, SetPartition
+from lacuna.recurrence import _encoded_powers, _strip, _validate_pattern_modulus
+
+MAX_SWEEP_ORDER = 6
+MAX_SWEEP_TERMS = 12
+
+
+# --- Laurent polynomials ---------------------------------------------------
+
+
+def laurent_from_terms(terms: Iterable[int]) -> SparseLaurent:
+    """Build sum_k (x**a_k + x**-a_k); duplicate terms stack coefficients."""
+    poly: SparseLaurent = {}
+    for a in terms:
+        poly[a] = poly.get(a, 0) + 1
+        poly[-a] = poly.get(-a, 0) + 1
+    return poly
+
+
+def laurent_pow(p: SparseLaurent, k: int) -> SparseLaurent:
+    """p**k by repeated multiplication; k = 0 gives the constant 1."""
+    if k < 0:
+        raise ValueError("negative power of a Laurent polynomial")
+    out: SparseLaurent = {0: 1}
+    for _ in range(k):
+        out = laurent_mul(out, p)
+    return out
+
+
+def laurent_power_const_term(p: SparseLaurent, m: int) -> int:
+    """[x^0] p**m by meet-in-the-middle.
+
+    Forms A = p**ceil(m/2) and B = p**floor(m/2) and returns
+    sum_e A[e] * B[-e].  The two half-powers stay tractable where the
+    full m-th power would not.
+    """
+    if m < 1:
+        raise ValueError("power must be >= 1")
+    hi = (m + 1) // 2
+    a = laurent_pow(p, hi)
+    b = a if m % 2 == 0 else laurent_pow(p, m // 2)
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(c * b.get(-e, 0) for e, c in a.items())
+
+
+def laurent_power_const_term_full(p: SparseLaurent, m: int) -> int:
+    """[x^0] p**m by full expansion.  Fallback for tiny inputs and tests."""
+    if m < 1:
+        raise ValueError("power must be >= 1")
+    return laurent_pow(p, m).get(0, 0)
+
+
+# --- moments and cumulants -------------------------------------------------
+
+
+def moment_dfs(terms: Sequence[int], m: int) -> Fraction:
+    """E[S_n**m] by pruned depth-first search; independent of the Laurent route.
+
+    Walks multisets of (term, sign) picks with terms taken in
+    non-increasing order, pruning once |partial sum| exceeds
+    (slots left) * (largest remaining term), which no completion can
+    cancel.  Each multiset is weighted by its number of orderings.
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    values = sorted(terms, reverse=True)
+    n = len(values)
+    fact = [factorial(i) for i in range(m + 1)]
+    total = 0
+
+    def descend(symbol: int, left: int, partial: int, weight_denom: int) -> None:
+        nonlocal total
+        if left == 0:
+            if partial == 0:
+                total += fact[m] // weight_denom
+            return
+        if symbol == 2 * n:
+            return
+        value = values[symbol // 2]
+        if abs(partial) > left * value:
+            return  # every remaining symbol is <= value in magnitude
+        contribution = value if symbol % 2 == 0 else -value
+        for copies in range(left + 1):
+            descend(
+                symbol + 1,
+                left - copies,
+                partial + copies * contribution,
+                weight_denom * fact[copies],
+            )
+
+    descend(0, m, 0, 1)
+    return Fraction(total, 2**m)
+
+
+def cumulants_to_moments(cumulants: Sequence[Fraction]) -> list[Fraction]:
+    """Raw moments from cumulants; inverse of ``moments_to_cumulants``."""
+    out: list[Fraction] = []
+    for m in range(1, len(cumulants) + 1):
+        acc = Fraction(cumulants[m - 1])
+        for j in range(1, m):
+            acc += comb(m - 1, j - 1) * Fraction(cumulants[j - 1]) * out[m - j - 1]
+        out.append(acc)
+    return out
+
+
+def cumulant(terms: Sequence[int], m: int) -> Fraction:
+    """kappa_m(S_n) exactly, through the moment route."""
+    return cumulant_vector(terms, m)[m - 1]
+
+
+def cumulant_vector(terms: Sequence[int], m_max: int) -> list[Fraction]:
+    """kappa_1..kappa_{m_max}, sharing the moment computation."""
+    return moments_to_cumulants(moment_vector(terms, m_max))
+
+
+def cumulant_via_multiplicity(terms: Sequence[int], n: int, m: int) -> Fraction:
+    """kappa_m(S_n) as 2**-m times the sum of tuple multiplicities.
+
+    Exhaustive over sorted representatives of (index, sign) multisets
+    with multinomial weights; guarded to small m and n.  Must agree
+    with ``cumulant`` on every input; kept as an independently coded
+    route through the partition calculus.
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    if m > MAX_SWEEP_ORDER or n > MAX_SWEEP_TERMS:
+        raise TooLarge(
+            f"tuple sweep refused for m={m}, n={n} "
+            f"(limits m <= {MAX_SWEEP_ORDER}, n <= {MAX_SWEEP_TERMS})"
+        )
+    if n < 1 or n > len(terms):
+        raise IndexOutOfRange(f"n={n} outside the materialized {len(terms)} terms")
+    signed = []
+    for i in range(n):
+        signed.append(terms[i])
+        signed.append(-terms[i])
+    fact = [factorial(i) for i in range(m + 1)]
+    total = 0
+    for combo in combinations_with_replacement(range(2 * n), m):
+        partial = 0
+        for s in combo:
+            partial += signed[s]
+        if partial:
+            continue
+        mult = mult_of_values([signed[s] for s in combo])
+        if not mult:
+            continue
+        weight = fact[m]
+        run = 1
+        for prev, cur in zip(combo, combo[1:]):
+            if prev == cur:
+                run += 1
+            else:
+                weight //= fact[run]
+                run = 1
+        weight //= fact[run]
+        total += weight * mult
+    return Fraction(total, 2**m)
+
+
+def independent_cumulant(m: int) -> Fraction:
+    """Cumulant of a single arcsine summand; zero for odd m."""
+    return independent_cumulants(m)[m - 1]
+
+
+# --- offset patterns -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OffsetPattern:
+    """Offsets of a tuple's indices from their minimum, plus signs.
+
+    The minimum offset is 0 by construction; repeats are allowed and
+    mean repeated indices.
+    """
+
+    offsets: tuple[int, ...]
+    signs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.offsets) != len(self.signs):
+            raise ValueError("offsets and signs must have equal length")
+        if not self.offsets:
+            raise ValueError("pattern must have at least one entry")
+        if min(self.offsets) != 0:
+            raise ValueError("smallest offset must be 0")
+        if any(o < 0 for o in self.offsets):
+            raise ValueError("offsets must be nonnegative")
+        if any(s not in (1, -1) for s in self.signs):
+            raise ValueError("signs must be +1 or -1")
+
+    @property
+    def order(self) -> int:
+        return len(self.offsets)
+
+    def gap(self) -> int:
+        """Largest difference between consecutive sorted offsets."""
+        ordered = sorted(self.offsets)
+        return max((b - a for a, b in zip(ordered, ordered[1:])), default=0)
+
+
+def poly_reduce_mod(q: Sequence[int | Fraction], p: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
+    """Remainder of q on division by p over the rationals.
+
+    Coefficients are low-to-high; the result is trimmed, so divisibility
+    is ``poly_reduce_mod(q, p) == ()``.
+    """
+    divisor = _strip(p)
+    if not divisor:
+        raise ZeroModulus("reduction modulo the zero polynomial")
+    rem = _strip(q)
+    d = len(divisor) - 1
+    lead = divisor[-1]
+    while len(rem) - 1 >= d and rem:
+        shift = len(rem) - 1 - d
+        factor = rem[-1] / lead
+        for i in range(d + 1):
+            rem[shift + i] -= factor * divisor[i]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(rem)
+
+
+def eta_relation_holds(pattern: OffsetPattern, p: Sequence[int]) -> bool:
+    """Whether the signed power sum of the dominant root vanishes.
+
+    For irreducible p this holds exactly when p divides
+    sum_j sign_j * z**offset_j, by conjugating the root relation through
+    the Galois action.  Irreducibility is the caller's assertion; use
+    ``dominant_root_check`` to flag rational factors.
+    """
+    modulus = _validate_pattern_modulus(p)
+    coeffs = [0] * (max(pattern.offsets) + 1)
+    for off, sign in zip(pattern.offsets, pattern.signs):
+        coeffs[off] += sign
+    return poly_reduce_mod(coeffs, modulus) == ()
+
+
+def pattern_multiplicity(pattern: OffsetPattern, p: Sequence[int]) -> int:
+    """Multiplicity of a pattern with cancellation read off the modulus.
+
+    Same Moebius calculus as for concrete tuples, but a subset counts as
+    zero-sum when p divides its signed power sum.  The packed encodings
+    make the subset sums single integers, so the tuple machinery is
+    reused unchanged.
+    """
+    if pattern.order > MAX_GROUND_SIZE:
+        raise TooLarge(f"pattern order {pattern.order} exceeds {MAX_GROUND_SIZE}")
+    modulus = _validate_pattern_modulus(p)
+    encoded = _encoded_powers(modulus, max(pattern.offsets), pattern.order)
+    values = [sign * encoded[off] for off, sign in zip(pattern.offsets, pattern.signs)]
+    return mult_of_values(values)
+
+
+# --- partitions ------------------------------------------------------------
+
+
+def bottom(m: int) -> SetPartition:
+    """The all-singletons partition."""
+    return SetPartition(tuple((i,) for i in range(1, m + 1)))

@@ -13,9 +13,6 @@ from functools import lru_cache
 from itertools import product
 
 from lacuna.moments import (
-    cumulant_via_multiplicity,
-    cumulant_vector,
-    independent_cumulant,
     independent_cumulants,
     moment_oracle_quadrature,
     moment_vector,
@@ -25,6 +22,7 @@ from lacuna.multiplicity import SignedTuple, mult_crosscut, mult_moebius
 from lacuna.partitions import all_partitions, moebius_to_top
 from lacuna.recurrence import detect_affine_tail, structural_slope
 from lacuna.sequences import SequenceSpec, generate_terms
+from oracles import cumulant_via_multiplicity, cumulant_vector, independent_cumulant
 
 PI_DIGITS = "3.14159265358979323846264338327950288"
 

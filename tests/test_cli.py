@@ -9,7 +9,6 @@ import pytest
 
 import lacuna
 from lacuna.cli import run
-from lacuna.exact import parse_rational
 
 
 def invoke(capsys, *argv):
@@ -145,6 +144,25 @@ def test_slope_walk_guard_admits_doubled_bound_six(capsys):
     assert err.startswith("warning: slope changed from -4536742 to -4174982")
 
 
+def test_slope_walks_the_minimal_polynomial(capsys):
+    # (z - 1)(z^2 - z - 1) with initial terms 1, 1, 2 generates the Fibonacci numbers.
+    seq = "recurrence:poly=1,0,-2,1;init=1,1,2"
+    with pytest.warns(RuntimeWarning, match="rational root"):
+        code, out, err = invoke(capsys, "slope", "--seq", seq, "--m", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["w"] == "90"
+    assert payload["gap_bound_stable"] is True
+    notes = [line for line in err.splitlines() if line.startswith("note: ")]
+    assert notes == [
+        "note: slope uses the minimal polynomial (-1, -1, 1) of the terms, "
+        "not the spec's (1, 0, -2, 1)"
+    ]
+    with pytest.warns(RuntimeWarning, match="rational root"):
+        _, detected, _ = invoke(capsys, "detect-linear", "--seq", seq, "--m", "4", "--n-from", "10", "--n-to", "25")
+    assert json.loads(detected)["w"] == "90"
+
+
 def test_slope_rejects_sequences_without_recurrence(capsys):
     code, _, err = invoke(capsys, "slope", "--seq", "explicit:3,5,9", "--m", "2")
     assert code == 2
@@ -174,7 +192,7 @@ def test_oracle_agrees_with_exact(capsys):
     code, out, _ = invoke(capsys, "oracle", "--seq", "fibonacci", "--n", "5", "--m", "3")
     assert code == 0
     payload = json.loads(out)
-    exact = parse_rational(payload["exact"])
+    exact = Fraction(payload["exact"])
     assert abs(payload["oracle"] - float(exact)) <= 1e-9 * max(1.0, abs(float(exact)))
 
 
@@ -200,6 +218,7 @@ def test_usage_errors_exit_two(capsys):
             3,
         ),
         (["slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "4"], 3),
+        (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2),
     ],
     ids=[
         "explicit-too-short",
@@ -209,6 +228,7 @@ def test_usage_errors_exit_two(capsys):
         "power-support-guard",
         "crosscut-subfamily-guard",
         "pattern-walk-guard",
+        "out-into-missing-directory",
     ],
 )
 def test_failures_print_one_error_line(capsys, argv, expected):
@@ -265,9 +285,9 @@ def test_json_rationals_round_trip(capsys):
         "5",
     )
     for row in json.loads(out)["rows"]:
-        kappa = parse_rational(row["kappa"])
-        model = parse_rational(row["independent_n_kappa"])
-        diff = parse_rational(row["diff"])
+        kappa = Fraction(row["kappa"])
+        model = Fraction(row["independent_n_kappa"])
+        diff = Fraction(row["diff"])
         assert kappa - model == diff
         assert isinstance(kappa, Fraction)
 

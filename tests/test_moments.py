@@ -7,24 +7,27 @@ from hypothesis import strategies as st
 
 from lacuna import moments
 from lacuna.errors import IndexOutOfRange, TooLarge
-from lacuna.laurent import laurent_from_terms, laurent_power_const_term_full
 from lacuna.moments import (
     arcsine_moment,
     compare_table,
-    cumulant,
-    cumulant_vector,
-    cumulant_via_multiplicity,
-    cumulants_to_moments,
-    independent_cumulant,
     independent_cumulants,
     moment,
-    moment_dfs,
     moment_oracle_quadrature,
     moment_vector,
     moments_to_cumulants,
     prefix_moments,
 )
 from lacuna.sequences import SequenceSpec, generate_terms
+from oracles import (
+    cumulant,
+    cumulant_vector,
+    cumulant_via_multiplicity,
+    cumulants_to_moments,
+    independent_cumulant,
+    laurent_from_terms,
+    laurent_power_const_term_full,
+    moment_dfs,
+)
 
 FIB = SequenceSpec.fibonacci()
 POW2 = SequenceSpec.pow2plus1()

@@ -12,7 +12,6 @@ from lacuna.multiplicity import (
     mult_from_profile,
     mult_moebius,
     mult_of_values,
-    signed_subset_sum,
     signed_values,
     upset_partitions,
     zero_sum_profile,
@@ -47,14 +46,6 @@ def test_signed_tuple_validation():
 def test_signed_values_checks_range():
     with pytest.raises(IndexOutOfRange):
         signed_values(SignedTuple((3,), (1,)), [1, 2])
-
-
-def test_signed_subset_sum_examples():
-    assert signed_subset_sum(ALTERNATING, [1, 2], [1]) == 0
-    assert signed_subset_sum(ALTERNATING, [], [1]) == 0
-    assert signed_subset_sum(ALTERNATING, [1, 3], [1]) == 2
-    triple = SignedTuple((1, 2, 3), (1, 1, -1))
-    assert signed_subset_sum(triple, [1, 2, 3], FIB) == 0
 
 
 def test_zero_sum_profile_worked_example():

@@ -2,22 +2,27 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacuna.errors import TooFewPoints, TooLarge, ZeroModulus
-from lacuna.moments import cumulant_vector
 from lacuna.recurrence import (
     AffineFit,
-    OffsetPattern,
     _encoded_powers,
     detect_affine_tail,
     dominant_root_check,
-    eta_relation_holds,
-    pattern_multiplicity,
-    poly_reduce_mod,
+    minimal_polynomial,
     rational_roots,
     structural_slope,
 )
 from lacuna.sequences import SequenceSpec, generate_terms, parse_sequence
+from oracles import (
+    OffsetPattern,
+    cumulant_vector,
+    eta_relation_holds,
+    pattern_multiplicity,
+    poly_reduce_mod,
+)
 
 FIB_POLY = (-1, -1, 1)  # z^2 - z - 1
 DOUBLE_POLY = (-2, 1)  # z - 2
@@ -258,6 +263,49 @@ def test_structural_slope_agrees_with_detected_tail_for_lucas():
     fit = detect_affine_tail(values, 3)
     assert fit.valid
     assert structural_slope(3, FIB_POLY, 8) == fit.w
+
+
+# --- minimal polynomial ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "seq",
+    ["fibonacci", "lucas", "pow2plus1", "geometric:c=3,eta=5", "recurrence:poly=-1,-1,-1,1;init=1,1,2"],
+)
+def test_minimal_polynomial_of_builtin_families_is_their_own(seq):
+    spec = parse_sequence(seq)
+    poly, _ = spec.recurrence_data()
+    assert minimal_polynomial(generate_terms(spec, 2 * (len(poly) - 1))) == poly
+    assert minimal_polynomial(generate_terms(spec, 30)) == poly
+
+
+def test_minimal_polynomial_drops_redundant_factors():
+    with pytest.warns(RuntimeWarning):
+        fib_times_z_minus_1 = generate_terms(parse_sequence("recurrence:poly=1,0,-2,1;init=1,1,2"), 6)
+    assert minimal_polynomial(fib_times_z_minus_1) == FIB_POLY
+    assert minimal_polynomial([1, 2, 4, 8]) == DOUBLE_POLY
+    assert minimal_polynomial([5, 1, 1, 1]) == (0, -1, 1)  # a_{k+2} = a_{k+1}, root 0 kept
+    assert minimal_polynomial([2, 2, 2, 2]) == (-1, 1)
+
+
+@given(
+    lower=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    init=st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_minimal_polynomial_divides_and_annihilates(lower, init):
+    poly = (*lower, 1)  # monic, so every term stays an integer
+    d = len(lower)
+    terms = list(init[:d])
+    while len(terms) < 4 * d + 4:
+        terms.append(-sum(c * terms[len(terms) - d + j] for j, c in enumerate(lower)))
+    found = minimal_polynomial(terms[: 2 * d])
+    assert minimal_polynomial(terms) == found
+    assert len(found) <= d + 1 and found[-1] > 0
+    assert poly_reduce_mod(poly, found) == ()
+    deg = len(found) - 1
+    for k in range(deg, len(terms)):
+        assert sum(c * terms[k - deg + j] for j, c in enumerate(found)) == 0
 
 
 # --- affine tail detection ------------------------------------------------------

@@ -1,22 +1,9 @@
-from fractions import Fraction
+import warnings
 
 import pytest
 
-from lacuna.errors import (
-    NonIntegerRecurrence,
-    NonPositiveTerm,
-    RoundingAmbiguous,
-    TooShort,
-)
-from lacuna.sequences import (
-    SequenceSpec,
-    generate_terms,
-    hadamard_ratio,
-    parse_sequence,
-    ratio_limit_estimate,
-)
-
-GOLDEN = (1 + 5**0.5) / 2
+from lacuna.errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous
+from lacuna.sequences import SequenceSpec, generate_terms, parse_sequence
 
 
 def test_pow2plus1_terms():
@@ -33,6 +20,14 @@ def test_lucas_terms():
 
 def test_geometric_terms():
     assert generate_terms(SequenceSpec.geometric(3, 2), 4) == [6, 12, 24, 48]
+
+
+def test_closed_form_families_follow_their_recurrence_data():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # only kind "recurrence" may warn
+        assert generate_terms(SequenceSpec.pow2plus1(), 70) == [2**k + 1 for k in range(1, 71)]
+        geometric = generate_terms(SequenceSpec.geometric(3, 7), 70)
+    assert geometric == [3 * 7**k for k in range(1, 71)]
 
 
 def test_roundpow_pi_terms():
@@ -90,32 +85,6 @@ def test_explicit_terms_and_positivity():
 def test_generation_is_deterministic():
     spec = SequenceSpec.roundpow("3.14159265358979323846", 128)
     assert generate_terms(spec, 15) == generate_terms(spec, 15)
-
-
-@pytest.mark.parametrize(
-    "terms,expected",
-    [([2, 4, 8], Fraction(2)), ([1, 1, 2, 3, 5], Fraction(1))],
-)
-def test_hadamard_ratio(terms, expected):
-    assert hadamard_ratio(terms) == expected
-
-
-def test_hadamard_ratio_pow2plus1():
-    terms = generate_terms(SequenceSpec.pow2plus1(), 4)
-    assert hadamard_ratio(terms) == Fraction(5, 3)
-
-
-def test_hadamard_ratio_needs_two_terms():
-    with pytest.raises(TooShort):
-        hadamard_ratio([7])
-
-
-def test_ratio_limit_estimates():
-    assert ratio_limit_estimate(generate_terms(SequenceSpec.geometric(1, 2), 10)) == 2.0
-    fib = ratio_limit_estimate(generate_terms(SequenceSpec.fibonacci(), 20))
-    assert abs(fib - GOLDEN) < 1e-4
-    pow2 = ratio_limit_estimate(generate_terms(SequenceSpec.pow2plus1(), 20))
-    assert abs(pow2 - 2.0) < 1e-4
 
 
 @pytest.mark.parametrize(
