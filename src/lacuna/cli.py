@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from typing import Sequence
 
 from .errors import LacunaError
@@ -168,13 +169,12 @@ def _table_command(args: argparse.Namespace, value_key: str) -> str:
     spec = _checked(parse_sequence, args.seq)
     n_from, n_to = _n_range(args)
     m_top = _m_range(args)
-    single_m = args.m is not None
+    orders = (m_top,) if args.m is not None else tuple(range(1, m_top + 1))
     terms = _checked(generate_terms, spec, n_to)
     rows = []
     for n, vector in prefix_moments(terms, n_from, n_to, m_top):
         if value_key == "kappa":
             vector = moments_to_cumulants(vector)
-        orders = (m_top,) if single_m else tuple(range(1, m_top + 1))
         for m in orders:
             rows.append({"n": n, "m": m, value_key: format_rational(vector[m - 1])})
     if len(rows) == 1:
@@ -189,8 +189,7 @@ def _table_command(args: argparse.Namespace, value_key: str) -> str:
 def _independent_command(args: argparse.Namespace) -> str:
     m_top = _m_range(args)
     values = independent_cumulants(m_top)
-    single_m = args.m is not None
-    orders = (m_top,) if single_m else tuple(range(1, m_top + 1))
+    orders = (m_top,) if args.m is not None else tuple(range(1, m_top + 1))
     rows = [{"m": m, "kappa": format_rational(values[m - 1])} for m in orders]
     if args.format == "csv":
         return _csv_text(("m", "kappa"), [(r["m"], r["kappa"]) for r in rows])
@@ -353,7 +352,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text, ok = _dispatch(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            text, ok = _dispatch(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,13 +3,15 @@
 The m-th moment of S_n = sum_k cos(2 pi a_k w) over w in [0,1] is
 2**-m times the number of signed zero-sum index tuples, so the
 production path (``prefix_moments``) grows the powers of a sparse
-Laurent polynomial one term at a time and extracts constant terms,
-followed by the classical moment-to-cumulant recursion.  The
-``oracle`` command cross-checks one moment against an equally-spaced
-quadrature rule that is exact for trigonometric polynomials of the
-arising degree (up to float rounding).  The independently coded test
-routes (a pruned depth-first tuple count, summed tuple multiplicities)
-live with the tests, not here.
+Laurent polynomial one term at a time, storing only the exponents
+e >= 0 of each (every power is symmetric under x -> 1/x), and extracts
+constant terms, followed by the classical moment-to-cumulant recursion.
+A-priori support and work estimates refuse a call before anything
+grows.  The ``oracle`` command cross-checks one moment against an
+equally-spaced quadrature rule that is exact for trigonometric
+polynomials of the arising degree (up to float rounding).  The
+independently coded test routes (a pruned depth-first tuple count,
+summed tuple multiplicities) live with the tests, not here.
 
 The independent comparison model replaces the shared argument w by an
 i.i.d. uniform argument per summand; each summand then follows the
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
@@ -30,6 +33,7 @@ from .sequences import SequenceSpec, generate_terms
 
 MAX_ORACLE_SAMPLES = 10**7
 MAX_POWER_SUPPORT = 10**7  # a-priori exponent count of the largest held power P^k
+MAX_PREFIX_WORK = 5 * 10**7  # a-priori work units of prefix_moments (see _prefix_work)
 
 
 def prefix_moments(
@@ -43,9 +47,15 @@ def prefix_moments(
     if m_max < 1 or not 0 <= n_from <= n_to <= len(terms):
         raise ValueError(f"need m_max >= 1 and 0 <= n_from <= n_to <= {len(terms)}")
     half = (m_max + 1) // 2
-    support = min(comb(2 * n_to + half - 1, half), 2 * half * max(terms[:n_to], default=0) + 1)
+    tops = list(accumulate(map(abs, terms[:n_to]), max, initial=0))  # tops[n] = max |a_k|, k <= n
+    support = min(comb(2 * n_to + half - 1, half), 2 * half * tops[n_to] + 1)
     if support > MAX_POWER_SUPPORT:
         raise TooLarge(f"P^{half} may hold {support} exponents, over the cap {MAX_POWER_SUPPORT}")
+    work = n_to * half**3 // 12  # a lower bound of the estimate, cheap for any m_max
+    if work <= MAX_PREFIX_WORK:
+        work = _prefix_work(tops, n_from, n_to, m_max)
+    if work > MAX_PREFIX_WORK:
+        raise TooLarge(f"the prefix engine may take {work} work units, over the cap {MAX_PREFIX_WORK}")
     powers: list[SparseLaurent] = [{0: 1}] + [{} for _ in range(half)]
     rows = []
     for n in range(n_to + 1):
@@ -56,29 +66,57 @@ def prefix_moments(
     return rows
 
 
+def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
+    """Source entries that ``_add_term`` reads plus products that ``_moment_of`` sums.
+
+    P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1) exponents; each term
+    reads P**i once per distinct |s| of q**j, j <= H - i, that is floor(j/2) + 1 times.
+    """
+    half = (m_max + 1) // 2
+    def held(n: int, i: int) -> int:
+        return min(comb(2 * n + i - 1, i), i * tops[n] + 1) if i else 1
+    reads = sum(held(n_to, i) * (half - i + (half - i) ** 2 // 4) for i in range(half))
+    return n_to * reads + sum(held(n, m // 2) for n in range(n_from, n_to + 1) for m in range(1, m_max + 1))
+
+
 def _add_term(powers: list[SparseLaurent], a: int) -> None:
     """P**k += sum_{j>=1} C(k, j) q**j P**(k-j), q = x**a + x**-a, for each held k > 0.
 
-    Highest k first, so every P**(k-j) read is still the old power; all
-    coefficients are positive, so no entry ever cancels to zero.
+    Each P**k is symmetric, P(x) = P(1/x), and stored for exponents e >= 0
+    only.  The shifts of q**j, merged by |s|, pair up as +-s of weight w
+    each, so a stored source e feeds e + s and |e - s|.  Two corrections
+    follow: the source e = 0 fed s twice, so w*c_0 comes off target[s];
+    the source e = s fed 0 once for both sides, so w*c_s goes onto
+    target[0].  (For s = 0 they cancel, and each e is fed once at 2w.)
+    Highest k first, so every P**(k-j) read is still the old power.
     """
+    a = abs(a)
     for k in range(len(powers) - 1, 0, -1):
         target = powers[k]
         get = target.get
         for j in range(1, k + 1):
+            source, shifts = powers[k - j], {}
             for i in range(j + 1):  # q**j = sum_i C(j, i) x**(a(2i - j))
-                s, w = a * (2 * i - j), comb(k, j) * comb(j, i)
-                for e, c in powers[k - j].items():
-                    e += s
-                    target[e] = get(e, 0) + w * c
+                s = a * abs(2 * i - j)
+                shifts[s] = shifts.get(s, 0) + comb(k, j) * comb(j, i)
+            for s, w in shifts.items():
+                w //= 2  # both shifts +-s; even for s = 0 too, C(2r, r) and 2**j being even
+                for e, c in source.items():
+                    c *= w
+                    target[e + s] = get(e + s, 0) + c
+                    f = abs(e - s)
+                    target[f] = get(f, 0) + c
+                if 0 in source:
+                    target[s] -= w * source[0]
+                if s in source:
+                    target[0] = get(0, 0) + w * source[s]
 
 
 def _moment_of(powers: list[SparseLaurent], m: int) -> Fraction:
-    """[x^0] P**m / 2**m; every P**k is symmetric, so an even m sums squares."""
-    lo, hi = powers[m // 2], powers[(m + 1) // 2]
-    if lo is hi:
-        return Fraction(sum(c * c for c in lo.values()), 2**m)
-    return Fraction(sum(c * hi.get(-e, 0) for e, c in lo.items()), 2**m)
+    """[x^0] P**m / 2**m = (2 sum_e lo[e] hi[e] - lo[0] hi[0]) / 2**m over the stored e >= 0."""
+    lo, hi = powers[m // 2], powers[(m + 1) // 2]  # P**(m//2) and P**ceil(m/2)
+    total = sum(c * c for c in lo.values()) if lo is hi else sum(c * hi.get(e, 0) for e, c in lo.items())
+    return Fraction(2 * total - lo.get(0, 0) * hi.get(0, 0), 2**m)
 
 
 def moment(terms: Sequence[int], m: int) -> Fraction:

@@ -147,9 +147,13 @@ def test_slope_walk_guard_admits_doubled_bound_six(capsys):
 def test_slope_walks_the_minimal_polynomial(capsys):
     # (z - 1)(z^2 - z - 1) with initial terms 1, 1, 2 generates the Fibonacci numbers.
     seq = "recurrence:poly=1,0,-2,1;init=1,1,2"
-    with pytest.warns(RuntimeWarning, match="rational root"):
-        code, out, err = invoke(capsys, "slope", "--seq", seq, "--m", "4")
+    warning = (
+        "warning: recurrence polynomial has a rational root and is not irreducible; "
+        "relation checks assume irreducibility"
+    )
+    code, out, err = invoke(capsys, "slope", "--seq", seq, "--m", "4")
     assert code == 0
+    assert err.splitlines()[0] == warning
     payload = json.loads(out)
     assert payload["w"] == "90"
     assert payload["gap_bound_stable"] is True
@@ -158,9 +162,9 @@ def test_slope_walks_the_minimal_polynomial(capsys):
         "note: slope uses the minimal polynomial (-1, -1, 1) of the terms, "
         "not the spec's (1, 0, -2, 1)"
     ]
-    with pytest.warns(RuntimeWarning, match="rational root"):
-        _, detected, _ = invoke(capsys, "detect-linear", "--seq", seq, "--m", "4", "--n-from", "10", "--n-to", "25")
+    _, detected, err = invoke(capsys, "detect-linear", "--seq", seq, "--m", "4", "--n-from", "10", "--n-to", "25")
     assert json.loads(detected)["w"] == "90"
+    assert err == warning + "\n"
 
 
 def test_slope_rejects_sequences_without_recurrence(capsys):
@@ -213,6 +217,7 @@ def test_usage_errors_exit_two(capsys):
         (["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"], 2),
         (["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"], 2),
         (["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3),
+        (["moments", "--seq", "explicit:1,2,3", "--n", "3", "--m", "400"], 3),
         (
             ["mult-inspect", "--seq", "explicit:5", "--indices", "1,1,1,1,1,1,1,1", "--signs", "+,-,+,-,+,-,+,-"],
             3,
@@ -226,6 +231,7 @@ def test_usage_errors_exit_two(capsys):
         "index-zero",
         "negative-index",
         "power-support-guard",
+        "engine-work-guard",
         "crosscut-subfamily-guard",
         "pattern-walk-guard",
         "out-into-missing-directory",

@@ -25,6 +25,7 @@ from oracles import (
     cumulants_to_moments,
     independent_cumulant,
     laurent_from_terms,
+    laurent_pow,
     laurent_power_const_term_full,
     moment_dfs,
 )
@@ -88,6 +89,41 @@ def test_prefix_moments_match_full_expansion_on_every_prefix(terms, m_max, data)
     assert moment_vector(terms, m_max) == prefix_moments(terms, n_to, n_to, m_max)[-1][1]
 
 
+@given(
+    terms=st.lists(st.integers(-6, 6), max_size=6),
+    m_max=st.integers(1, 8),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_half_storage_matches_full_expansion_with_zero_and_negative_frequencies(terms, m_max, data):
+    # Library callers may pass 0 and negative frequencies; the engine folds them by |a|.
+    n_to = len(terms)
+    n_from = data.draw(st.integers(0, n_to))
+    for n, mu in prefix_moments(terms, n_from, n_to, m_max):
+        poly = laurent_from_terms(terms[:n])
+        assert mu == [
+            Fraction(laurent_power_const_term_full(poly, m), 2**m) for m in range(1, m_max + 1)
+        ]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[1, 1, 2], [3, 3], [2, 1, 3, 4], [5, 0, 5], [-2, 2, 4], [0, 0], [7, 1, 6, 13]],
+    ids=str,
+)
+def test_add_term_stores_the_nonnegative_half_of_each_power(terms):
+    # [1, 1, 2] and [3, 3] reach both corrections: a source at e = 0 and one at e = s.
+    half = 4
+    powers = [{0: 1}] + [{} for _ in range(half)]
+    for a in terms:
+        moments._add_term(powers, a)
+    poly = laurent_from_terms(terms)
+    for k, stored in enumerate(powers):
+        assert all(e >= 0 and c > 0 for e, c in stored.items())
+        mirrored = {**{-e: c for e, c in stored.items()}, **stored}
+        assert mirrored == laurent_pow(poly, k)
+
+
 def test_prefix_moments_ranges():
     terms = terms_of(FIB, 4)
     assert prefix_moments(terms, 0, 1, 2) == [(0, [0, 0]), (1, [0, Fraction(1, 2)])]
@@ -116,6 +152,30 @@ def test_power_support_guard_bound_is_the_estimate(monkeypatch):
     assert prefix_moments(terms, 5, 5, 4)[-1][1][3] == moment_dfs(terms, 4)
     monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 54)
     with pytest.raises(TooLarge, match="55"):
+        prefix_moments(terms, 5, 5, 4)
+
+
+def test_work_guard_trips_before_growing(monkeypatch):
+    def never(powers, a):
+        raise AssertionError("the guard must fire before any power grows")
+
+    monkeypatch.setattr(moments, "_add_term", never)
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="314165350"):
+        prefix_moments([1, 2, 3], 3, 3, 400)  # support only 1,201, yet minutes of work
+    with pytest.raises(TooLarge, match="work"):
+        prefix_moments([0], 1, 1, 10**9)  # support 1; refused by n * H**3 / 12 alone
+    assert time.perf_counter() - started < 1.0
+
+
+def test_work_guard_bound_is_the_estimate(monkeypatch):
+    # pow2plus1, n = 5, m = 4, H = 2; S(0), S(1), S(2) = 1, min(10, 34), min(55, 67).
+    # Terms: 5 * (S(0) * 3 + S(1) * 1) = 65; the row: S(0) + 2 S(1) + S(2) = 76.
+    terms = terms_of(POW2, 5)
+    monkeypatch.setattr(moments, "MAX_PREFIX_WORK", 141)
+    assert prefix_moments(terms, 5, 5, 4)[-1][1][3] == moment_dfs(terms, 4)
+    monkeypatch.setattr(moments, "MAX_PREFIX_WORK", 140)
+    with pytest.raises(TooLarge, match="141"):
         prefix_moments(terms, 5, 5, 4)
 
 
