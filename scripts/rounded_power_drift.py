@@ -12,8 +12,8 @@ Usage: python scripts/rounded_power_drift.py [N_MAX] [ETA_DECIMAL]
 import sys
 
 from lacuna.exact import format_rational
-from lacuna.moments import compare_table
-from lacuna.sequences import SequenceSpec
+from lacuna.moments import independent_cumulants, moments_to_cumulants, prefix_moments
+from lacuna.sequences import SequenceSpec, generate_terms
 
 PI_DIGITS = "3.14159265358979323846264338327950288"
 
@@ -21,16 +21,17 @@ PI_DIGITS = "3.14159265358979323846264338327950288"
 def main() -> None:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 22
     eta = sys.argv[2] if len(sys.argv) > 2 else PI_DIGITS
-    spec = SequenceSpec.roundpow(eta, 100)
-    table = compare_table(spec, 1, n_max, 6)
+    terms = generate_terms(SequenceSpec.roundpow(eta, 100), n_max)
+    model = independent_cumulants(6)
     print("n,m,kappa,independent_n_kappa,diff")
-    for row in table.rows:
-        if row.m not in (2, 4, 6):
-            continue
-        print(
-            f"{row.n},{row.m},{format_rational(row.kappa)},"
-            f"{format_rational(row.independent)},{format_rational(row.diff)}"
-        )
+    for n, moments in prefix_moments(terms, 1, n_max, 6):
+        kappa = moments_to_cumulants(moments)
+        for m in (2, 4, 6):
+            independent = n * model[m - 1]
+            print(
+                f"{n},{m},{format_rational(kappa[m - 1])},"
+                f"{format_rational(independent)},{format_rational(kappa[m - 1] - independent)}"
+            )
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ big integers as decimal strings, never floats.  Identical invocations
 produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 computation guard tripped,
-4 requested validity check failed.
+4 requested validity check failed.  Exits 2 and 3, argparse's own
+rejections included, print one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Sequence
 from .errors import LacunaError
 from .exact import format_rational
 from .moments import (
-    compare_table,
     independent_cumulants,
     moment,
     moment_oracle_quadrature,
@@ -47,75 +47,80 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as one ``error:`` line (exit 2), not a usage block."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+def _positive(text: str) -> int:
+    """argparse type of every count and order: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lacuna",
-        description="Exact moments and cumulants of lacunary cosine sums.",
-    )
+    parser = _Parser(prog="lacuna", description="Exact moments and cumulants of lacunary cosine sums.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, table: bool = False) -> None:
+    def command(name: str, help_text: str, handler, seq: bool = True, table: bool = False):
+        p = sub.add_parser(name, help=help_text)
+        if seq:
+            p.add_argument(
+                "--seq",
+                required=True,
+                metavar="SPEC",
+                help="sequence, e.g. pow2plus1, fibonacci, geometric:c=1,eta=2, "
+                "recurrence:poly=-1,-1,1;init=1,1, explicit:3,5,9, "
+                "roundpow:eta=3.14159265358979323846,prec=128",
+            )
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
         if table:
             p.add_argument("--format", choices=("json", "csv"), default="json")
+        # A command without --n or --m reads them as absent.
+        p.set_defaults(handler=handler, n=None, m=None)
+        return p
 
-    def with_seq(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--seq",
-            required=True,
-            metavar="SPEC",
-            help="sequence, e.g. pow2plus1, fibonacci, geometric:c=1,eta=2, "
-            "recurrence:poly=-1,-1,1;init=1,1, explicit:3,5,9, "
-            "roundpow:eta=3.14159265358979323846,prec=128",
-        )
+    def order(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--m", type=_positive)
+        group.add_argument("--m-max", type=_positive)
 
     for name, help_text in (("moments", "raw moments E[S_n^m]"), ("cumulants", "cumulants kappa_m(S_n)")):
-        p = sub.add_parser(name, help=help_text)
-        with_seq(p)
-        p.add_argument("--n", type=int)
-        p.add_argument("--n-from", type=int)
-        p.add_argument("--n-to", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--m-max", type=int)
-        common(p, table=True)
+        p = command(name, help_text, _table_command, table=True)
+        for flag in ("--n", "--n-from", "--n-to"):
+            p.add_argument(flag, type=_positive)
+        order(p)
 
-    p = sub.add_parser("independent", help="cumulants of the i.i.d. comparison model")
-    p.add_argument("--m", type=int)
-    p.add_argument("--m-max", type=int)
-    common(p, table=True)
+    p = command("independent", "cumulants of the i.i.d. comparison model", _independent_command, seq=False, table=True)
+    order(p)
 
-    p = sub.add_parser("compare", help="kappa_m(S_n) against n times the model cumulant")
-    with_seq(p)
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    common(p, table=True)
+    p = command("compare", "kappa_m(S_n) against n times the model cumulant", _table_command, table=True)
+    for flag in ("--n-from", "--n-to", "--m-max"):
+        p.add_argument(flag, type=_positive, required=True)
 
-    p = sub.add_parser("detect-linear", help="detect an eventual affine law for 2^m kappa_m")
-    with_seq(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
+    p = command("detect-linear", "detect an eventual affine law for 2^m kappa_m", _detect_linear_command)
+    for flag in ("--m", "--n-from", "--n-to"):
+        p.add_argument(flag, type=_positive, required=True)
     p.add_argument("--require-linear", action="store_true", help="exit 4 when no affine tail exists")
-    common(p)
 
-    p = sub.add_parser("slope", help="structural per-unit growth of 2^m kappa_m")
-    with_seq(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--gap-bound", type=int, default=8)
-    common(p)
+    p = command("slope", "structural per-unit growth of 2^m kappa_m", _slope_command)
+    p.add_argument("--m", type=_positive, required=True)
+    p.add_argument("--gap-bound", type=_positive, default=8)
 
-    p = sub.add_parser("mult-inspect", help="zero-sum structure and multiplicity of one tuple")
-    with_seq(p)
+    p = command("mult-inspect", "zero-sum structure and multiplicity of one tuple", _mult_inspect_command)
     p.add_argument("--indices", required=True, help="comma-separated 1-based indices, e.g. 1,2,3")
     p.add_argument("--signs", required=True, help="comma-separated signs, e.g. +,+,-")
-    common(p)
 
-    p = sub.add_parser("oracle", help="quadrature cross-check of one moment")
-    with_seq(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    common(p)
+    p = command("oracle", "quadrature cross-check of one moment", _oracle_command)
+    for flag in ("--n", "--m"):
+        p.add_argument(flag, type=_positive, required=True)
 
     return parser
 
@@ -124,7 +129,7 @@ def _checked(fn, *args):
     """fn(*args), reporting a rejected argument value (ValueError) as a usage error."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # e.g. roundpow:eta=1/0
         raise _UsageError(str(exc)) from exc
 
 
@@ -132,114 +137,80 @@ def _n_range(args: argparse.Namespace) -> tuple[int, int]:
     if args.n is not None:
         if args.n_from is not None or args.n_to is not None:
             raise _UsageError("give either --n or --n-from/--n-to, not both")
-        if args.n < 1:
-            raise _UsageError("--n must be >= 1")
         return args.n, args.n
     if args.n_from is None or args.n_to is None:
         raise _UsageError("need --n or both --n-from and --n-to")
-    if not 1 <= args.n_from <= args.n_to:
-        raise _UsageError("need 1 <= --n-from <= --n-to")
+    if args.n_from > args.n_to:
+        raise _UsageError("need --n-from <= --n-to")
     return args.n_from, args.n_to
-
-
-def _m_range(args: argparse.Namespace) -> int:
-    if args.m is not None and args.m_max is not None:
-        raise _UsageError("give either --m or --m-max, not both")
-    value = args.m if args.m is not None else args.m_max
-    if value is None:
-        raise _UsageError("need --m or --m-max")
-    if value < 1:
-        raise _UsageError("order must be >= 1")
-    return value
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _rows_text(args: argparse.Namespace, head: dict, rows: Sequence[dict]) -> str:
+    """CSV of the rows, or JSON of head and the rows (a lone row is inlined, except by compare)."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
+    if len(rows) == 1 and args.command != "compare":
+        return _json_text({**head, **rows[0]})
+    return _json_text({**head, "rows": rows})
 
 
-def _table_command(args: argparse.Namespace, value_key: str) -> str:
+def _table_command(args: argparse.Namespace) -> tuple[str, bool]:
+    """moments, cumulants and compare: one prefix_moments pass over the n range.
+
+    compare adds n times the independent model's cumulant and the difference.
+    """
     spec = _checked(parse_sequence, args.seq)
     n_from, n_to = _n_range(args)
-    m_top = _m_range(args)
-    orders = (m_top,) if args.m is not None else tuple(range(1, m_top + 1))
+    m_top = args.m or args.m_max
+    orders = (m_top,) if args.m else range(1, m_top + 1)
+    key = "mu" if args.command == "moments" else "kappa"
+    compare = args.command == "compare"
+    model = independent_cumulants(m_top) if compare else []
     terms = _checked(generate_terms, spec, n_to)
     rows = []
     for n, vector in prefix_moments(terms, n_from, n_to, m_top):
-        if value_key == "kappa":
+        if key == "kappa":
             vector = moments_to_cumulants(vector)
         for m in orders:
-            rows.append({"n": n, "m": m, value_key: format_rational(vector[m - 1])})
-    if len(rows) == 1:
-        payload = {"sequence": spec.label(), **rows[0]}
-    else:
-        payload = {"sequence": spec.label(), "rows": rows}
-    if args.format == "csv":
-        return _csv_text(("n", "m", value_key), [(r["n"], r["m"], r[value_key]) for r in rows])
-    return _json_text(payload)
+            row = {"n": n, "m": m, key: format_rational(vector[m - 1])}
+            if compare:
+                row["independent_n_kappa"] = format_rational(n * model[m - 1])
+                row["diff"] = format_rational(vector[m - 1] - n * model[m - 1])
+            rows.append(row)
+    head = {"sequence": spec.label(), "m_max": m_top} if compare else {"sequence": spec.label()}
+    return _rows_text(args, head, rows), True
 
 
-def _independent_command(args: argparse.Namespace) -> str:
-    m_top = _m_range(args)
+def _independent_command(args: argparse.Namespace) -> tuple[str, bool]:
+    m_top = args.m or args.m_max
     values = independent_cumulants(m_top)
-    orders = (m_top,) if args.m is not None else tuple(range(1, m_top + 1))
+    orders = (m_top,) if args.m else range(1, m_top + 1)
     rows = [{"m": m, "kappa": format_rational(values[m - 1])} for m in orders]
-    if args.format == "csv":
-        return _csv_text(("m", "kappa"), [(r["m"], r["kappa"]) for r in rows])
-    if len(rows) == 1:
-        return _json_text(rows[0])
-    return _json_text({"rows": rows})
-
-
-def _compare_command(args: argparse.Namespace) -> str:
-    spec = _checked(parse_sequence, args.seq)
-    if not 1 <= args.n_from <= args.n_to:
-        raise _UsageError("need 1 <= --n-from <= --n-to")
-    if args.m_max < 1:
-        raise _UsageError("--m-max must be >= 1")
-    table = _checked(compare_table, spec, args.n_from, args.n_to, args.m_max)
-    rows = [
-        {
-            "n": row.n,
-            "m": row.m,
-            "kappa": format_rational(row.kappa),
-            "independent_n_kappa": format_rational(row.independent),
-            "diff": format_rational(row.diff),
-        }
-        for row in table.rows
-    ]
-    if args.format == "csv":
-        return _csv_text(
-            ("n", "m", "kappa", "independent_n_kappa", "diff"),
-            [(r["n"], r["m"], r["kappa"], r["independent_n_kappa"], r["diff"]) for r in rows],
-        )
-    return _json_text({"sequence": table.sequence, "m_max": table.m_max, "rows": rows})
+    return _rows_text(args, {}, rows), True
 
 
 def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = _checked(parse_sequence, args.seq)
-    if args.m < 1:
-        raise _UsageError("--m must be >= 1")
-    if not 1 <= args.n_from <= args.n_to:
-        raise _UsageError("need 1 <= --n-from <= --n-to")
-    terms = _checked(generate_terms, spec, args.n_to)
+    n_from, n_to = _n_range(args)
+    terms = _checked(generate_terms, spec, n_to)
     points = [
         (n, moments_to_cumulants(moments)[args.m - 1])
-        for n, moments in prefix_moments(terms, args.n_from, args.n_to, args.m)
+        for n, moments in prefix_moments(terms, n_from, n_to, args.m)
     ]
     fit = detect_affine_tail(points, args.m)
     payload = {
         "sequence": spec.label(),
         "m": args.m,
-        "n_from": args.n_from,
-        "n_to": args.n_to,
+        "n_from": n_from,
+        "n_to": n_to,
         "w": str(fit.w),
         "b": str(fit.b),
         "n1": fit.n1,
@@ -249,12 +220,8 @@ def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
     return _json_text(payload), ok
 
 
-def _slope_command(args: argparse.Namespace) -> str:
+def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = _checked(parse_sequence, args.seq)
-    if args.m < 1:
-        raise _UsageError("--m must be >= 1")
-    if args.gap_bound < 1:
-        raise _UsageError("--gap-bound must be >= 1")
     data = spec.recurrence_data()
     if data is None:
         raise _UsageError(f"sequence {spec.label()} has no recurrence polynomial")
@@ -280,10 +247,10 @@ def _slope_command(args: argparse.Namespace) -> str:
         "w": str(w),
         "gap_bound_stable": w == w_doubled,
     }
-    return _json_text(payload)
+    return _json_text(payload), True
 
 
-def _mult_inspect_command(args: argparse.Namespace) -> str:
+def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = _checked(parse_sequence, args.seq)
     try:
         indices = tuple(int(v) for v in args.indices.split(","))
@@ -305,13 +272,11 @@ def _mult_inspect_command(args: argparse.Namespace) -> str:
         "mult_moebius": str(mult_moebius(tup, terms)),
         "mult_crosscut": str(mult_crosscut(tup, terms)),
     }
-    return _json_text(payload)
+    return _json_text(payload), True
 
 
-def _oracle_command(args: argparse.Namespace) -> str:
+def _oracle_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = _checked(parse_sequence, args.seq)
-    if args.n < 1 or args.m < 1:
-        raise _UsageError("--n and --m must be >= 1")
     terms = _checked(generate_terms, spec, args.n)
     approx = moment_oracle_quadrature(terms, args.m)
     exact = moment(terms, args.m)
@@ -323,39 +288,19 @@ def _oracle_command(args: argparse.Namespace) -> str:
         "exact": format_rational(exact),
         "abs_error": abs(approx - float(exact)),
     }
-    return _json_text(payload)
-
-
-def _dispatch(args: argparse.Namespace) -> tuple[str, bool]:
-    if args.command in ("moments", "cumulants"):
-        return _table_command(args, "mu" if args.command == "moments" else "kappa"), True
-    if args.command == "independent":
-        return _independent_command(args), True
-    if args.command == "compare":
-        return _compare_command(args), True
-    if args.command == "detect-linear":
-        return _detect_linear_command(args)
-    if args.command == "slope":
-        return _slope_command(args), True
-    if args.command == "mult-inspect":
-        return _mult_inspect_command(args), True
-    if args.command == "oracle":
-        return _oracle_command(args), True
-    raise _UsageError(f"unknown command {args.command!r}")
+    return _json_text(payload), True
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, compute, write output; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            text, ok = _dispatch(args)
+            text, ok = args.handler(args)
+    except SystemExit as exc:  # --help printed; every parse failure is a _UsageError
+        return exc.code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,8 @@ Poly = tuple[int, ...]
 
 # Prefixes the slope walk visits; about 0.35 us each on a 2-core host, ~10 s at the cap.
 MAX_PATTERN_SWEEP = 30_000_000
+# Reduced powers z**0..z**((m-1)*gap_bound) mod p: 10,000 took 1.0 s for z^2 - z - 1, 10 s for 3z^2 - z - 1.
+MAX_PATTERN_OFFSET = 5_000
 _RATIONAL_ROOT_SCAN_LIMIT = 10**12
 _PERRON_MARGIN = 1e-9  # the dominant root must beat every other modulus by this much
 
@@ -211,6 +213,8 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
     sweep = (gap_bound + 1) ** max(m - 2, 0) * 2 ** (m - 1)
     if sweep > MAX_PATTERN_SWEEP:
         raise TooLarge(f"pattern walk over {sweep} prefixes refused (limit {MAX_PATTERN_SWEEP})")
+    if (m - 1) * gap_bound > MAX_PATTERN_OFFSET:
+        raise TooLarge(f"{(m - 1) * gap_bound} pattern offsets refused (limit {MAX_PATTERN_OFFSET})")
     modulus = _validate_pattern_modulus(p)
     encoded = _encoded_powers(modulus, (m - 1) * gap_bound, m)
     closers: dict[int, list[tuple[int, int]]] = {}  # signed encoding -> its entries

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lacuna
 from lacuna.cli import run
@@ -66,6 +70,33 @@ def test_compare_csv_column_order(capsys):
     assert lines[0] == "n,m,kappa,independent_n_kappa,diff"
     last = lines[-1].split(",")
     assert last == ["4", "4", "2", "-3/2", "7/2"]
+
+
+def test_compare_single_row(capsys):
+    code, out, _ = invoke(capsys, "compare", "--seq", "pow2plus1", "--n-from", "4", "--n-to", "4", "--m-max", "4")
+    assert code == 0
+    by_m = {row["m"]: row for row in json.loads(out)["rows"]}
+    assert (by_m[4]["kappa"], by_m[4]["independent_n_kappa"], by_m[4]["diff"]) == ("2", "-3/2", "7/2")
+    assert by_m[1]["kappa"] == "0" and by_m[1]["diff"] == "0"
+
+
+def test_compare_m1_column_vanishes(capsys):
+    _, out, _ = invoke(capsys, "compare", "--seq", "fibonacci", "--n-from", "2", "--n-to", "6", "--m-max", "3")
+    assert all(row["kappa"] == "0" for row in json.loads(out)["rows"] if row["m"] == 1)
+
+
+def test_compare_range_and_metadata(capsys):
+    argv = ["compare", "--seq", "geometric:c=1,eta=2", "--n-from", "3", "--n-to", "5", "--m-max", "2"]
+    payload = json.loads(invoke(capsys, *argv)[1])
+    assert payload["sequence"] == "geometric:c=1,eta=2" and payload["m_max"] == 2
+    assert [(r["n"], r["m"]) for r in payload["rows"]] == [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]
+
+
+def test_compare_rounded_pi_diff_stabilizes(capsys):
+    seq = "roundpow:eta=3.14159265358979323846,prec=64"
+    _, out, _ = invoke(capsys, "compare", "--seq", seq, "--n-from", "10", "--n-to", "20", "--m-max", "4")
+    diffs = [row["diff"] for row in json.loads(out)["rows"] if row["m"] == 4]
+    assert len(diffs) == 11 and len(set(diffs)) == 1
 
 
 def test_cumulant_range_rows(capsys):
@@ -207,6 +238,14 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "wat")[0] == 2
     argv = ["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"]
     assert invoke(capsys, *argv)[0] == 2
+    _, _, err = invoke(capsys, "cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2")
+    assert err == "error: argument --n: must be an integer >= 1, got 'abc'\n"
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = invoke(capsys, "cumulants", "--help")
+    assert code == 0
+    assert out.startswith("usage: lacuna cumulants") and err == ""
 
 
 @pytest.mark.parametrize(
@@ -224,6 +263,19 @@ def test_usage_errors_exit_two(capsys):
         ),
         (["slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "4"], 3),
         (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2),
+        (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2),
+        (["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"], 2),
+        (["wat"], 2),
+        ([], 2),
+        (["cumulants", "--seq", "fibonacci", "--n-from", "3", "--m", "2"], 2),
+        (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "2", "--m-max", "3"], 2),
+        (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "0"], 2),
+        (["slope", "--seq", "fibonacci", "--m", "3", "--gap-bound", "0"], 2),
+        (["cumulants", "--seq", "roundpow:eta=1/0,prec=5", "--n", "3", "--m", "2"], 2),
+        (["independent", "--m-max", "3000"], 3),
+        (["cumulants", "--seq", "fibonacci", "--n", "1000000", "--m", "2"], 3),
+        (["cumulants", "--seq", "roundpow:eta=3.14,prec=99999999999", "--n", "22", "--m", "2"], 3),
+        (["slope", "--seq", "fibonacci", "--m", "2", "--gap-bound", "1000000000"], 3),
     ],
     ids=[
         "explicit-too-short",
@@ -235,6 +287,19 @@ def test_usage_errors_exit_two(capsys):
         "crosscut-subfamily-guard",
         "pattern-walk-guard",
         "out-into-missing-directory",
+        "n-not-an-integer",
+        "unknown-option",
+        "unknown-subcommand",
+        "no-subcommand",
+        "missing-n-to",
+        "m-with-m-max",
+        "m-zero",
+        "gap-bound-zero",
+        "roundpow-zero-denominator",
+        "cumulant-order-guard",
+        "term-bit-guard",
+        "roundpow-work-guard",
+        "pattern-offset-guard",
     ],
 )
 def test_failures_print_one_error_line(capsys, argv, expected):
@@ -313,3 +378,82 @@ def test_out_file_written(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "m,kappa"
+
+
+# --- argv fuzz ----------------------------------------------------------------
+
+FUZZ_SPECS = (
+    "fibonacci",
+    "pow2plus1",
+    "geometric:c=1,eta=2",
+    "explicit:3,5,9",
+    "recurrence:poly=1,0,-2,1;init=1,1,2",
+    "roundpow:eta=3.14159265358979323846,prec=128",
+    "roundpow:eta=3.14,prec=99999999999",
+    "roundpow:eta=1/0,prec=5",
+    "nonsense",
+)
+# Mostly valid values, so that most runs get past the parser.
+SMALL = st.sampled_from(["1", "2", "3", "5"] * 3 + ["-1", "0", "abc"])
+# Extremes only where a guard refuses before allocating: orders, the model order and the gap bound.
+ORDER = st.one_of(SMALL, st.sampled_from(["8", "1000000000000", "9" * 40]))
+TUPLE = st.lists(st.sampled_from(["1", "2", "3"] * 3 + ["-1", "0", "x"]), min_size=1, max_size=4).map(",".join)
+SIGNS = st.lists(st.sampled_from(["+", "-"] * 3 + ["1", "?"]), min_size=1, max_size=4).map(",".join)
+N_FORMS = (("--n",), ("--n-from", "--n-to"))
+M_FORMS = (("--m",), ("--m-max",))
+FLAGS = {  # a tuple holds alternative flag groups, one of which is drawn
+    "moments": ("--seq", N_FORMS, M_FORMS, "--format"),
+    "cumulants": ("--seq", N_FORMS, M_FORMS, "--format"),
+    "independent": (M_FORMS, "--format"),
+    "compare": ("--seq", "--n-from", "--n-to", "--m-max", "--format"),
+    "detect-linear": ("--seq", "--m", "--n-from", "--n-to", "--require-linear"),
+    "slope": ("--seq", "--m", "--gap-bound"),
+    "mult-inspect": ("--seq", "--indices", "--signs"),
+    "oracle": ("--seq", "--n", "--m"),
+    "wat": (),
+}
+VALUES = {
+    "--seq": st.sampled_from(FUZZ_SPECS),
+    "--n": SMALL,
+    "--n-from": SMALL,
+    "--n-to": SMALL,
+    "--m": ORDER,
+    "--m-max": ORDER,
+    "--gap-bound": ORDER,
+    "--indices": TUPLE,
+    "--signs": SIGNS,
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--out": st.just("/nonexistent/dir/x"),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = []
+    for item in FLAGS[command]:
+        flags += draw(st.sampled_from(item)) if isinstance(item, tuple) else [item]
+    flags = [f for f in flags if draw(st.integers(0, 9))]  # each kept 9 times in 10
+    flags += draw(st.lists(st.sampled_from(sorted(VALUES)), max_size=1))  # sometimes a stray one
+    argv = [command]
+    for flag in flags:
+        argv += [flag] if flag == "--require-linear" else [flag, draw(VALUES[flag])]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert all(line.startswith(("error: ", "warning: ", "note: ")) for line in lines)
+    errors = [line for line in lines if line.startswith("error: ")]
+    if code in (2, 3):
+        assert len(errors) == 1 and out.getvalue() == ""
+    else:  # 4 is detect-linear --require-linear: the report is written, valid is false
+        assert errors == [] and out.getvalue()
+        assert code == 0 or json.loads(out.getvalue())["valid"] is False

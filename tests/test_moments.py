@@ -9,7 +9,6 @@ from lacuna import moments
 from lacuna.errors import IndexOutOfRange, TooLarge
 from lacuna.moments import (
     arcsine_moment,
-    compare_table,
     independent_cumulants,
     moment,
     moment_oracle_quadrature,
@@ -318,6 +317,23 @@ def test_independent_cumulants_scaled_to_integers():
     assert scaled == [2, -6, 80, -2310, 114912]
 
 
+def test_cumulant_order_guard_trips_before_the_recursion(monkeypatch):
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="order 3000 is over the cap 800"):
+        independent_cumulants(3000)
+    with pytest.raises(TooLarge, match="order 1000000000000000000"):
+        independent_cumulants(10**18)  # refused before 10**18 moments are built
+    with pytest.raises(TooLarge, match="order 801"):
+        moments_to_cumulants([Fraction(0)] * 801)
+    assert time.perf_counter() - started < 1.0
+    monkeypatch.setattr(moments, "MAX_CUMULANT_ORDER", 10)
+    assert independent_cumulants(10)[9] == Fraction(3591, 32)
+    with pytest.raises(TooLarge):
+        independent_cumulants(11)
+    with pytest.raises(TooLarge):
+        moments_to_cumulants([Fraction(0)] * 11)
+
+
 # --- quadrature oracle -------------------------------------------------------
 
 
@@ -364,35 +380,3 @@ def quadrature_per_term(terms, m):
 @given(st.lists(st.integers(1, 400), min_size=1, max_size=7), st.integers(1, 7))
 def test_oracle_matches_per_term_cosines_exactly(terms, m):
     assert moment_oracle_quadrature(terms, m) == quadrature_per_term(terms, m)
-
-
-# --- comparison table --------------------------------------------------------
-
-
-def test_compare_table_single_row():
-    table = compare_table(POW2, 4, 4, 4)
-    by_m = {row.m: row for row in table.rows}
-    assert by_m[4].kappa == 2
-    assert by_m[4].independent == Fraction(-3, 2)
-    assert by_m[4].diff == Fraction(7, 2)
-    assert by_m[1].kappa == 0 and by_m[1].diff == 0
-
-
-def test_compare_table_m1_column_vanishes():
-    table = compare_table(FIB, 2, 6, 3)
-    assert all(row.kappa == 0 for row in table.rows if row.m == 1)
-
-
-def test_compare_table_range_and_metadata():
-    table = compare_table(GEO2, 3, 5, 2)
-    assert table.sequence == "geometric:c=1,eta=2"
-    assert [(r.n, r.m) for r in table.rows] == [
-        (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)
-    ]
-
-
-def test_compare_table_rounded_pi_diff_stabilizes():
-    spec = SequenceSpec.roundpow("3.14159265358979323846", 64)
-    table = compare_table(spec, 10, 20, 4)
-    diffs = [row.diff for row in table.rows if row.m == 4]
-    assert len(set(diffs)) == 1

@@ -210,6 +210,12 @@ def test_structural_slope_guard():
     # 9**6 * 2**7 = 68,024,448 depth-7 prefixes: refused before walking.
     with pytest.raises(TooLarge, match="68024448 prefixes"):
         structural_slope(8, FIB_POLY, 8)
+    # At m <= 3 the prefix count passes any gap bound; the (m - 1) * g reduced powers do not.
+    with pytest.raises(TooLarge, match="1000000000 pattern offsets"):
+        structural_slope(2, FIB_POLY, 10**9)
+    with pytest.raises(TooLarge, match="5002 pattern offsets"):
+        structural_slope(3, FIB_POLY, 2501)
+    assert structural_slope(3, FIB_POLY, 2500) == 12  # 5,000 offsets, the cap
 
 
 def test_encoded_powers_base_follows_order():

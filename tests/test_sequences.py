@@ -1,8 +1,11 @@
+import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from lacuna.errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous
+from lacuna import sequences
+from lacuna.errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous, TooLarge
 from lacuna.sequences import SequenceSpec, generate_terms, parse_sequence
 
 
@@ -72,6 +75,34 @@ def test_roundpow_low_precision_is_ambiguous():
     # At 4 claimed bits the propagated interval swallows the guard early.
     with pytest.raises(RoundingAmbiguous):
         generate_terms(SequenceSpec.roundpow("3.14159265358979323846", 4), 22)
+
+
+def test_term_bit_guard_trips_on_the_running_total(monkeypatch):
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="the first 26838 terms hold over 250000000 bits"):
+        generate_terms(SequenceSpec.fibonacci(), 10**6)
+    with pytest.raises(TooLarge, match="bits"):
+        generate_terms(SequenceSpec.geometric(1, 2), 10**12)
+    assert time.perf_counter() - started < 2.0
+    fib = generate_terms(SequenceSpec.fibonacci(), 30)
+    monkeypatch.setattr(sequences, "MAX_TERM_BITS", sum(t.bit_length() for t in fib))
+    assert generate_terms(SequenceSpec.fibonacci(), 30) == fib
+    with pytest.raises(TooLarge, match="the first 31 terms"):
+        generate_terms(SequenceSpec.fibonacci(), 31)
+
+
+def test_roundpow_work_guard_trips_before_the_loop(monkeypatch):
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="22 rounded powers at 99999999999 bits"):
+        generate_terms(SequenceSpec.roundpow("3.14", 99999999999), 22)  # 2**prec is never built
+    assert time.perf_counter() - started < 1.0
+    eta = Fraction("3.14159265358979323846")
+    size = 22 * (128 + eta.numerator.bit_length() + eta.denominator.bit_length())
+    monkeypatch.setattr(sequences, "MAX_ROUNDPOW_WORK", 22 * size**2)
+    spec = SequenceSpec.roundpow("3.14159265358979323846", 128)
+    assert generate_terms(spec, 22)[-1] == 86556004192  # round(pi**22)
+    with pytest.raises(TooLarge, match="work units"):
+        generate_terms(spec, 23)
 
 
 def test_explicit_terms_and_positivity():
