@@ -11,7 +11,6 @@ Usage: python scripts/pow2plus1_table.py [N_MAX]
 import sys
 from fractions import Fraction
 
-from lacuna.exact import format_rational
 from lacuna.moments import moments_to_cumulants, prefix_moments
 from lacuna.sequences import SequenceSpec, generate_terms
 
@@ -24,10 +23,7 @@ def main() -> None:
         kappa = moments_to_cumulants(moments)
         quartic = kappa[3] == Fraction(-3 * n + 28, 8) if n >= 4 else ""
         sextic = kappa[5] == Fraction(45 * n * n + 380 * n - 1875, 16) if n >= 7 else ""
-        print(
-            f"{n},{format_rational(kappa[1])},{format_rational(kappa[3])},"
-            f"{format_rational(kappa[5])},{quartic},{sextic}"
-        )
+        print(",".join(map(str, (n, kappa[1], kappa[3], kappa[5], quartic, sextic))))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ Usage: python scripts/rounded_power_drift.py [N_MAX] [ETA_DECIMAL]
 
 import sys
 
-from lacuna.exact import format_rational
 from lacuna.moments import independent_cumulants, moments_to_cumulants, prefix_moments
 from lacuna.sequences import SequenceSpec, generate_terms
 
@@ -28,10 +27,7 @@ def main() -> None:
         kappa = moments_to_cumulants(moments)
         for m in (2, 4, 6):
             independent = n * model[m - 1]
-            print(
-                f"{n},{m},{format_rational(kappa[m - 1])},"
-                f"{format_rational(independent)},{format_rational(kappa[m - 1] - independent)}"
-            )
+            print(",".join(map(str, (n, m, kappa[m - 1], independent, kappa[m - 1] - independent))))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every value that is exact in the engine stays exact on the wire:
-rationals serialize as "p/q" strings (denominator omitted when 1) and
-big integers as decimal strings, never floats.  Identical invocations
-produce byte-identical output.
+rationals serialize as their ``str``, "p/q" in lowest terms or "p" when
+the denominator is 1, and big integers as decimal strings, never floats.
+Identical invocations produce byte-identical output.  ``mult-inspect``
+reads everything from the tuple's zero-sum profile: its ``mult`` is the
+same profile recursion that the cumulant and slope sweeps sum.
 
 Exit codes: 0 success, 2 usage error, 3 computation guard tripped,
 4 requested validity check failed.  Exits 2 and 3, argparse's own
@@ -21,7 +23,6 @@ import warnings
 from typing import Sequence
 
 from .errors import LacunaError
-from .exact import format_rational
 from .moments import (
     independent_cumulants,
     moment,
@@ -29,14 +30,7 @@ from .moments import (
     moments_to_cumulants,
     prefix_moments,
 )
-from .multiplicity import (
-    SignedTuple,
-    mult_crosscut,
-    mult_moebius,
-    upset_partitions,
-    zero_sum_profile,
-)
-from .partitions import minimal_members
+from .multiplicity import SignedTuple, mult_from_profile, upset_partitions, zero_sum_profile
 from .recurrence import detect_affine_tail, minimal_polynomial, structural_slope
 from .sequences import generate_terms, parse_sequence
 
@@ -116,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("mult-inspect", "zero-sum structure and multiplicity of one tuple", _mult_inspect_command)
     p.add_argument("--indices", required=True, help="comma-separated 1-based indices, e.g. 1,2,3")
-    p.add_argument("--signs", required=True, help="comma-separated signs, e.g. +,+,-")
+    p.add_argument(
+        "--signs", required=True, help="comma-separated signs, e.g. +,+,-; write --signs=-,+ when the first is -"
+    )
 
     p = command("oracle", "quadrature cross-check of one moment", _oracle_command)
     for flag in ("--n", "--m"):
@@ -180,10 +176,10 @@ def _table_command(args: argparse.Namespace) -> tuple[str, bool]:
         if key == "kappa":
             vector = moments_to_cumulants(vector)
         for m in orders:
-            row = {"n": n, "m": m, key: format_rational(vector[m - 1])}
+            row = {"n": n, "m": m, key: str(vector[m - 1])}
             if compare:
-                row["independent_n_kappa"] = format_rational(n * model[m - 1])
-                row["diff"] = format_rational(vector[m - 1] - n * model[m - 1])
+                row["independent_n_kappa"] = str(n * model[m - 1])
+                row["diff"] = str(vector[m - 1] - n * model[m - 1])
             rows.append(row)
     head = {"sequence": spec.label(), "m_max": m_top} if compare else {"sequence": spec.label()}
     return _rows_text(args, head, rows), True
@@ -193,7 +189,7 @@ def _independent_command(args: argparse.Namespace) -> tuple[str, bool]:
     m_top = args.m or args.m_max
     values = independent_cumulants(m_top)
     orders = (m_top,) if args.m else range(1, m_top + 1)
-    rows = [{"m": m, "kappa": format_rational(values[m - 1])} for m in orders]
+    rows = [{"m": m, "kappa": str(values[m - 1])} for m in orders]
     return _rows_text(args, {}, rows), True
 
 
@@ -260,7 +256,9 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
         raise _UsageError(f"bad tuple: {exc}") from exc
     terms = _checked(generate_terms, spec, max(indices))
     profile = zero_sum_profile(tup, terms)
+    mult = mult_from_profile(profile.masks, tup.order)
     upset = upset_partitions(profile, tup.order)
+    atoms = profile.atoms() if upset else frozenset()  # a nonempty upset has at most 11 entries
     payload = {
         "sequence": spec.label(),
         "indices": list(indices),
@@ -268,9 +266,8 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
         "values": [str(s * terms[i - 1]) for i, s in zip(indices, signs)],
         "zero_sum_subsets": [list(s) for s in profile.subsets()],
         "zero_sum_partitions": [str(pi) for pi in upset],
-        "minimal_partitions": [str(pi) for pi in minimal_members(upset)],
-        "mult_moebius": str(mult_moebius(tup, terms)),
-        "mult_crosscut": str(mult_crosscut(tup, terms)),
+        "minimal_partitions": [str(pi) for pi in upset if atoms.issuperset(pi.block_masks())],
+        "mult": str(mult),
     }
     return _json_text(payload), True
 
@@ -285,7 +282,7 @@ def _oracle_command(args: argparse.Namespace) -> tuple[str, bool]:
         "n": args.n,
         "m": args.m,
         "oracle": approx,
-        "exact": format_rational(exact),
+        "exact": str(exact),
         "abs_error": abs(approx - float(exact)),
     }
     return _json_text(payload), True

@@ -17,10 +17,6 @@ class TooFewPoints(LacunaError):
     """Not enough consecutive data points for tail detection."""
 
 
-class GroundSetMismatch(LacunaError):
-    """Partition operands live on different ground sets."""
-
-
 class IndexOutOfRange(LacunaError):
     """Tuple index points outside the materialized terms."""
 

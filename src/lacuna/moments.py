@@ -31,7 +31,7 @@ from .errors import TooLarge
 from .laurent import SparseLaurent
 
 MAX_ORACLE_SAMPLES = 10**7
-MAX_POWER_SUPPORT = 10**7  # a-priori exponent count of the largest held power P^k
+MAX_POWER_SUPPORT = 10**7  # a-priori exponent count of the largest held power P^k, times its key words
 MAX_PREFIX_WORK = 5 * 10**7  # a-priori work units of prefix_moments (see _prefix_work)
 MAX_CUMULANT_ORDER = 800  # the Fraction recursion took 6.2 s at order 800, 10.8 s at 900
 
@@ -49,8 +49,10 @@ def prefix_moments(
     half = (m_max + 1) // 2
     tops = list(accumulate(map(abs, terms[:n_to]), max, initial=0))  # tops[n] = max |a_k|, k <= n
     support = min(comb(2 * n_to + half - 1, half), 2 * half * tops[n_to] + 1)
-    if support > MAX_POWER_SUPPORT:
-        raise TooLarge(f"P^{half} may hold {support} exponents, over the cap {MAX_POWER_SUPPORT}")
+    words = max(1, -(-(half * tops[n_to]).bit_length() // 64))  # 64-bit words of the largest exponent
+    if support * words > MAX_POWER_SUPPORT:
+        each = f" of {words} words each" if words > 1 else ""
+        raise TooLarge(f"P^{half} may hold {support} exponents{each}, over the cap {MAX_POWER_SUPPORT}")
     work = n_to * half**3 // 12  # a lower bound of the estimate, cheap for any m_max
     if work <= MAX_PREFIX_WORK:
         work = _prefix_work(tops, n_from, n_to, m_max)

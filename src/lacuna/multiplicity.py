@@ -6,18 +6,14 @@ multiplicity is the Moebius-weighted count over the upset of partitions
 all of whose blocks cancel.  Multiplicities are what cumulants sum:
 kappa_m(S_n) = 2**-m * sum over all tuples of mult(T).
 
-The production route is ``mult_of_values``: it reads the zero-sum
-profile off the signed values and runs the set-partition
-moment-cumulant recursion over the profile alone (``mult_from_profile``),
-at a cost quadratic in the number of zero-sum subsets.
-
-Two independently coded lattice routes stay as correctness oracles:
-
-* ``mult_moebius``   - the defining Moebius sum over zero-sum partitions;
-* ``mult_crosscut``  - the alternating count of subfamilies of minimal
-  zero-sum partitions whose join is the top partition.
-
-Both are exhaustive over the partition lattice and guarded to small m.
+The one route is ``mult_from_profile``: the set-partition
+moment-cumulant recursion over the zero-sum profile alone, at a cost
+quadratic in the number of zero-sum subsets.  ``mult_of_values`` reads
+the profile off signed values for the offset-pattern sweep, and
+``mult-inspect`` prints it for one tuple together with the zero-sum
+partitions (``upset_partitions``) and those built from minimal zero-sum
+subsets (``ZeroSumProfile.atoms``).  The lattice routes that the tests
+hold it against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,19 +22,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IndexOutOfRange, TooLarge
-from .partitions import (
-    MAX_GROUND_SIZE,
-    SetPartition,
-    all_partitions,
-    join,
-    minimal_members,
-    moebius_to_top,
-    top,
-)
+from .partitions import SetPartition, all_partitions
 
+MAX_GROUND_SIZE = 12  # largest offset-pattern order, see ``recurrence``
 MAX_PROFILE_SIZE = 20  # 2**m subset scan guard
 MAX_PROFILE_MASKS = 2**MAX_GROUND_SIZE  # the recursion tests up to len(masks)**2 / 2 pairs
-MAX_CROSSCUT_SUBFAMILIES = 2**14  # each costs up to len(mins) joins of ~15 us
 _PROFILE_CLOSURE_CHECK_LIMIT = 128
 
 
@@ -78,6 +66,15 @@ class ZeroSumProfile:
             for mask in sorted(self.masks)
         ]
         return out
+
+    def atoms(self) -> frozenset[int]:
+        """The minimal zero-sum subsets: no other zero-sum subset lies inside one.
+
+        A zero-sum partition is minimal in the upset exactly when all its
+        blocks are atoms: a block B with a zero-sum proper subset C splits
+        into C and B ^ C, which is zero-sum too.
+        """
+        return frozenset(s for s in self.masks if not any(b != s and b & s == b for b in self.masks))
 
 
 def signed_values(t: SignedTuple, terms: Sequence[int]) -> list[int]:
@@ -128,53 +125,9 @@ def upset_partitions(profile: ZeroSumProfile, m: int) -> list[SetPartition]:
     """Partitions of {1..m} whose every block is a zero-sum subset."""
     if m != profile.m:
         raise ValueError("profile was computed for a different tuple order")
-    if m > MAX_GROUND_SIZE:
-        raise TooLarge(f"partition lattice of [{m}] refused (limit m <= {MAX_GROUND_SIZE})")
-    out = []
-    for pi in all_partitions(m):
-        if all(mask in profile.masks for mask in pi.block_masks()):
-            out.append(pi)
-    return out
-
-
-def mult_moebius(t: SignedTuple, terms: Sequence[int]) -> int:
-    """Multiplicity as the Moebius sum over the zero-sum partition upset."""
-    profile = zero_sum_profile(t, terms)
-    return sum(moebius_to_top(pi) for pi in upset_partitions(profile, t.order))
-
-
-def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
-    """Multiplicity as an alternating count over minimal zero-sum partitions.
-
-    Sums (-1)**(|J|+1) over nonempty subfamilies J of the minimal
-    zero-sum partitions whose join is the top partition.  Equals
-    ``mult_moebius`` for every tuple; coded independently as a check.
-    """
-    m = t.order
-    profile = zero_sum_profile(t, terms)
-    upset = upset_partitions(profile, m)
-    if not upset:
-        return 0
-    mins = minimal_members(upset)
-    if 2 ** len(mins) > MAX_CROSSCUT_SUBFAMILIES:
-        raise TooLarge(
-            f"{len(mins)} minimal partitions give 2**{len(mins)} subfamilies; crosscut "
-            f"sweep refused (limit {MAX_CROSSCUT_SUBFAMILIES})"
-        )
-    one = top(m)
-    total = 0
-    for pick in range(1, 1 << len(mins)):
-        joined = None
-        for j, pi in enumerate(mins):
-            if pick >> j & 1:
-                joined = pi if joined is None else join(joined, pi)
-        if joined == one:
-            total += -1 if pick.bit_count() % 2 == 0 else 1
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Production route shared by the cumulant and offset-pattern sweeps.
+    if (1 << m) - 1 not in profile.masks:  # zero-sum blocks sum to a zero-sum whole
+        return []
+    return [pi for pi in all_partitions(m) if all(mask in profile.masks for mask in pi.block_masks())]
 
 
 def mult_from_profile(masks: frozenset[int], m: int) -> int:

@@ -28,8 +28,7 @@ from math import factorial, gcd, isfinite, lcm
 from typing import Sequence
 
 from .errors import RootFindingFailed, TooFewPoints, TooLarge, ZeroModulus
-from .multiplicity import mult_of_values
-from .partitions import MAX_GROUND_SIZE
+from .multiplicity import MAX_GROUND_SIZE, mult_of_values
 
 Poly = tuple[int, ...]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from math import floor
 
@@ -82,7 +83,7 @@ class SequenceSpec:
     def roundpow(eta_decimal: str, prec: int) -> "SequenceSpec":
         if prec < 1:
             raise ValueError("precision must be >= 1 bit")
-        ratio = Fraction(eta_decimal)
+        ratio = _ratio(eta_decimal, 1, prec)
         if ratio <= 1:
             raise ValueError("rounded-power ratio must exceed 1")
         return SequenceSpec(kind="roundpow", eta_decimal=eta_decimal, prec=int(prec))
@@ -228,13 +229,8 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
     Step k reduces fractions of about k*(prec + bits of eta) bits by
     quadratic-time gcds, so n steps cost about n * s**2 for the last size s.
     """
-    ratio = Fraction(eta_decimal)
-    size = n * (prec + ratio.numerator.bit_length() + ratio.denominator.bit_length())
-    if n * size**2 > MAX_ROUNDPOW_WORK:
-        raise TooLarge(
-            f"{n} rounded powers at {prec} bits may take {n * size**2} work units, "
-            f"over the cap {MAX_ROUNDPOW_WORK}"
-        )
+    ratio = _ratio(eta_decimal, n, prec)
+    _check_roundpow_work(n, prec, ratio.numerator.bit_length() + ratio.denominator.bit_length())
     slack = ratio + Fraction(1, 2**prec)
     power = Fraction(1)
     power_hi = Fraction(1)
@@ -255,3 +251,28 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
         terms.append(nearest)
     return terms
 
+
+def _ratio(eta_decimal: str, n: int, prec: int) -> Fraction:
+    """eta as an exact Fraction, refused first if its decimal exponent alone breaks the work cap.
+
+    Fraction builds 10**e for a decimal exponent e, so e is read first.  A
+    ratio whose leading digit sits at 10**e, e > 0, has a numerator of over
+    3e bits, which bounds the n * s**2 estimate from below; with e < 0 the
+    ratio is below 1.  A p/q ratio has no exponent.
+    """
+    try:
+        e = 0 if "/" in eta_decimal else Decimal(eta_decimal).adjusted()
+    except InvalidOperation as exc:  # not a number, or an exponent past 10**18
+        raise ValueError(f"bad rounded-power ratio {eta_decimal!r}") from exc
+    if e < 0:
+        raise ValueError("rounded-power ratio must exceed 1")
+    if e:
+        _check_roundpow_work(n, prec, 3 * e)
+    return Fraction(eta_decimal)
+
+
+def _check_roundpow_work(n: int, prec: int, eta_bits: int) -> None:
+    """Refuse n rounded powers when their a-priori n * s**2, s = n * (prec + eta_bits), is over the cap."""
+    work = n * (n * (prec + eta_bits)) ** 2
+    if work > MAX_ROUNDPOW_WORK:
+        raise TooLarge(f"{n} rounded powers at {prec} bits may take {work} work units, over the cap {MAX_ROUNDPOW_WORK}")

@@ -13,6 +13,11 @@ evidence for both.
 * Offset patterns with subset cancellation read off the recurrence
   modulus (``pattern_multiplicity``, ``eta_relation_holds``), against
   the structural slope walk.
+* Tuple multiplicities over the partition lattice, against the profile
+  recursion ``mult_from_profile``: ``mult_moebius`` (the defining
+  Moebius sum over zero-sum partitions) and ``mult_crosscut`` (the
+  alternating count of subfamilies of minimal zero-sum partitions whose
+  join is the top partition), with the lattice operations they use.
 """
 
 from __future__ import annotations
@@ -23,15 +28,22 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from lacuna.errors import IndexOutOfRange, TooLarge, ZeroModulus
+from lacuna.errors import IndexOutOfRange, LacunaError, TooLarge, ZeroModulus
 from lacuna.laurent import SparseLaurent, laurent_mul
 from lacuna.moments import independent_cumulants, moment_vector, moments_to_cumulants
-from lacuna.multiplicity import mult_of_values
-from lacuna.partitions import MAX_GROUND_SIZE, SetPartition
+from lacuna.multiplicity import (
+    MAX_GROUND_SIZE,
+    SignedTuple,
+    mult_of_values,
+    upset_partitions,
+    zero_sum_profile,
+)
+from lacuna.partitions import SetPartition
 from lacuna.recurrence import _encoded_powers, _strip, _validate_pattern_modulus
 
 MAX_SWEEP_ORDER = 6
 MAX_SWEEP_TERMS = 12
+MAX_CROSSCUT_SUBFAMILIES = 2**14  # each costs up to len(mins) joins of ~15 us
 
 
 # --- Laurent polynomials ---------------------------------------------------
@@ -285,6 +297,136 @@ def pattern_multiplicity(pattern: OffsetPattern, p: Sequence[int]) -> int:
 # --- partitions ------------------------------------------------------------
 
 
+class GroundSetMismatch(LacunaError):
+    """Partition operands live on different ground sets."""
+
+
+def from_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
+    """Canonicalize and validate a collection of blocks."""
+    cleaned = [tuple(sorted(b)) for b in blocks]
+    if any(not block for block in cleaned):
+        raise ValueError("empty block")
+    canon = tuple(sorted(cleaned, key=lambda b: b[0]))
+    seen: set[int] = set()
+    for block in canon:
+        for e in block:
+            if e in seen:
+                raise ValueError(f"element {e} appears in two blocks")
+            seen.add(e)
+    if not seen or seen != set(range(1, len(seen) + 1)):
+        raise ValueError("blocks must cover exactly {1..m}")
+    return SetPartition(canon)
+
+
 def bottom(m: int) -> SetPartition:
     """The all-singletons partition."""
     return SetPartition(tuple((i,) for i in range(1, m + 1)))
+
+
+def top(m: int) -> SetPartition:
+    """The one-block partition."""
+    return SetPartition((tuple(range(1, m + 1)),))
+
+
+def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> int:
+    m, other = (sum(map(len, p.blocks)) for p in (pi, sigma))
+    if m != other:
+        raise GroundSetMismatch(f"ground sets [{m}] and [{other}] differ")
+    return m
+
+
+def is_refinement(pi: SetPartition, sigma: SetPartition) -> bool:
+    """True when every block of ``pi`` lies inside some block of ``sigma``."""
+    m = _check_same_ground(pi, sigma)
+    owner = [0] * (m + 1)
+    for idx, block in enumerate(sigma.blocks):
+        for e in block:
+            owner[e] = idx
+    for block in pi.blocks:
+        idx = owner[block[0]]
+        if any(owner[e] != idx for e in block[1:]):
+            return False
+    return True
+
+
+def join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
+    """Least upper bound: connected components of the block-overlap relation."""
+    m = _check_same_ground(pi, sigma)
+    parent = list(range(m + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    for part in (pi, sigma):
+        for block in part.blocks:
+            for e in block[1:]:
+                union(block[0], e)
+    groups: dict[int, list[int]] = {}
+    for e in range(1, m + 1):
+        groups.setdefault(find(e), []).append(e)
+    return SetPartition(tuple(sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])))
+
+
+def moebius_to_top(pi: SetPartition) -> int:
+    """mu(pi, top) = (-1)**(k-1) * (k-1)! with k the number of blocks."""
+    k = len(pi.blocks)
+    return (-1) ** (k - 1) * factorial(k - 1)
+
+
+def minimal_members(family: Sequence[SetPartition]) -> list[SetPartition]:
+    """Members with no strictly finer member in the family (order preserved)."""
+    out = []
+    for cand in family:
+        dominated = any(
+            other != cand and is_refinement(other, cand) for other in family
+        )
+        if not dominated:
+            out.append(cand)
+    return out
+
+
+# --- tuple multiplicities over the lattice ----------------------------------
+
+
+def mult_moebius(t: SignedTuple, terms: Sequence[int]) -> int:
+    """Multiplicity as the Moebius sum over the zero-sum partition upset."""
+    profile = zero_sum_profile(t, terms)
+    return sum(moebius_to_top(pi) for pi in upset_partitions(profile, t.order))
+
+
+def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
+    """Multiplicity as an alternating count over minimal zero-sum partitions.
+
+    Sums (-1)**(|J|+1) over nonempty subfamilies J of the minimal
+    zero-sum partitions whose join is the top partition.  Equals
+    ``mult_moebius`` for every tuple; coded independently as a check.
+    """
+    m = t.order
+    profile = zero_sum_profile(t, terms)
+    upset = upset_partitions(profile, m)
+    if not upset:
+        return 0
+    mins = minimal_members(upset)
+    if 2 ** len(mins) > MAX_CROSSCUT_SUBFAMILIES:
+        raise TooLarge(
+            f"{len(mins)} minimal partitions give 2**{len(mins)} subfamilies; crosscut "
+            f"sweep refused (limit {MAX_CROSSCUT_SUBFAMILIES})"
+        )
+    one = top(m)
+    total = 0
+    for pick in range(1, 1 << len(mins)):
+        joined = None
+        for j, pi in enumerate(mins):
+            if pick >> j & 1:
+                joined = pi if joined is None else join(joined, pi)
+        if joined == one:
+            total += -1 if pick.bit_count() % 2 == 0 else 1
+    return total

@@ -18,11 +18,18 @@ from lacuna.moments import (
     moment_vector,
     moments_to_cumulants,
 )
-from lacuna.multiplicity import SignedTuple, mult_crosscut, mult_moebius
-from lacuna.partitions import all_partitions, moebius_to_top
+from lacuna.multiplicity import SignedTuple
+from lacuna.partitions import all_partitions
 from lacuna.recurrence import detect_affine_tail, structural_slope
 from lacuna.sequences import SequenceSpec, generate_terms
-from oracles import cumulant_via_multiplicity, cumulant_vector, independent_cumulant
+from oracles import (
+    cumulant_via_multiplicity,
+    cumulant_vector,
+    independent_cumulant,
+    moebius_to_top,
+    mult_crosscut,
+    mult_moebius,
+)
 
 PI_DIGITS = "3.14159265358979323846264338327950288"
 

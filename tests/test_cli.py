@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import lacuna
 from lacuna.cli import run
+from lacuna.multiplicity import SignedTuple
+from oracles import from_blocks, minimal_members, mult_crosscut, mult_moebius
 
 
 def invoke(capsys, *argv):
@@ -217,10 +219,33 @@ def test_mult_inspect_worked_example(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["mult_moebius"] == "-1"
-    assert payload["mult_crosscut"] == "-1"
+    assert payload["mult"] == "-1"
     assert [1, 2] in payload["zero_sum_subsets"]
-    assert "{1,2}|{3,4}" in payload["minimal_partitions"]
+    assert payload["zero_sum_partitions"] == ["{1,2,3,4}", "{1,2}|{3,4}", "{1,4}|{2,3}"]
+    assert payload["minimal_partitions"] == ["{1,2}|{3,4}", "{1,4}|{2,3}"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    terms=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    entries=st.lists(st.tuples(st.integers(0, 3), st.sampled_from("+-")), min_size=1, max_size=7),
+)
+def test_mult_inspect_matches_the_lattice_oracles(terms, entries):
+    indices = [i % len(terms) + 1 for i, _ in entries]
+    signs = [sign for _, sign in entries]
+    argv = ["mult-inspect", "--seq", "explicit:" + ",".join(map(str, terms))]
+    argv += ["--indices", ",".join(map(str, indices)), "--signs=" + ",".join(signs)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    payload = json.loads(out.getvalue())
+    tup = SignedTuple(tuple(indices), tuple(1 if sign == "+" else -1 for sign in signs))
+    assert payload["mult"] == str(mult_moebius(tup, terms)) == str(mult_crosscut(tup, terms))
+    upset = [
+        from_blocks(map(int, block.strip("{}").split(",")) for block in pi.split("|"))
+        for pi in payload["zero_sum_partitions"]
+    ]
+    assert payload["minimal_partitions"] == [str(pi) for pi in minimal_members(upset)]
 
 
 def test_oracle_agrees_with_exact(capsys):
@@ -257,10 +282,7 @@ def test_help_exits_zero(capsys):
         (["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"], 2),
         (["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3),
         (["moments", "--seq", "explicit:1,2,3", "--n", "3", "--m", "400"], 3),
-        (
-            ["mult-inspect", "--seq", "explicit:5", "--indices", "1,1,1,1,1,1,1,1", "--signs", "+,-,+,-,+,-,+,-"],
-            3,
-        ),
+        (["mult-inspect", "--seq", "explicit:5", "--indices", ",".join("1" * 12), "--signs", ",".join("+-" * 6)], 3),
         (["slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "4"], 3),
         (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2),
         (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2),
@@ -276,6 +298,7 @@ def test_help_exits_zero(capsys):
         (["cumulants", "--seq", "fibonacci", "--n", "1000000", "--m", "2"], 3),
         (["cumulants", "--seq", "roundpow:eta=3.14,prec=99999999999", "--n", "22", "--m", "2"], 3),
         (["slope", "--seq", "fibonacci", "--m", "2", "--gap-bound", "1000000000"], 3),
+        (["cumulants", "--seq", "roundpow:eta=1e2000000,prec=8", "--n", "2", "--m", "2"], 3),
     ],
     ids=[
         "explicit-too-short",
@@ -284,7 +307,7 @@ def test_help_exits_zero(capsys):
         "negative-index",
         "power-support-guard",
         "engine-work-guard",
-        "crosscut-subfamily-guard",
+        "partition-count-guard",
         "pattern-walk-guard",
         "out-into-missing-directory",
         "n-not-an-integer",
@@ -300,6 +323,7 @@ def test_help_exits_zero(capsys):
         "term-bit-guard",
         "roundpow-work-guard",
         "pattern-offset-guard",
+        "roundpow-exponent-guard",
     ],
 )
 def test_failures_print_one_error_line(capsys, argv, expected):
@@ -361,6 +385,15 @@ def test_json_rationals_round_trip(capsys):
         diff = Fraction(row["diff"])
         assert kappa - model == diff
         assert isinstance(kappa, Fraction)
+
+
+def test_compare_rationals_print_as_their_str(capsys):
+    # "p/q" in lowest terms, or "p" when the denominator is 1: what str gives for a Fraction.
+    argv = ["compare", "--seq", "roundpow:eta=3.14159265358979323846,prec=64", "--n-from", "1", "--n-to", "8"]
+    payload = json.loads(invoke(capsys, *argv, "--m-max", "6")[1])
+    fields = [row[key] for row in payload["rows"] for key in ("kappa", "independent_n_kappa", "diff")]
+    assert all(str(Fraction(text)) == text for text in fields)
+    assert {"0", "1/2", "-3/8"} <= set(fields) and any(text.startswith("-") and "/" in text for text in fields)
 
 
 def test_out_file_written(tmp_path, capsys):

@@ -154,6 +154,26 @@ def test_power_support_guard_bound_is_the_estimate(monkeypatch):
         prefix_moments(terms, 5, 5, 4)
 
 
+def test_power_support_guard_weighs_exponent_words(monkeypatch):
+    # pow2plus1, n = 70, m = 4: C(141, 2) = 9,870 exponents up to 2 * (2**70 + 1), 72 bits, 2 words.
+    terms = terms_of(POW2, 70)
+    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 19740)
+    assert moments_to_cumulants(prefix_moments(terms, 70, 70, 4)[-1][1])[3] == Fraction(-3 * 70 + 28, 8)
+    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 19739)
+    with pytest.raises(TooLarge, match="9870 exponents of 2 words each"):
+        prefix_moments(terms, 70, 70, 4)
+    monkeypatch.undo()
+
+    def never(powers, a):
+        raise AssertionError("the guard must fire before any power grows")
+
+    monkeypatch.setattr(moments, "_add_term", never)
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="9992685 exponents of 35 words each"):
+        prefix_moments(terms_of(POW2, 2235), 2235, 2235, 4)  # C(4471, 2) keys of 2,237 bits
+    assert time.perf_counter() - started < 1.0
+
+
 def test_work_guard_trips_before_growing(monkeypatch):
     def never(powers, a):
         raise AssertionError("the guard must fire before any power grows")

@@ -8,16 +8,14 @@ from lacuna.errors import IndexOutOfRange, TooLarge
 from lacuna.multiplicity import (
     MAX_PROFILE_MASKS,
     SignedTuple,
-    mult_crosscut,
     mult_from_profile,
-    mult_moebius,
     mult_of_values,
     signed_values,
     upset_partitions,
     zero_sum_profile,
 )
-from lacuna.partitions import SetPartition, top
 from lacuna.sequences import SequenceSpec, generate_terms
+from oracles import from_blocks, mult_crosscut, mult_moebius, top
 
 # The alternating tuple with values (1, -1, 1, -1): the canonical case
 # where the multiplicity is neither 0 nor 1.
@@ -53,6 +51,13 @@ def test_zero_sum_profile_worked_example():
     assert profile.subsets() == [(1, 2), (2, 3), (1, 4), (3, 4), (1, 2, 3, 4)]
 
 
+def test_atoms_are_the_minimal_zero_sum_subsets():
+    profile = zero_sum_profile(ALTERNATING, [1])
+    assert sorted(profile.atoms()) == [0b0011, 0b0110, 0b1001, 0b1100]
+    connected = zero_sum_profile(SignedTuple((1, 2, 3), (1, 1, -1)), FIB)
+    assert connected.atoms() == {0b111}
+
+
 def test_zero_sum_profile_empty_when_nothing_cancels():
     tup = SignedTuple((1, 2), (1, 1))
     assert zero_sum_profile(tup, POW2).masks == frozenset()
@@ -75,8 +80,8 @@ def test_upset_partitions_worked_example():
     upset = upset_partitions(profile, 4)
     assert set(upset) == {
         top(4),
-        SetPartition.from_blocks([[1, 2], [3, 4]]),
-        SetPartition.from_blocks([[1, 4], [2, 3]]),
+        from_blocks([[1, 2], [3, 4]]),
+        from_blocks([[1, 4], [2, 3]]),
     }
 
 
@@ -184,6 +189,9 @@ def test_multiplicity_guards_refuse_large_inputs():
         mult_of_values([1, -1] * 11)
     with pytest.raises(TooLarge):
         mult_from_profile(frozenset(range(1, MAX_PROFILE_MASKS + 2)), 13)
+
+
+def test_crosscut_oracle_refuses_many_subfamilies():
     eight = SignedTuple((1,) * 8, (1, -1) * 4)  # 24 minimal partitions
     with pytest.raises(TooLarge, match="2\\*\\*24 subfamilies"):
         mult_crosscut(eight, [5])

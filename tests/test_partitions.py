@@ -1,16 +1,18 @@
 import pytest
 
-from lacuna.errors import GroundSetMismatch, TooLarge
-from lacuna.partitions import (
-    SetPartition,
-    all_partitions,
+from lacuna import partitions
+from lacuna.errors import TooLarge
+from lacuna.partitions import all_partitions
+from oracles import (
+    GroundSetMismatch,
+    bottom,
+    from_blocks,
     is_refinement,
     join,
     minimal_members,
     moebius_to_top,
     top,
 )
-from oracles import bottom
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -34,28 +36,44 @@ def test_size_guard():
         all_partitions(0)
 
 
+def test_bell_guard_bound_is_the_partition_count(monkeypatch):
+    def never(*args):
+        raise AssertionError("the guard must fire before any partition is built")
+
+    monkeypatch.setattr(partitions, "SetPartition", never)
+    with pytest.raises(TooLarge, match="\\[12\\] has at least 4213597 partitions"):
+        all_partitions(12)
+    with pytest.raises(TooLarge, match="at least 4213597 partitions"):
+        all_partitions(10**9)  # stops at the first Bell number over the cap
+    monkeypatch.undo()
+    monkeypatch.setattr(partitions, "MAX_PARTITIONS", 203)
+    assert len(all_partitions(6)) == 203
+    with pytest.raises(TooLarge, match="at least 877 partitions"):
+        all_partitions(7)
+
+
 def test_from_blocks_canonicalizes():
-    pi = SetPartition.from_blocks([[4, 3], [2, 1]])
+    pi = from_blocks([[4, 3], [2, 1]])
     assert pi.blocks == ((1, 2), (3, 4))
     assert str(pi) == "{1,2}|{3,4}"
 
 
 def test_from_blocks_validates():
     with pytest.raises(ValueError):
-        SetPartition.from_blocks([[1, 2], [2, 3]])
+        from_blocks([[1, 2], [2, 3]])
     with pytest.raises(ValueError):
-        SetPartition.from_blocks([[1], [3]])
+        from_blocks([[1], [3]])
     with pytest.raises(ValueError):
-        SetPartition.from_blocks([[1], []])
+        from_blocks([[1], []])
 
 
 def test_refinement_basics():
-    sigma = SetPartition.from_blocks([[1, 2], [3, 4]])
+    sigma = from_blocks([[1, 2], [3, 4]])
     for pi in all_partitions(4):
         assert is_refinement(bottom(4), pi)
     assert is_refinement(sigma, top(4))
-    crossing = SetPartition.from_blocks([[1, 3], [2], [4]])
-    assert not is_refinement(SetPartition.from_blocks([[1, 2], [3], [4]]), crossing)
+    crossing = from_blocks([[1, 3], [2], [4]])
+    assert not is_refinement(from_blocks([[1, 2], [3], [4]]), crossing)
 
 
 def test_refinement_rejects_mismatched_ground_sets():
@@ -64,8 +82,8 @@ def test_refinement_rejects_mismatched_ground_sets():
 
 
 def test_join_of_crossing_pair_is_top():
-    left = SetPartition.from_blocks([[1, 2], [3, 4]])
-    right = SetPartition.from_blocks([[1, 4], [2, 3]])
+    left = from_blocks([[1, 2], [3, 4]])
+    right = from_blocks([[1, 4], [2, 3]])
     assert join(left, right) == top(4)
 
 
@@ -87,8 +105,8 @@ def test_moebius_row_sum_identity(m):
 
 
 def test_minimal_members_examples():
-    pi1 = SetPartition.from_blocks([[1, 2], [3, 4]])
-    pi2 = SetPartition.from_blocks([[1, 4], [2, 3]])
+    pi1 = from_blocks([[1, 2], [3, 4]])
+    pi2 = from_blocks([[1, 4], [2, 3]])
     assert minimal_members([pi1, pi2, top(4)]) == [pi1, pi2]
     assert minimal_members([top(4)]) == [top(4)]
     assert minimal_members([]) == []

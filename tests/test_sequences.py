@@ -105,6 +105,26 @@ def test_roundpow_work_guard_trips_before_the_loop(monkeypatch):
         generate_terms(spec, 23)
 
 
+def test_roundpow_exponent_is_read_before_the_fraction(monkeypatch):
+    def never(*args):
+        raise AssertionError("no Fraction may be built past the cap")
+
+    started = time.perf_counter()
+    monkeypatch.setattr(sequences, "Fraction", never)
+    with pytest.raises(TooLarge, match="1 rounded powers at 8 bits"):
+        SequenceSpec.roundpow("1e2000000", 8)  # (8 + 3 * 2e6)**2 > 3e13 at n = 1
+    with pytest.raises(ValueError, match="must exceed 1"):
+        SequenceSpec.roundpow("1e-2000000", 8)
+    with pytest.raises(ValueError, match="bad rounded-power ratio"):
+        SequenceSpec.roundpow("1e9999999999999999999", 8)  # past what Decimal reads
+    monkeypatch.undo()
+    spec = SequenceSpec.roundpow("1e1000000", 8)  # (8 + 3e6)**2 = 9e12 passes at n = 1
+    monkeypatch.setattr(sequences, "Fraction", never)
+    with pytest.raises(TooLarge, match="2 rounded powers at 8 bits"):
+        generate_terms(spec, 2)
+    assert time.perf_counter() - started < 2.0
+
+
 def test_explicit_terms_and_positivity():
     assert generate_terms(SequenceSpec.explicit([3, 5, 9]), 2) == [3, 5]
     with pytest.raises(NonPositiveTerm):
