@@ -5,7 +5,8 @@ rationals serialize as their ``str``, "p/q" in lowest terms or "p" when
 the denominator is 1, and big integers as decimal strings, never floats.
 Identical invocations produce byte-identical output.  ``mult-inspect``
 reads everything from the tuple's zero-sum profile: its ``mult`` is the
-same profile recursion that the cumulant and slope sweeps sum.
+same profile recursion that the cumulant and slope sweeps sum, and its
+partitions are listed from the profile's masks and their minimal ones.
 
 Exit codes: 0 success, 2 usage error, 3 computation guard tripped,
 4 requested validity check failed.  Exits 2 and 3, argparse's own
@@ -30,7 +31,8 @@ from .moments import (
     moments_to_cumulants,
     prefix_moments,
 )
-from .multiplicity import SignedTuple, mult_from_profile, upset_partitions, zero_sum_profile
+from .multiplicity import SignedTuple, mult_from_profile, zero_sum_profile
+from .partitions import all_partitions
 from .recurrence import detect_affine_tail, minimal_polynomial, structural_slope
 from .sequences import generate_terms, parse_sequence
 
@@ -257,8 +259,9 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
     terms = _checked(generate_terms, spec, max(indices))
     profile = zero_sum_profile(tup, terms)
     mult = mult_from_profile(profile.masks, tup.order)
-    upset = upset_partitions(profile, tup.order)
-    atoms = profile.atoms() if upset else frozenset()  # a nonempty upset has at most 11 entries
+    cancels = (1 << tup.order) - 1 in profile.masks  # else no partition has only zero-sum blocks
+    upset = all_partitions(profile.masks, tup.order) if cancels else []
+    minimal = all_partitions(profile.atoms(), tup.order) if cancels else []
     payload = {
         "sequence": spec.label(),
         "indices": list(indices),
@@ -266,7 +269,7 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
         "values": [str(s * terms[i - 1]) for i, s in zip(indices, signs)],
         "zero_sum_subsets": [list(s) for s in profile.subsets()],
         "zero_sum_partitions": [str(pi) for pi in upset],
-        "minimal_partitions": [str(pi) for pi in upset if atoms.issuperset(pi.block_masks())],
+        "minimal_partitions": [str(pi) for pi in minimal],
         "mult": str(mult),
     }
     return _json_text(payload), True

@@ -10,10 +10,10 @@ The one route is ``mult_from_profile``: the set-partition
 moment-cumulant recursion over the zero-sum profile alone, at a cost
 quadratic in the number of zero-sum subsets.  ``mult_of_values`` reads
 the profile off signed values for the offset-pattern sweep, and
-``mult-inspect`` prints it for one tuple together with the zero-sum
-partitions (``upset_partitions``) and those built from minimal zero-sum
-subsets (``ZeroSumProfile.atoms``).  The lattice routes that the tests
-hold it against live in ``tests/oracles.py``.
+``mult-inspect`` prints it for one tuple, with the zero-sum partitions
+listed by ``partitions.all_partitions`` from the profile's masks and
+the minimal ones from ``ZeroSumProfile.atoms``.  The lattice routes
+that the tests hold it against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IndexOutOfRange, TooLarge
-from .partitions import SetPartition, all_partitions
 
 MAX_GROUND_SIZE = 12  # largest offset-pattern order, see ``recurrence``
 MAX_PROFILE_SIZE = 20  # 2**m subset scan guard
@@ -119,15 +118,6 @@ def zero_sum_profile(t: SignedTuple, terms: Sequence[int]) -> ZeroSumProfile:
     masks = _profile_from_values(signed_values(t, terms))
     _assert_disjoint_union_closed(masks)
     return ZeroSumProfile(m, masks)
-
-
-def upset_partitions(profile: ZeroSumProfile, m: int) -> list[SetPartition]:
-    """Partitions of {1..m} whose every block is a zero-sum subset."""
-    if m != profile.m:
-        raise ValueError("profile was computed for a different tuple order")
-    if (1 << m) - 1 not in profile.masks:  # zero-sum blocks sum to a zero-sum whole
-        return []
-    return [pi for pi in all_partitions(m) if all(mask in profile.masks for mask in pi.block_masks())]
 
 
 def mult_from_profile(masks: frozenset[int], m: int) -> int:

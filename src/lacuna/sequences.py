@@ -83,8 +83,7 @@ class SequenceSpec:
     def roundpow(eta_decimal: str, prec: int) -> "SequenceSpec":
         if prec < 1:
             raise ValueError("precision must be >= 1 bit")
-        ratio = _ratio(eta_decimal, 1, prec)
-        if ratio <= 1:
+        if _decimal_exponent(eta_decimal) == 0 and Fraction(eta_decimal) <= 1:  # else eta >= 10
             raise ValueError("rounded-power ratio must exceed 1")
         return SequenceSpec(kind="roundpow", eta_decimal=eta_decimal, prec=int(prec))
 
@@ -229,7 +228,10 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
     Step k reduces fractions of about k*(prec + bits of eta) bits by
     quadratic-time gcds, so n steps cost about n * s**2 for the last size s.
     """
-    ratio = _ratio(eta_decimal, n, prec)
+    e = _decimal_exponent(eta_decimal)
+    if e:  # the numerator has over 3e bits; Fraction would build 10**e first
+        _check_roundpow_work(n, prec, 3 * e, f" of a ratio near 10**{e}")
+    ratio = Fraction(eta_decimal)
     _check_roundpow_work(n, prec, ratio.numerator.bit_length() + ratio.denominator.bit_length())
     slack = ratio + Fraction(1, 2**prec)
     power = Fraction(1)
@@ -252,13 +254,11 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
     return terms
 
 
-def _ratio(eta_decimal: str, n: int, prec: int) -> Fraction:
-    """eta as an exact Fraction, refused first if its decimal exponent alone breaks the work cap.
+def _decimal_exponent(eta_decimal: str) -> int:
+    """The decimal exponent e of eta, read without building 10**e; 0 for a p/q ratio.
 
-    Fraction builds 10**e for a decimal exponent e, so e is read first.  A
-    ratio whose leading digit sits at 10**e, e > 0, has a numerator of over
-    3e bits, which bounds the n * s**2 estimate from below; with e < 0 the
-    ratio is below 1.  A p/q ratio has no exponent.
+    eta's leading digit sits at 10**e, so e > 0 means eta >= 10 and e < 0
+    means eta < 1, which is refused.
     """
     try:
         e = 0 if "/" in eta_decimal else Decimal(eta_decimal).adjusted()
@@ -266,13 +266,12 @@ def _ratio(eta_decimal: str, n: int, prec: int) -> Fraction:
         raise ValueError(f"bad rounded-power ratio {eta_decimal!r}") from exc
     if e < 0:
         raise ValueError("rounded-power ratio must exceed 1")
-    if e:
-        _check_roundpow_work(n, prec, 3 * e)
-    return Fraction(eta_decimal)
+    return e
 
 
-def _check_roundpow_work(n: int, prec: int, eta_bits: int) -> None:
+def _check_roundpow_work(n: int, prec: int, eta_bits: int, ratio: str = "") -> None:
     """Refuse n rounded powers when their a-priori n * s**2, s = n * (prec + eta_bits), is over the cap."""
     work = n * (n * (prec + eta_bits)) ** 2
     if work > MAX_ROUNDPOW_WORK:
-        raise TooLarge(f"{n} rounded powers at {prec} bits may take {work} work units, over the cap {MAX_ROUNDPOW_WORK}")
+        raise TooLarge(f"{n} rounded powers{ratio} at {prec} bits may take {work} work units, "
+                       f"over the cap {MAX_ROUNDPOW_WORK}")

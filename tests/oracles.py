@@ -17,7 +17,9 @@ evidence for both.
   recursion ``mult_from_profile``: ``mult_moebius`` (the defining
   Moebius sum over zero-sum partitions) and ``mult_crosscut`` (the
   alternating count of subfamilies of minimal zero-sum partitions whose
-  join is the top partition), with the lattice operations they use.
+  join is the top partition), with the lattice operations they use and
+  the restricted-growth enumeration of every partition of ``{1..m}``
+  (``rgs_partitions``), which ``all_partitions`` is also held against.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from lacuna.moments import independent_cumulants, moment_vector, moments_to_cumu
 from lacuna.multiplicity import (
     MAX_GROUND_SIZE,
     SignedTuple,
+    ZeroSumProfile,
     mult_of_values,
-    upset_partitions,
     zero_sum_profile,
 )
 from lacuna.partitions import SetPartition
@@ -44,6 +46,7 @@ from lacuna.recurrence import _encoded_powers, _strip, _validate_pattern_modulus
 MAX_SWEEP_ORDER = 6
 MAX_SWEEP_TERMS = 12
 MAX_CROSSCUT_SUBFAMILIES = 2**14  # each costs up to len(mins) joins of ~15 us
+MAX_LATTICE_PARTITIONS = 10**6  # admits Bell(11) = 678,570, refuses Bell(12)
 
 
 # --- Laurent polynomials ---------------------------------------------------
@@ -301,6 +304,41 @@ class GroundSetMismatch(LacunaError):
     """Partition operands live on different ground sets."""
 
 
+def rgs_partitions(m: int) -> list[SetPartition]:
+    """Every partition of {1..m}, in restricted-growth-string order."""
+    if m < 1:
+        raise TooLarge(f"ground set size must be >= 1, got {m}")
+    bell = [1]  # Bell(0), Bell(1), ...: Bell(j + 1) = sum_k C(j, k) Bell(k)
+    while len(bell) <= m and bell[-1] <= MAX_LATTICE_PARTITIONS:
+        bell.append(sum(comb(len(bell) - 1, k) * b for k, b in enumerate(bell)))
+    if bell[-1] > MAX_LATTICE_PARTITIONS:
+        raise TooLarge(f"[{m}] has at least {bell[-1]} partitions, over the cap {MAX_LATTICE_PARTITIONS}")
+    out: list[SetPartition] = []
+    rgs = [0] * m
+
+    def descend(i: int, kmax: int) -> None:
+        if i == m:
+            blocks: list[list[int]] = [[] for _ in range(kmax + 1)]
+            for pos, label in enumerate(rgs):
+                blocks[label].append(pos + 1)
+            out.append(SetPartition(tuple(tuple(b) for b in blocks)))
+            return
+        for label in range(kmax + 2):
+            rgs[i] = label
+            descend(i + 1, max(kmax, label))
+
+    descend(1, 0)
+    return out
+
+
+def lattice_upset(profile: ZeroSumProfile, m: int) -> list[SetPartition]:
+    """Partitions of {1..m} whose every block is a zero-sum subset, filtered from the whole lattice."""
+    if (1 << m) - 1 not in profile.masks:  # zero-sum blocks sum to a zero-sum whole
+        return []
+    masks = profile.masks
+    return [pi for pi in rgs_partitions(m) if all(sum(1 << (e - 1) for e in b) in masks for b in pi.blocks)]
+
+
 def from_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
     """Canonicalize and validate a collection of blocks."""
     cleaned = [tuple(sorted(b)) for b in blocks]
@@ -399,7 +437,7 @@ def minimal_members(family: Sequence[SetPartition]) -> list[SetPartition]:
 def mult_moebius(t: SignedTuple, terms: Sequence[int]) -> int:
     """Multiplicity as the Moebius sum over the zero-sum partition upset."""
     profile = zero_sum_profile(t, terms)
-    return sum(moebius_to_top(pi) for pi in upset_partitions(profile, t.order))
+    return sum(moebius_to_top(pi) for pi in lattice_upset(profile, t.order))
 
 
 def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
@@ -411,7 +449,7 @@ def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
     """
     m = t.order
     profile = zero_sum_profile(t, terms)
-    upset = upset_partitions(profile, m)
+    upset = lattice_upset(profile, m)
     if not upset:
         return 0
     mins = minimal_members(upset)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -248,6 +249,18 @@ def test_mult_inspect_matches_the_lattice_oracles(terms, entries):
     assert payload["minimal_partitions"] == [str(pi) for pi in minimal_members(upset)]
 
 
+def test_mult_inspect_lists_the_twelve_entry_alternating_tuple(capsys):
+    # 22,482 of the Bell(12) = 4,213,597 partitions have only zero-sum blocks;
+    # the minimal ones pair each + with a -, in 6! ways.
+    argv = ["mult-inspect", "--seq", "explicit:5", "--indices", ",".join("1" * 12), "--signs=" + ",".join("+-" * 6)]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["zero_sum_partitions"]) == 22482
+    assert len(payload["minimal_partitions"]) == 720
+    assert payload["mult"] == "-9460"
+
+
 def test_oracle_agrees_with_exact(capsys):
     code, out, _ = invoke(capsys, "oracle", "--seq", "fibonacci", "--n", "5", "--m", "3")
     assert code == 0
@@ -274,31 +287,40 @@ def test_help_exits_zero(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, expected, message",
     [
-        (["cumulants", "--seq", "explicit:1,2", "--n", "5", "--m", "2"], 2),
-        (["compare", "--seq", "explicit:1,2", "--n-from", "1", "--n-to", "5", "--m-max", "2"], 2),
-        (["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"], 2),
-        (["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"], 2),
-        (["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3),
-        (["moments", "--seq", "explicit:1,2,3", "--n", "3", "--m", "400"], 3),
-        (["mult-inspect", "--seq", "explicit:5", "--indices", ",".join("1" * 12), "--signs", ",".join("+-" * 6)], 3),
-        (["slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "4"], 3),
-        (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2),
-        (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2),
-        (["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"], 2),
-        (["wat"], 2),
-        ([], 2),
-        (["cumulants", "--seq", "fibonacci", "--n-from", "3", "--m", "2"], 2),
-        (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "2", "--m-max", "3"], 2),
-        (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "0"], 2),
-        (["slope", "--seq", "fibonacci", "--m", "3", "--gap-bound", "0"], 2),
-        (["cumulants", "--seq", "roundpow:eta=1/0,prec=5", "--n", "3", "--m", "2"], 2),
-        (["independent", "--m-max", "3000"], 3),
-        (["cumulants", "--seq", "fibonacci", "--n", "1000000", "--m", "2"], 3),
-        (["cumulants", "--seq", "roundpow:eta=3.14,prec=99999999999", "--n", "22", "--m", "2"], 3),
-        (["slope", "--seq", "fibonacci", "--m", "2", "--gap-bound", "1000000000"], 3),
-        (["cumulants", "--seq", "roundpow:eta=1e2000000,prec=8", "--n", "2", "--m", "2"], 3),
+        (["cumulants", "--seq", "explicit:1,2", "--n", "5", "--m", "2"], 2, ""),
+        (["compare", "--seq", "explicit:1,2", "--n-from", "1", "--n-to", "5", "--m-max", "2"], 2, ""),
+        (["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"], 2, ""),
+        (["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"], 2, ""),
+        (["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3, ""),
+        (["moments", "--seq", "explicit:1,2,3", "--n", "3", "--m", "400"], 3, ""),
+        (
+            ["mult-inspect", "--seq", "explicit:1,1000,1000000", "--indices", ",".join("1" * 12) + ",2,2,3,3"]
+            + ["--signs", ",".join("+-" * 8)],
+            3,
+            r"605215 partitions of \[16\] refused",
+        ),
+        (["slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "4"], 3, ""),
+        (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2, ""),
+        (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2, ""),
+        (["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"], 2, ""),
+        (["wat"], 2, ""),
+        ([], 2, ""),
+        (["cumulants", "--seq", "fibonacci", "--n-from", "3", "--m", "2"], 2, ""),
+        (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "2", "--m-max", "3"], 2, ""),
+        (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "0"], 2, ""),
+        (["slope", "--seq", "fibonacci", "--m", "3", "--gap-bound", "0"], 2, ""),
+        (["cumulants", "--seq", "roundpow:eta=1/0,prec=5", "--n", "3", "--m", "2"], 2, ""),
+        (["independent", "--m-max", "3000"], 3, ""),
+        (["cumulants", "--seq", "fibonacci", "--n", "1000000", "--m", "2"], 3, ""),
+        (["cumulants", "--seq", "roundpow:eta=3.14,prec=99999999999", "--n", "22", "--m", "2"], 3, ""),
+        (["slope", "--seq", "fibonacci", "--m", "2", "--gap-bound", "1000000000"], 3, ""),
+        (
+            ["cumulants", "--seq", "roundpow:eta=1e2000000,prec=8", "--n", "5", "--m", "2"],
+            3,
+            r"5 rounded powers of a ratio near 10\*\*2000000 ",
+        ),
     ],
     ids=[
         "explicit-too-short",
@@ -326,11 +348,12 @@ def test_help_exits_zero(capsys):
         "roundpow-exponent-guard",
     ],
 )
-def test_failures_print_one_error_line(capsys, argv, expected):
+def test_failures_print_one_error_line(capsys, argv, expected, message):
     code, out, err = invoke(capsys, *argv)
     assert code == expected
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err)
 
 
 def test_cli_import_does_not_load_numpy():

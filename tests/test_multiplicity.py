@@ -11,9 +11,9 @@ from lacuna.multiplicity import (
     mult_from_profile,
     mult_of_values,
     signed_values,
-    upset_partitions,
     zero_sum_profile,
 )
+from lacuna.partitions import all_partitions
 from lacuna.sequences import SequenceSpec, generate_terms
 from oracles import from_blocks, mult_crosscut, mult_moebius, top
 
@@ -77,19 +77,22 @@ def test_zero_sum_profile_guard():
 
 def test_upset_partitions_worked_example():
     profile = zero_sum_profile(ALTERNATING, [1])
-    upset = upset_partitions(profile, 4)
-    assert set(upset) == {
+    assert all_partitions(profile.masks, 4) == [
         top(4),
         from_blocks([[1, 2], [3, 4]]),
         from_blocks([[1, 4], [2, 3]]),
-    }
+    ]
+    assert all_partitions(profile.atoms(), 4) == [
+        from_blocks([[1, 2], [3, 4]]),
+        from_blocks([[1, 4], [2, 3]]),
+    ]
 
 
 def test_upset_partitions_edge_profiles():
     none = zero_sum_profile(SignedTuple((1, 2), (1, 1)), POW2)
-    assert upset_partitions(none, 2) == []
+    assert all_partitions(none.masks, 2) == []
     connected = zero_sum_profile(SignedTuple((1, 2, 3), (1, 1, -1)), FIB)
-    assert upset_partitions(connected, 3) == [top(3)]
+    assert all_partitions(connected.masks, 3) == [top(3)]
 
 
 @pytest.mark.parametrize("route", [mult_moebius, mult_crosscut])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacuna import partitions
 from lacuna.errors import TooLarge
@@ -11,45 +13,68 @@ from oracles import (
     join,
     minimal_members,
     moebius_to_top,
+    rgs_partitions,
     top,
 )
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
 
+def every_block(m):
+    return range(1, 1 << m)
+
+
 @pytest.mark.parametrize("m,count", sorted(BELL.items()))
 def test_partition_counts(m, count):
-    parts = all_partitions(m)
+    parts = all_partitions(every_block(m), m)
     assert len(parts) == count
     assert len(set(parts)) == count
 
 
 def test_enumeration_order_is_restricted_growth():
-    listing = [str(p) for p in all_partitions(3)]
+    listing = [str(p) for p in all_partitions(every_block(3), 3)]
     assert listing == ["{1,2,3}", "{1,2}|{3}", "{1,3}|{2}", "{1}|{2,3}", "{1}|{2}|{3}"]
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 7))
+def test_listing_matches_the_filtered_lattice(data, m):
+    # Random families are rarely closed under difference, so the listing
+    # meets blocks whose rest cannot be partitioned.
+    blocks = data.draw(st.sets(st.integers(1, (1 << m) - 1), max_size=40))
+    expected = [
+        pi for pi in rgs_partitions(m) if all(sum(1 << (e - 1) for e in b) in blocks for b in pi.blocks)
+    ]
+    assert all_partitions(blocks, m) == expected
+
+
 def test_size_guard():
+    with pytest.raises(TooLarge, match="678570 partitions of \\[11\\]"):
+        all_partitions(every_block(11), 11)
     with pytest.raises(TooLarge):
-        all_partitions(13)
+        rgs_partitions(13)
     with pytest.raises(TooLarge):
-        all_partitions(0)
+        rgs_partitions(0)
 
 
-def test_bell_guard_bound_is_the_partition_count(monkeypatch):
+def test_partition_cap_is_the_exact_count(monkeypatch):
     def never(*args):
         raise AssertionError("the guard must fire before any partition is built")
 
+    # {1,2}, {3,4}, {1,2,3,4} and the dead end {1,3}: two partitions.
+    blocks = [0b0011, 0b1100, 0b1111, 0b0101]
     monkeypatch.setattr(partitions, "SetPartition", never)
-    with pytest.raises(TooLarge, match="\\[12\\] has at least 4213597 partitions"):
-        all_partitions(12)
-    with pytest.raises(TooLarge, match="at least 4213597 partitions"):
-        all_partitions(10**9)  # stops at the first Bell number over the cap
+    monkeypatch.setattr(partitions, "MAX_PARTITIONS", 202)
+    with pytest.raises(TooLarge, match="203 partitions of \\[6\\] refused"):
+        all_partitions(every_block(6), 6)
+    monkeypatch.setattr(partitions, "MAX_PARTITIONS", 1)
+    with pytest.raises(TooLarge, match="2 partitions of \\[4\\] refused"):
+        all_partitions(blocks, 4)
     monkeypatch.undo()
     monkeypatch.setattr(partitions, "MAX_PARTITIONS", 203)
-    assert len(all_partitions(6)) == 203
-    with pytest.raises(TooLarge, match="at least 877 partitions"):
-        all_partitions(7)
+    assert len(all_partitions(every_block(6), 6)) == 203
+    monkeypatch.setattr(partitions, "MAX_PARTITIONS", 2)
+    assert [str(pi) for pi in all_partitions(blocks, 4)] == ["{1,2,3,4}", "{1,2}|{3,4}"]
 
 
 def test_from_blocks_canonicalizes():
@@ -69,7 +94,7 @@ def test_from_blocks_validates():
 
 def test_refinement_basics():
     sigma = from_blocks([[1, 2], [3, 4]])
-    for pi in all_partitions(4):
+    for pi in rgs_partitions(4):
         assert is_refinement(bottom(4), pi)
     assert is_refinement(sigma, top(4))
     crossing = from_blocks([[1, 3], [2], [4]])
@@ -88,7 +113,7 @@ def test_join_of_crossing_pair_is_top():
 
 
 def test_join_unit_laws():
-    for pi in all_partitions(4):
+    for pi in rgs_partitions(4):
         assert join(pi, pi) == pi
         assert join(bottom(4), pi) == pi
 
@@ -100,7 +125,7 @@ def test_moebius_to_top_by_block_count(m, expected):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_moebius_row_sum_identity(m):
-    total = sum(moebius_to_top(pi) for pi in all_partitions(m))
+    total = sum(moebius_to_top(pi) for pi in rgs_partitions(m))
     assert total == (1 if m == 1 else 0)
 
 
@@ -113,7 +138,7 @@ def test_minimal_members_examples():
 
 
 def test_join_laws_exhaustively_m5():
-    parts = all_partitions(5)
+    parts = rgs_partitions(5)
     for a in parts:
         for b in parts:
             ab = join(a, b)
@@ -123,7 +148,7 @@ def test_join_laws_exhaustively_m5():
 
 def test_join_associative_m5():
     # Precompute the join table once; associativity is then index lookups.
-    parts = all_partitions(5)
+    parts = rgs_partitions(5)
     index = {p: i for i, p in enumerate(parts)}
     table = [[index[join(a, b)] for b in parts] for a in parts]
     size = len(parts)
@@ -135,7 +160,7 @@ def test_join_associative_m5():
 
 
 def test_refinement_is_partial_order_m5():
-    parts = all_partitions(5)
+    parts = rgs_partitions(5)
     table = {
         (i, j): is_refinement(a, b)
         for i, a in enumerate(parts)
@@ -153,7 +178,7 @@ def test_refinement_is_partial_order_m5():
 
 
 def test_join_is_least_upper_bound_m4():
-    parts = all_partitions(4)
+    parts = rgs_partitions(4)
     for a in parts:
         for b in parts:
             ab = join(a, b)

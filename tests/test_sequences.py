@@ -111,17 +111,16 @@ def test_roundpow_exponent_is_read_before_the_fraction(monkeypatch):
 
     started = time.perf_counter()
     monkeypatch.setattr(sequences, "Fraction", never)
-    with pytest.raises(TooLarge, match="1 rounded powers at 8 bits"):
-        SequenceSpec.roundpow("1e2000000", 8)  # (8 + 3 * 2e6)**2 > 3e13 at n = 1
+    spec = SequenceSpec.roundpow("1e2000000", 8)  # a positive exponent means eta >= 10
+    with pytest.raises(TooLarge, match="^5 rounded powers of a ratio near 10\\*\\*2000000 at 8 bits"):
+        generate_terms(spec, 5)  # 5 * (5 * (8 + 3 * 2e6))**2 > 3e13
     with pytest.raises(ValueError, match="must exceed 1"):
         SequenceSpec.roundpow("1e-2000000", 8)
     with pytest.raises(ValueError, match="bad rounded-power ratio"):
         SequenceSpec.roundpow("1e9999999999999999999", 8)  # past what Decimal reads
-    monkeypatch.undo()
-    spec = SequenceSpec.roundpow("1e1000000", 8)  # (8 + 3e6)**2 = 9e12 passes at n = 1
-    monkeypatch.setattr(sequences, "Fraction", never)
-    with pytest.raises(TooLarge, match="2 rounded powers at 8 bits"):
-        generate_terms(spec, 2)
+    spec = SequenceSpec.roundpow("1e1000000", 8)
+    with pytest.raises(TooLarge, match="^2 rounded powers of a ratio near 10\\*\\*1000000 at 8 bits"):
+        generate_terms(spec, 2)  # 2 * (2 * (8 + 3e6))**2 = 7.2e13
     assert time.perf_counter() - started < 2.0
 
 
