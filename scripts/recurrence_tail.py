@@ -4,7 +4,9 @@
 For each order m the exact engine detects the eventual law
 kappa_m(S_n) = 2^-m (w n + b), and the offset-pattern sweep recovers
 the same w without touching any concrete term.  Agreement of the two
-routes is the whole point of the experiment.
+routes is the whole point of the experiment.  The header line reports
+the recurrence polynomial's dominant root, found numerically; the exact
+routes never consume it.
 
 Usage: python scripts/recurrence_tail.py [SEQ] [M_MAX]
   SEQ    sequence spec with a recurrence (default: fibonacci)
@@ -12,12 +14,76 @@ Usage: python scripts/recurrence_tail.py [SEQ] [M_MAX]
 """
 
 import sys
+import warnings
+from collections.abc import Sequence
+from fractions import Fraction
+from math import isfinite
 
+import numpy as np
+
+from lacuna.errors import LacunaError, ZeroModulus
 from lacuna.moments import moments_to_cumulants, prefix_moments
-from lacuna.recurrence import detect_affine_tail, dominant_root_check, structural_slope
+from lacuna.record import Record
+from lacuna.recurrence import detect_affine_tail, rational_roots, structural_slope
 from lacuna.sequences import generate_terms, parse_sequence
 
 N_FROM, N_TO = 15, 30
+_PERRON_MARGIN = 1e-9  # the dominant root must beat every other modulus by this much
+
+
+class RootFindingFailed(LacunaError):
+    """Numeric root finding returned no usable roots."""
+
+
+class RootCheck(Record):
+    """Numeric root diagnostic for a recurrence polynomial."""
+
+    __slots__ = ("is_perron", "eta_estimate", "roots", "rational")
+
+    def __init__(
+        self, is_perron: bool, eta_estimate: float, roots: tuple[complex, ...], rational: tuple[Fraction, ...]
+    ) -> None:
+        super().__init__(is_perron, eta_estimate, roots, rational)
+
+
+def dominant_root_check(p: Sequence[int]) -> RootCheck:
+    """Check for a unique real root > 1 strictly dominating all others.
+
+    Root finding is numeric (companion matrix) and only diagnostic.
+    Rational roots found by the p/q test are reported, with a warning
+    when they certify that the polynomial is not irreducible.
+    """
+    coeffs = list(p)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        raise ZeroModulus("zero polynomial")
+    if len(coeffs) == 1:
+        raise ValueError("degree must be >= 1")
+    found = np.roots([float(c) for c in reversed(coeffs)])
+    if found.size == 0 or not all(isfinite(r.real) and isfinite(r.imag) for r in found):
+        raise RootFindingFailed("companion-matrix roots are not finite")
+    roots = tuple(sorted((complex(r) for r in found), key=lambda z: (z.real, z.imag)))
+    real_above_one = [
+        r.real for r in roots if abs(r.imag) <= 1e-8 * max(1.0, abs(r)) and r.real > 1.0
+    ]
+    if len(real_above_one) == 1:
+        eta = real_above_one[0]
+        others = list(roots)
+        others.remove(min(others, key=lambda z: abs(z - eta)))
+        perron = all(eta > abs(z) + _PERRON_MARGIN for z in others)
+    else:
+        eta = max(abs(z) for z in roots)
+        perron = False
+    ratio = tuple(rational_roots(coeffs))
+    if ratio and len(coeffs) - 1 >= 2:
+        warnings.warn(
+            f"polynomial has rational root(s) {[str(r) for r in ratio]} and is not "
+            "irreducible; dominant-root conclusions assume irreducibility",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return RootCheck(perron, float(eta), roots, ratio)
 
 
 def main() -> None:

@@ -16,12 +16,11 @@ rejections included, print one ``error:`` line to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 import warnings
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import LacunaError
 from .moments import (
@@ -150,6 +149,8 @@ def _json_text(payload) -> str:
 def _rows_text(args: argparse.Namespace, head: dict, rows: Sequence[dict]) -> str:
     """CSV of the rows, or JSON of head and the rows (a lone row is inlined, except by compare)."""
     if args.format == "csv":
+        import csv  # only this branch writes CSV; keeps start-up lean
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
         writer.writeheader()

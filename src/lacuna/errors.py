@@ -35,7 +35,3 @@ class NonPositiveTerm(LacunaError):
 
 class ZeroModulus(LacunaError):
     """Polynomial reduction modulo the zero polynomial."""
-
-
-class RootFindingFailed(LacunaError):
-    """Numeric root finding returned no usable roots."""

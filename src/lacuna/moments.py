@@ -22,16 +22,19 @@ m-th cumulant over n summands is n times the single-summand cumulant.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Sequence
 
 from .errors import TooLarge
 from .laurent import SparseLaurent
 
 MAX_ORACLE_SAMPLES = 10**7
-MAX_POWER_SUPPORT = 10**7  # a-priori exponent count of the largest held power P^k, times its key words
+# A-priori stored entries (e >= 0) of the largest held power P^k, times the words of its keys.  Growing
+# P^1..P^4 of pow2plus1 at n = 40 (deep-point's m = 8) takes about 70 B per stored entry: 712,053 of them,
+# 671,288 in P^4, whose estimate is 918,810.  So the cap stands for about 350 MB.
+MAX_POWER_SUPPORT = 5 * 10**6
 MAX_PREFIX_WORK = 5 * 10**7  # a-priori work units of prefix_moments (see _prefix_work)
 MAX_CUMULANT_ORDER = 800  # the Fraction recursion took 6.2 s at order 800, 10.8 s at 900
 
@@ -48,11 +51,12 @@ def prefix_moments(
         raise ValueError(f"need m_max >= 1 and 0 <= n_from <= n_to <= {len(terms)}")
     half = (m_max + 1) // 2
     tops = list(accumulate(map(abs, terms[:n_to]), max, initial=0))  # tops[n] = max |a_k|, k <= n
-    support = min(comb(2 * n_to + half - 1, half), 2 * half * tops[n_to] + 1)
+    # P^half has at most C(2n+H-1, H) exponents, in [-H max|a|, H max|a|] and symmetric about 0.
+    support = min((comb(2 * n_to + half - 1, half) + 1) // 2, half * tops[n_to] + 1)
     words = max(1, -(-(half * tops[n_to]).bit_length() // 64))  # 64-bit words of the largest exponent
     if support * words > MAX_POWER_SUPPORT:
         each = f" of {words} words each" if words > 1 else ""
-        raise TooLarge(f"P^{half} may hold {support} exponents{each}, over the cap {MAX_POWER_SUPPORT}")
+        raise TooLarge(f"P^{half} may store {support} exponents{each}, over the cap {MAX_POWER_SUPPORT}")
     work = n_to * half**3 // 12  # a lower bound of the estimate, cheap for any m_max
     if work <= MAX_PREFIX_WORK:
         work = _prefix_work(tops, n_from, n_to, m_max)

@@ -18,45 +18,44 @@ that the tests hold it against live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import IndexOutOfRange, TooLarge
+from .record import Record
 
 MAX_GROUND_SIZE = 12  # largest offset-pattern order, see ``recurrence``
 MAX_PROFILE_SIZE = 20  # 2**m subset scan guard
 MAX_PROFILE_MASKS = 2**MAX_GROUND_SIZE  # the recursion tests up to len(masks)**2 / 2 pairs
-_PROFILE_CLOSURE_CHECK_LIMIT = 128
 
 
-@dataclass(frozen=True)
-class SignedTuple:
+class SignedTuple(Record):
     """Indices i_1..i_m (1-based, repeats allowed) with signs e_1..e_m."""
 
-    indices: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ("indices", "signs")
 
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.signs):
+    def __init__(self, indices: tuple[int, ...], signs: tuple[int, ...]) -> None:
+        if len(indices) != len(signs):
             raise ValueError("indices and signs must have equal length")
-        if not self.indices:
+        if not indices:
             raise ValueError("tuple must have at least one entry")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
-        if any(i < 1 for i in self.indices):
-            raise ValueError(f"indices are 1-based, got {min(self.indices)}")
+        if any(i < 1 for i in indices):
+            raise ValueError(f"indices are 1-based, got {min(indices)}")
+        super().__init__(indices, signs)
 
     @property
     def order(self) -> int:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class ZeroSumProfile:
+class ZeroSumProfile(Record):
     """All nonempty position subsets (as bitmasks) whose signed sum is zero."""
 
-    m: int
-    masks: frozenset[int]
+    __slots__ = ("m", "masks")
+
+    def __init__(self, m: int, masks: frozenset[int]) -> None:
+        super().__init__(m, masks)
 
     def subsets(self) -> list[tuple[int, ...]]:
         """Human view: sorted 1-based position subsets."""
@@ -99,25 +98,12 @@ def _profile_from_values(values: Sequence[int]) -> frozenset[int]:
     return frozenset(mask for mask in range(1, len(sums)) if sums[mask] == 0)
 
 
-def _assert_disjoint_union_closed(masks: frozenset[int]) -> None:
-    # Merging disjoint zero-sum blocks stays zero-sum; cheap self-check,
-    # skipped for very large profiles.
-    if len(masks) > _PROFILE_CLOSURE_CHECK_LIMIT:
-        return
-    for a in masks:
-        for b in masks:
-            if a & b == 0 and (a | b) not in masks:
-                raise AssertionError("zero-sum profile not closed under disjoint union")
-
-
 def zero_sum_profile(t: SignedTuple, terms: Sequence[int]) -> ZeroSumProfile:
     """All nonempty zero-sum position subsets of the tuple."""
     m = t.order
     if m > MAX_PROFILE_SIZE:
         raise TooLarge(f"2**{m} subset scan refused (limit m <= {MAX_PROFILE_SIZE})")
-    masks = _profile_from_values(signed_values(t, terms))
-    _assert_disjoint_union_closed(masks)
-    return ZeroSumProfile(m, masks)
+    return ZeroSumProfile(m, _profile_from_values(signed_values(t, terms)))
 
 
 def mult_from_profile(masks: frozenset[int], m: int) -> int:

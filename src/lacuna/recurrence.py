@@ -13,22 +13,20 @@ redundant factor is walked on the polynomial its terms satisfy.
 
 Everything here works with coefficient tuples low-to-high, so z**2-z-1
 is (-1, -1, 1).  Divisibility is tested exactly, through packed
-integer encodings of the powers of z reduced mod P; numeric root
-finding appears only in the dominant-root diagnostic.
+integer encodings of the powers of z reduced mod P.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial, gcd, isfinite, lcm
-from typing import Sequence
+from math import factorial, gcd, lcm
 
-from .errors import RootFindingFailed, TooFewPoints, TooLarge, ZeroModulus
+from .errors import TooFewPoints, TooLarge, ZeroModulus
 from .multiplicity import MAX_GROUND_SIZE, mult_of_values
+from .record import Record
 
 Poly = tuple[int, ...]
 
@@ -37,17 +35,15 @@ MAX_PATTERN_SWEEP = 30_000_000
 # Reduced powers z**0..z**((m-1)*gap_bound) mod p: 10,000 took 1.0 s for z^2 - z - 1, 10 s for 3z^2 - z - 1.
 MAX_PATTERN_OFFSET = 5_000
 _RATIONAL_ROOT_SCAN_LIMIT = 10**12
-_PERRON_MARGIN = 1e-9  # the dominant root must beat every other modulus by this much
 
 
-@dataclass(frozen=True)
-class AffineFit:
+class AffineFit(Record):
     """Detected eventual law 2**-m * (w*n + b) for n >= n1."""
 
-    w: int
-    b: int
-    n1: int
-    valid: bool
+    __slots__ = ("w", "b", "n1", "valid")
+
+    def __init__(self, w: int, b: int, n1: int, valid: bool) -> None:
+        super().__init__(w, b, n1, valid)
 
 
 def _strip(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
@@ -273,54 +269,3 @@ def detect_affine_tail(values: Sequence[tuple[int, Fraction]], m: int) -> Affine
     if w.denominator != 1 or b.denominator != 1:
         return AffineFit(0, 0, 0, False)
     return AffineFit(int(w), int(b), ns[start], True)
-
-
-@dataclass(frozen=True)
-class RootCheck:
-    """Numeric root diagnostic for a recurrence polynomial."""
-
-    is_perron: bool
-    eta_estimate: float
-    roots: tuple[complex, ...]
-    rational: tuple[Fraction, ...]
-
-
-def dominant_root_check(p: Sequence[int]) -> RootCheck:
-    """Check for a unique real root > 1 strictly dominating all others.
-
-    Root finding is numeric (companion matrix) and only diagnostic; the
-    exact paths never consume these values.  Rational roots found by the
-    p/q test are reported, with a warning when they certify that the
-    polynomial is not irreducible.
-    """
-    import numpy as np  # only the float diagnostics need numpy; keeps start-up fast
-
-    coeffs = _strip(p)
-    if not coeffs:
-        raise ZeroModulus("zero polynomial")
-    if len(coeffs) == 1:
-        raise ValueError("degree must be >= 1")
-    found = np.roots([float(c) for c in reversed(coeffs)])
-    if found.size == 0 or not all(isfinite(r.real) and isfinite(r.imag) for r in found):
-        raise RootFindingFailed("companion-matrix roots are not finite")
-    roots = tuple(sorted((complex(r) for r in found), key=lambda z: (z.real, z.imag)))
-    real_above_one = [
-        r.real for r in roots if abs(r.imag) <= 1e-8 * max(1.0, abs(r)) and r.real > 1.0
-    ]
-    if len(real_above_one) == 1:
-        eta = real_above_one[0]
-        others = list(roots)
-        others.remove(min(others, key=lambda z: abs(z - eta)))
-        perron = all(eta > abs(z) + _PERRON_MARGIN for z in others)
-    else:
-        eta = max(abs(z) for z in roots)
-        perron = False
-    ratio = tuple(rational_roots([int(c) for c in coeffs]))
-    if ratio and len(coeffs) - 1 >= 2:
-        warnings.warn(
-            f"polynomial has rational root(s) {[str(r) for r in ratio]} and is not "
-            "irreducible; dominant-root conclusions assume irreducibility",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return RootCheck(perron, float(eta), roots, ratio)

@@ -10,12 +10,12 @@ than mis-round.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from math import floor
 
 from .errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous, TooLarge
+from .record import Record
 from .recurrence import rational_roots
 
 # Rounded powers must clear half-integers by this margin after error
@@ -27,18 +27,23 @@ MAX_TERM_BITS = 25 * 10**7  # running total over the generated terms
 MAX_ROUNDPOW_WORK = 3 * 10**13  # a-priori n * s**2, see _rounded_powers
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Record):
     """Declarative description of a positive integer sequence."""
 
-    kind: str
-    values: tuple[int, ...] = ()
-    c: int = 0
-    eta: int = 0
-    poly: tuple[int, ...] = ()
-    init: tuple[int, ...] = ()
-    eta_decimal: str = ""
-    prec: int = 0
+    __slots__ = ("kind", "values", "c", "eta", "poly", "init", "eta_decimal", "prec")
+
+    def __init__(
+        self,
+        kind: str,
+        values: tuple[int, ...] = (),
+        c: int = 0,
+        eta: int = 0,
+        poly: tuple[int, ...] = (),
+        init: tuple[int, ...] = (),
+        eta_decimal: str = "",
+        prec: int = 0,
+    ) -> None:
+        super().__init__(kind, values, c, eta, poly, init, eta_decimal, prec)
 
     @staticmethod
     def explicit(values) -> "SequenceSpec":

@@ -271,8 +271,8 @@ def eta_relation_holds(pattern: OffsetPattern, p: Sequence[int]) -> bool:
 
     For irreducible p this holds exactly when p divides
     sum_j sign_j * z**offset_j, by conjugating the root relation through
-    the Galois action.  Irreducibility is the caller's assertion; use
-    ``dominant_root_check`` to flag rational factors.
+    the Galois action.  Irreducibility is the caller's assertion;
+    ``lacuna.recurrence.rational_roots`` flags rational factors.
     """
     modulus = _validate_pattern_modulus(p)
     coeffs = [0] * (max(pattern.offsets) + 1)

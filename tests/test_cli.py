@@ -356,15 +356,21 @@ def test_failures_print_one_error_line(capsys, argv, expected, message):
     assert re.search(message, err)
 
 
-def test_cli_import_does_not_load_numpy():
+def test_cli_import_is_lean():
+    # Every CLI start pays for its imports: no class generator (dataclasses drags in inspect) and no
+    # numpy, which only the quadrature oracle loads.  perfbench/tracer.py wraps all seven layers
+    # right after this import, so each must be loaded by it.
     src = str(Path(lacuna.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, lacuna.cli; print('numpy' in sys.modules)"
+    probe = "import sys, lacuna.cli; print(*sys.modules, sep='\\n')"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    loaded = set(result.stdout.split())
+    assert not {"dataclasses", "inspect", "numpy"} & loaded
+    layers = ("cli", "sequences", "laurent", "moments", "multiplicity", "partitions", "recurrence")
+    assert {f"lacuna.{layer}" for layer in layers} <= loaded
 
 
 def test_guard_errors_exit_three(capsys):

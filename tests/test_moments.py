@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -139,28 +140,28 @@ def test_power_support_guard_trips_before_growing(monkeypatch):
     monkeypatch.setattr(moments, "_add_term", never)
     terms = terms_of(POW2, 40)
     started = time.perf_counter()
-    with pytest.raises(TooLarge, match="30872016"):
-        prefix_moments(terms, 40, 40, 10)  # C(84, 5) = 30,872,016 > 10**7
+    with pytest.raises(TooLarge, match="15436008"):
+        prefix_moments(terms, 40, 40, 10)  # (C(84, 5) + 1) // 2 = 15,436,008 > 5 * 10**6
     assert time.perf_counter() - started < 1.0
 
 
 def test_power_support_guard_bound_is_the_estimate(monkeypatch):
-    # pow2plus1, n = 5, m = 4: min(C(11, 2), 2 * 2 * 33 + 1) = 55 exponents.
+    # pow2plus1, n = 5, m = 4: min((C(11, 2) + 1) // 2, 2 * 33 + 1) = 28 stored exponents.
     terms = terms_of(POW2, 5)
-    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 55)
+    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 28)
     assert prefix_moments(terms, 5, 5, 4)[-1][1][3] == moment_dfs(terms, 4)
-    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 54)
-    with pytest.raises(TooLarge, match="55"):
+    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 27)
+    with pytest.raises(TooLarge, match="28"):
         prefix_moments(terms, 5, 5, 4)
 
 
 def test_power_support_guard_weighs_exponent_words(monkeypatch):
-    # pow2plus1, n = 70, m = 4: C(141, 2) = 9,870 exponents up to 2 * (2**70 + 1), 72 bits, 2 words.
+    # pow2plus1, n = 70, m = 4: C(141, 2) / 2 = 4,935 stored exponents up to 2 * (2**70 + 1), 72 bits, 2 words.
     terms = terms_of(POW2, 70)
-    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 19740)
+    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 9870)
     assert moments_to_cumulants(prefix_moments(terms, 70, 70, 4)[-1][1])[3] == Fraction(-3 * 70 + 28, 8)
-    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 19739)
-    with pytest.raises(TooLarge, match="9870 exponents of 2 words each"):
+    monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 9869)
+    with pytest.raises(TooLarge, match="4935 exponents of 2 words each"):
         prefix_moments(terms, 70, 70, 4)
     monkeypatch.undo()
 
@@ -169,9 +170,38 @@ def test_power_support_guard_weighs_exponent_words(monkeypatch):
 
     monkeypatch.setattr(moments, "_add_term", never)
     started = time.perf_counter()
-    with pytest.raises(TooLarge, match="9992685 exponents of 35 words each"):
-        prefix_moments(terms_of(POW2, 2235), 2235, 2235, 4)  # C(4471, 2) keys of 2,237 bits
+    with pytest.raises(TooLarge, match="4996343 exponents of 35 words each"):
+        prefix_moments(terms_of(POW2, 2235), 2235, 2235, 4)  # (C(4471, 2) + 1) // 2 keys of 2,237 bits
     assert time.perf_counter() - started < 1.0
+
+
+def stored_estimate(terms, m_max):
+    """The support guard's estimate of the entries P^ceil(m_max/2) stores, read from its refusal."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "MAX_POWER_SUPPORT", 0)
+        with pytest.raises(TooLarge) as refused:
+            prefix_moments(terms, len(terms), len(terms), m_max)
+    return int(re.search(r"may store (\d+) exponents", str(refused.value)).group(1))
+
+
+def stored_entries(terms, half):
+    powers = [{0: 1}] + [{} for _ in range(half)]
+    for a in terms:
+        moments._add_term(powers, a)
+    return len(powers[half])
+
+
+@given(terms=st.lists(st.integers(-40, 40), min_size=1, max_size=8), m_max=st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_power_support_estimate_bounds_the_stored_entries(terms, m_max):
+    assert stored_estimate(terms, m_max) >= stored_entries(terms, (m_max + 1) // 2)
+
+
+def test_power_support_estimate_on_deep_point():
+    # The benchmark's largest power: pow2plus1, n = 40, m = 8 stores 671,288 entries of P^4.
+    terms = terms_of(POW2, 40)
+    assert stored_estimate(terms, 8) == 918_810  # (C(83, 4) + 1) // 2; the full support was 1,837,620
+    assert stored_entries(terms, 4) == 671_288
 
 
 def test_work_guard_trips_before_growing(monkeypatch):

@@ -41,6 +41,16 @@ def test_signed_tuple_validation():
         SignedTuple((0,), (1,))
 
 
+def test_signed_tuple_is_an_immutable_value():
+    tup = SignedTuple((1, 2), (1, -1))
+    with pytest.raises(AttributeError):
+        tup.signs = (1, 1)
+    with pytest.raises(AttributeError):
+        del tup.indices
+    assert tup == SignedTuple((1, 2), (1, -1)) != SignedTuple((1, 2), (1, 1))
+    assert len({tup, SignedTuple((1, 2), (1, -1))}) == 1
+
+
 def test_signed_values_checks_range():
     with pytest.raises(IndexOutOfRange):
         signed_values(SignedTuple((3,), (1,)), [1, 2])
@@ -67,6 +77,19 @@ def test_zero_sum_profile_connected_triple():
     tup = SignedTuple((1, 2, 3), (1, 1, -1))  # 1 + 1 - 2 over fibonacci
     profile = zero_sum_profile(tup, FIB)
     assert profile.subsets() == [(1, 2, 3)]
+
+
+@given(
+    data=st.lists(
+        st.tuples(st.integers(1, 8), st.sampled_from((1, -1))), min_size=1, max_size=10
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_zero_sum_profile_closed_under_disjoint_union(data):
+    # Merging disjoint zero-sum blocks stays zero-sum; FIB's small repeated values cancel often.
+    tup = SignedTuple(tuple(i for i, _ in data), tuple(s for _, s in data))
+    masks = zero_sum_profile(tup, FIB).masks
+    assert all(a | b in masks for a in masks for b in masks if not a & b)
 
 
 def test_zero_sum_profile_guard():

@@ -1,5 +1,7 @@
+import importlib.util
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from lacuna.recurrence import (
     AffineFit,
     _encoded_powers,
     detect_affine_tail,
-    dominant_root_check,
     minimal_polynomial,
     rational_roots,
     structural_slope,
@@ -23,6 +24,12 @@ from oracles import (
     pattern_multiplicity,
     poly_reduce_mod,
 )
+
+_TAIL_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "recurrence_tail.py"
+_tail_spec = importlib.util.spec_from_file_location("recurrence_tail", _TAIL_SCRIPT)
+recurrence_tail = importlib.util.module_from_spec(_tail_spec)
+_tail_spec.loader.exec_module(recurrence_tail)  # the dominant-root diagnostic lives with its only user
+dominant_root_check = recurrence_tail.dominant_root_check
 
 FIB_POLY = (-1, -1, 1)  # z^2 - z - 1
 DOUBLE_POLY = (-2, 1)  # z - 2
