@@ -19,11 +19,12 @@ def main() -> None:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 40
     terms = generate_terms(SequenceSpec.pow2plus1(), n_max)
     print("n,kappa2,kappa4,kappa6,kappa4_law_holds,kappa6_law_holds")
-    for n, moments in prefix_moments(terms, 1, n_max, 6):
-        kappa = moments_to_cumulants(moments)
-        quartic = kappa[3] == Fraction(-3 * n + 28, 8) if n >= 4 else ""
-        sextic = kappa[5] == Fraction(45 * n * n + 380 * n - 1875, 16) if n >= 7 else ""
-        print(",".join(map(str, (n, kappa[1], kappa[3], kappa[5], quartic, sextic))))
+    for n, counts in prefix_moments(terms, 1, n_max, 6):
+        scaled = moments_to_cumulants(counts)  # K_m = 2^m kappa_m
+        quartic = scaled[3] == 2 * (-3 * n + 28) if n >= 4 else ""
+        sextic = scaled[5] == 4 * (45 * n * n + 380 * n - 1875) if n >= 7 else ""
+        kappas = (Fraction(scaled[m - 1], 2**m) for m in (2, 4, 6))
+        print(",".join(map(str, (n, *kappas, quartic, sextic))))
 
 
 if __name__ == "__main__":

@@ -97,13 +97,9 @@ def main() -> None:
     print(f"# {spec.label()}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}")
     print("m,w_detected,b_detected,n1,w_pattern_sweep,routes_agree,gap_bound_stable")
     terms = generate_terms(spec, N_TO)
-    rows = [
-        (n, moments_to_cumulants(moments))
-        for n, moments in prefix_moments(terms, N_FROM, N_TO, m_max)
-    ]
+    rows = [(n, moments_to_cumulants(counts)) for n, counts in prefix_moments(terms, N_FROM, N_TO, m_max)]
     for m in range(2, m_max + 1):
-        points = [(n, kappas[m - 1]) for n, kappas in rows]
-        fit = detect_affine_tail(points, m)
+        fit = detect_affine_tail([(n, scaled[m - 1]) for n, scaled in rows])
         w = structural_slope(m, poly, 8)
         stable = w == structural_slope(m, poly, 16)
         print(f"{m},{fit.w},{fit.b},{fit.n1},{w},{fit.valid and w == fit.w},{stable}")

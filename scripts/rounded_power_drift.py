@@ -10,6 +10,7 @@ Usage: python scripts/rounded_power_drift.py [N_MAX] [ETA_DECIMAL]
 """
 
 import sys
+from fractions import Fraction
 
 from lacuna.moments import independent_cumulants, moments_to_cumulants, prefix_moments
 from lacuna.sequences import SequenceSpec, generate_terms
@@ -23,11 +24,11 @@ def main() -> None:
     terms = generate_terms(SequenceSpec.roundpow(eta, 100), n_max)
     model = independent_cumulants(6)
     print("n,m,kappa,independent_n_kappa,diff")
-    for n, moments in prefix_moments(terms, 1, n_max, 6):
-        kappa = moments_to_cumulants(moments)
+    for n, counts in prefix_moments(terms, 1, n_max, 6):
+        scaled = moments_to_cumulants(counts)  # K_m = 2^m kappa_m
         for m in (2, 4, 6):
-            independent = n * model[m - 1]
-            print(",".join(map(str, (n, m, kappa[m - 1], independent, kappa[m - 1] - independent))))
+            values = (scaled[m - 1], n * model[m - 1], scaled[m - 1] - n * model[m - 1])
+            print(",".join(map(str, (n, m, *(Fraction(v, 2**m) for v in values)))))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Every value that is exact in the engine stays exact on the wire:
-rationals serialize as their ``str``, "p/q" in lowest terms or "p" when
-the denominator is 1, and big integers as decimal strings, never floats.
+Every value that is exact in the engine stays exact on the wire: the
+counts N_m and K_m = 2**m kappa_m are scaled by 2**-m only here, and
+values print as "p/q" in lowest terms or as decimal integers, never floats.
 Identical invocations produce byte-identical output.  ``mult-inspect``
 reads everything from the tuple's zero-sum profile: its ``mult`` is the
 same profile recursion that the cumulant and slope sweeps sum, and its
@@ -21,12 +21,13 @@ import json
 import sys
 import warnings
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .errors import LacunaError
 from .moments import (
     independent_cumulants,
-    moment,
     moment_oracle_quadrature,
+    moment_vector,
     moments_to_cumulants,
     prefix_moments,
 )
@@ -142,6 +143,11 @@ def _n_range(args: argparse.Namespace) -> tuple[int, int]:
     return args.n_from, args.n_to
 
 
+def _scaled(count: int, m: int) -> str:
+    """The exact value 2**-m * count, as printed."""
+    return str(Fraction(count, 2**m))
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -179,10 +185,10 @@ def _table_command(args: argparse.Namespace) -> tuple[str, bool]:
         if key == "kappa":
             vector = moments_to_cumulants(vector)
         for m in orders:
-            row = {"n": n, "m": m, key: str(vector[m - 1])}
+            row = {"n": n, "m": m, key: _scaled(vector[m - 1], m)}
             if compare:
-                row["independent_n_kappa"] = str(n * model[m - 1])
-                row["diff"] = str(vector[m - 1] - n * model[m - 1])
+                row["independent_n_kappa"] = _scaled(n * model[m - 1], m)
+                row["diff"] = _scaled(vector[m - 1] - n * model[m - 1], m)
             rows.append(row)
     head = {"sequence": spec.label(), "m_max": m_top} if compare else {"sequence": spec.label()}
     return _rows_text(args, head, rows), True
@@ -192,19 +198,21 @@ def _independent_command(args: argparse.Namespace) -> tuple[str, bool]:
     m_top = args.m or args.m_max
     values = independent_cumulants(m_top)
     orders = (m_top,) if args.m else range(1, m_top + 1)
-    rows = [{"m": m, "kappa": str(values[m - 1])} for m in orders]
+    rows = [{"m": m, "kappa": _scaled(values[m - 1], m)} for m in orders]
     return _rows_text(args, {}, rows), True
 
 
 def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = _checked(parse_sequence, args.seq)
     n_from, n_to = _n_range(args)
+    if n_to - n_from < 3:
+        raise _UsageError("need --n-to >= --n-from + 3, at least 4 consecutive points")
     terms = _checked(generate_terms, spec, n_to)
     points = [
-        (n, moments_to_cumulants(moments)[args.m - 1])
-        for n, moments in prefix_moments(terms, n_from, n_to, args.m)
+        (n, moments_to_cumulants(counts)[args.m - 1])
+        for n, counts in prefix_moments(terms, n_from, n_to, args.m)
     ]
-    fit = detect_affine_tail(points, args.m)
+    fit = detect_affine_tail(points)
     payload = {
         "sequence": spec.label(),
         "m": args.m,
@@ -280,7 +288,7 @@ def _oracle_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = _checked(parse_sequence, args.seq)
     terms = _checked(generate_terms, spec, args.n)
     approx = moment_oracle_quadrature(terms, args.m)
-    exact = moment(terms, args.m)
+    exact = Fraction(moment_vector(terms, args.m)[-1], 2**args.m)
     payload = {
         "sequence": spec.label(),
         "n": args.n,

@@ -245,27 +245,22 @@ def _closed_contribution(entries: list[tuple[int, int]], encoded: Sequence[int])
     return weight * mult_of_values([sign * encoded[off] for off, sign in entries])
 
 
-def detect_affine_tail(values: Sequence[tuple[int, Fraction]], m: int) -> AffineFit:
-    """Find the earliest n1 from which 2**m * kappa_m is affine in n.
+def detect_affine_tail(points: Sequence[tuple[int, int]]) -> AffineFit:
+    """Find the earliest n1 from which K_n = 2**m * kappa_m(S_n) is affine in n.
 
-    ``values`` are (n, kappa_m) pairs over consecutive n.  The scaled
-    values must be exactly affine with integer slope and intercept on
-    the whole tail, and the tail must cover at least three points;
-    otherwise the fit is reported invalid.
+    ``points`` are (n, K_n) pairs over consecutive n.  The values must be
+    exactly affine on the whole tail, and the tail must cover at least
+    three points; otherwise the fit is reported invalid.
     """
-    if len(values) < 4:
+    if len(points) < 4:
         raise TooFewPoints("need at least 4 consecutive points")
-    ns = [n for n, _ in values]
+    ns, values = zip(*points)
     if any(b - a != 1 for a, b in zip(ns, ns[1:])):
         raise ValueError("points must cover consecutive n")
-    scaled = [Fraction(v) * 2**m for _, v in values]
-    w = scaled[-1] - scaled[-2]
-    start = len(scaled) - 2
-    while start > 0 and scaled[start] - scaled[start - 1] == w:
+    w = values[-1] - values[-2]
+    start = len(values) - 2
+    while start > 0 and values[start] - values[start - 1] == w:
         start -= 1
-    if len(scaled) - start < 3:
+    if len(values) - start < 3:
         return AffineFit(0, 0, 0, False)
-    b = scaled[-1] - w * ns[-1]
-    if w.denominator != 1 or b.denominator != 1:
-        return AffineFit(0, 0, 0, False)
-    return AffineFit(int(w), int(b), ns[start], True)
+    return AffineFit(w, values[-1] - w * ns[-1], ns[start], True)

@@ -10,6 +10,8 @@ evidence for both.
 * ``cumulant_via_multiplicity``: cumulants as summed tuple
   multiplicities, against the moment route.
 * ``cumulants_to_moments``: the inverse of ``moments_to_cumulants``.
+* ``unscale``: the package's integer counts N_m and K_m as the exact
+  values 2**-m N_m and 2**-m K_m that the tests state.
 * Offset patterns with subset cancellation read off the recurrence
   modulus (``pattern_multiplicity``, ``eta_relation_holds``), against
   the structural slope walk.
@@ -155,7 +157,12 @@ def cumulant(terms: Sequence[int], m: int) -> Fraction:
 
 def cumulant_vector(terms: Sequence[int], m_max: int) -> list[Fraction]:
     """kappa_1..kappa_{m_max}, sharing the moment computation."""
-    return moments_to_cumulants(moment_vector(terms, m_max))
+    return unscale(moments_to_cumulants(moment_vector(terms, m_max)))
+
+
+def unscale(counts: Sequence[int]) -> list[Fraction]:
+    """2**-m times the m-th count, m = 1, 2, ..., as exact rationals."""
+    return [Fraction(count, 2**m) for m, count in enumerate(counts, start=1)]
 
 
 def cumulant_via_multiplicity(terms: Sequence[int], n: int, m: int) -> Fraction:
@@ -205,7 +212,7 @@ def cumulant_via_multiplicity(terms: Sequence[int], n: int, m: int) -> Fraction:
 
 def independent_cumulant(m: int) -> Fraction:
     """Cumulant of a single arcsine summand; zero for odd m."""
-    return independent_cumulants(m)[m - 1]
+    return Fraction(independent_cumulants(m)[m - 1], 2**m)
 
 
 # --- offset patterns -------------------------------------------------------

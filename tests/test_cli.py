@@ -311,6 +311,11 @@ def test_help_exits_zero(capsys):
         (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "2", "--m-max", "3"], 2, ""),
         (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "0"], 2, ""),
         (["slope", "--seq", "fibonacci", "--m", "3", "--gap-bound", "0"], 2, ""),
+        (
+            ["detect-linear", "--seq", "fibonacci", "--m", "4", "--n-from", "5", "--n-to", "7"],
+            2,
+            r"--n-to >= --n-from \+ 3",
+        ),
         (["cumulants", "--seq", "roundpow:eta=1/0,prec=5", "--n", "3", "--m", "2"], 2, ""),
         (["independent", "--m-max", "3000"], 3, ""),
         (["cumulants", "--seq", "fibonacci", "--n", "1000000", "--m", "2"], 3, ""),
@@ -340,6 +345,7 @@ def test_help_exits_zero(capsys):
         "m-with-m-max",
         "m-zero",
         "gap-bound-zero",
+        "detect-linear-short-range",
         "roundpow-zero-denominator",
         "cumulant-order-guard",
         "term-bit-guard",

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from lacuna import moments
 from lacuna.errors import IndexOutOfRange, TooLarge
 from lacuna.moments import (
-    arcsine_moment,
     independent_cumulants,
-    moment,
     moment_oracle_quadrature,
     moment_vector,
     moments_to_cumulants,
@@ -19,6 +17,8 @@ from lacuna.moments import (
 )
 from lacuna.sequences import SequenceSpec, generate_terms
 from oracles import (
+    MAX_SWEEP_ORDER,
+    MAX_SWEEP_TERMS,
     cumulant,
     cumulant_vector,
     cumulant_via_multiplicity,
@@ -28,6 +28,7 @@ from oracles import (
     laurent_pow,
     laurent_power_const_term_full,
     moment_dfs,
+    unscale,
 )
 
 FIB = SequenceSpec.fibonacci()
@@ -42,6 +43,11 @@ rationals = st.builds(
 
 def terms_of(spec, n):
     return generate_terms(spec, n)
+
+
+def moment(terms, m):
+    """E[S_n**m] = 2**-m N_m, from the engine's integer count."""
+    return Fraction(moment_vector(terms, m)[-1], 2**m)
 
 
 # --- moments ---------------------------------------------------------------
@@ -66,7 +72,7 @@ def test_moment_matches_pruned_dfs(spec, n, m):
 def test_moment_vector_consistent_with_single_calls():
     terms = terms_of(FIB, 8)
     vector = moment_vector(terms, 6)
-    assert vector == [moment(terms, m) for m in range(1, 7)]
+    assert vector == [moment_vector(terms, m)[-1] for m in range(1, 7)]
 
 
 @given(
@@ -81,11 +87,9 @@ def test_prefix_moments_match_full_expansion_on_every_prefix(terms, m_max, data)
     n_from = data.draw(st.integers(1, n_to))
     rows = prefix_moments(terms, n_from, n_to, m_max)
     assert [n for n, _ in rows] == list(range(n_from, n_to + 1))
-    for n, mu in rows:
+    for n, counts in rows:
         poly = laurent_from_terms(terms[:n])
-        assert mu == [
-            Fraction(laurent_power_const_term_full(poly, m), 2**m) for m in range(1, m_max + 1)
-        ]
+        assert counts == [laurent_power_const_term_full(poly, m) for m in range(1, m_max + 1)]
     assert moment_vector(terms, m_max) == prefix_moments(terms, n_to, n_to, m_max)[-1][1]
 
 
@@ -99,11 +103,9 @@ def test_half_storage_matches_full_expansion_with_zero_and_negative_frequencies(
     # Library callers may pass 0 and negative frequencies; the engine folds them by |a|.
     n_to = len(terms)
     n_from = data.draw(st.integers(0, n_to))
-    for n, mu in prefix_moments(terms, n_from, n_to, m_max):
+    for n, counts in prefix_moments(terms, n_from, n_to, m_max):
         poly = laurent_from_terms(terms[:n])
-        assert mu == [
-            Fraction(laurent_power_const_term_full(poly, m), 2**m) for m in range(1, m_max + 1)
-        ]
+        assert counts == [laurent_power_const_term_full(poly, m) for m in range(1, m_max + 1)]
 
 
 @pytest.mark.parametrize(
@@ -126,7 +128,8 @@ def test_add_term_stores_the_nonnegative_half_of_each_power(terms):
 
 def test_prefix_moments_ranges():
     terms = terms_of(FIB, 4)
-    assert prefix_moments(terms, 0, 1, 2) == [(0, [0, 0]), (1, [0, Fraction(1, 2)])]
+    rows = prefix_moments(terms, 0, 1, 2)
+    assert [(n, unscale(counts)) for n, counts in rows] == [(0, [0, 0]), (1, [0, Fraction(1, 2)])]
     assert moment_vector([], 3) == [0, 0, 0]  # S_0 = 0
     for n_from, n_to, m_max in ((3, 2, 2), (1, 5, 2), (1, 4, 0), (-1, 4, 2)):
         with pytest.raises(ValueError):
@@ -149,7 +152,7 @@ def test_power_support_guard_bound_is_the_estimate(monkeypatch):
     # pow2plus1, n = 5, m = 4: min((C(11, 2) + 1) // 2, 2 * 33 + 1) = 28 stored exponents.
     terms = terms_of(POW2, 5)
     monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 28)
-    assert prefix_moments(terms, 5, 5, 4)[-1][1][3] == moment_dfs(terms, 4)
+    assert unscale(prefix_moments(terms, 5, 5, 4)[-1][1])[3] == moment_dfs(terms, 4)
     monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 27)
     with pytest.raises(TooLarge, match="28"):
         prefix_moments(terms, 5, 5, 4)
@@ -159,7 +162,7 @@ def test_power_support_guard_weighs_exponent_words(monkeypatch):
     # pow2plus1, n = 70, m = 4: C(141, 2) / 2 = 4,935 stored exponents up to 2 * (2**70 + 1), 72 bits, 2 words.
     terms = terms_of(POW2, 70)
     monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 9870)
-    assert moments_to_cumulants(prefix_moments(terms, 70, 70, 4)[-1][1])[3] == Fraction(-3 * 70 + 28, 8)
+    assert unscale(moments_to_cumulants(prefix_moments(terms, 70, 70, 4)[-1][1]))[3] == Fraction(-3 * 70 + 28, 8)
     monkeypatch.setattr(moments, "MAX_POWER_SUPPORT", 9869)
     with pytest.raises(TooLarge, match="4935 exponents of 2 words each"):
         prefix_moments(terms, 70, 70, 4)
@@ -222,7 +225,7 @@ def test_work_guard_bound_is_the_estimate(monkeypatch):
     # Terms: 5 * (S(0) * 3 + S(1) * 1) = 65; the row: S(0) + 2 S(1) + S(2) = 76.
     terms = terms_of(POW2, 5)
     monkeypatch.setattr(moments, "MAX_PREFIX_WORK", 141)
-    assert prefix_moments(terms, 5, 5, 4)[-1][1][3] == moment_dfs(terms, 4)
+    assert unscale(prefix_moments(terms, 5, 5, 4)[-1][1])[3] == moment_dfs(terms, 4)
     monkeypatch.setattr(moments, "MAX_PREFIX_WORK", 140)
     with pytest.raises(TooLarge, match="141"):
         prefix_moments(terms, 5, 5, 4)
@@ -231,18 +234,17 @@ def test_work_guard_bound_is_the_estimate(monkeypatch):
 def test_even_moments_are_nonnegative_and_dyadic():
     for n in (3, 5, 8):
         terms = terms_of(FIB, n)
-        for m, value in enumerate(moment_vector(terms, 6), start=1):
-            assert (value * 2**m).denominator == 1
+        for m, count in enumerate(moment_vector(terms, 6), start=1):
+            assert type(count) is int  # N_m = 2^m E[S_n^m]
             if m % 2 == 0:
-                assert value >= 0
+                assert count >= 0
 
 
 def test_cumulants_are_dyadic():
-    # 2^m kappa_m is an integer for integer frequencies.
+    # K_m = 2^m kappa_m is an integer for integer frequencies.
     for spec in (FIB, POW2, LUCAS, GEO2):
         terms = terms_of(spec, 8)
-        for m, value in enumerate(cumulant_vector(terms, 6), start=1):
-            assert (value * 2**m).denominator == 1
+        assert all(type(count) is int for count in moments_to_cumulants(moment_vector(terms, 6)))
 
 
 # --- moment/cumulant conversion --------------------------------------------
@@ -316,6 +318,19 @@ def test_route_equivalence_small(spec):
             assert cumulant_via_multiplicity(terms[:n], n, m) == kappas[m - 1]
 
 
+@given(
+    terms=st.lists(st.integers(-6, 12), min_size=1, max_size=min(8, MAX_SWEEP_TERMS)),
+    m_max=st.integers(1, MAX_SWEEP_ORDER),
+)
+@settings(max_examples=100, deadline=None)
+def test_prefix_cumulants_match_summed_tuple_multiplicities(terms, m_max):
+    # Small values collide often, so many index tuples have several zero-sum subsets.
+    for n, counts in prefix_moments(terms, 1, len(terms), m_max):
+        scaled = moments_to_cumulants(counts)
+        for m in range(1, m_max + 1):
+            assert scaled[m - 1] == 2**m * cumulant_via_multiplicity(terms, n, m)
+
+
 def test_odd_moments_and_cumulants_vanish_for_odd_terms():
     # All terms odd, so no odd-length signed sum can cancel.
     all_terms = terms_of(POW2, 20)
@@ -340,14 +355,6 @@ def test_first_cumulant_always_zero():
 # --- independent model -------------------------------------------------------
 
 
-def test_arcsine_moments():
-    assert arcsine_moment(0) == 1
-    assert arcsine_moment(2) == Fraction(1, 2)
-    assert arcsine_moment(4) == Fraction(3, 8)
-    assert arcsine_moment(6) == Fraction(5, 16)
-    assert all(arcsine_moment(k) == 0 for k in (1, 3, 5, 7))
-
-
 def test_independent_cumulant_values():
     expected = {
         2: Fraction(1, 2),
@@ -362,9 +369,9 @@ def test_independent_cumulant_values():
 
 
 def test_independent_cumulants_scaled_to_integers():
-    kappas = independent_cumulants(10)
-    scaled = [kappas[2 * j - 1] * 4**j for j in range(1, 6)]
-    assert scaled == [2, -6, 80, -2310, 114912]
+    scaled = independent_cumulants(10)  # K_m = 2^m kappa_m
+    assert all(type(count) is int for count in scaled)
+    assert [scaled[2 * j - 1] for j in range(1, 6)] == [2, -6, 80, -2310, 114912]
 
 
 def test_cumulant_order_guard_trips_before_the_recursion(monkeypatch):
@@ -377,7 +384,7 @@ def test_cumulant_order_guard_trips_before_the_recursion(monkeypatch):
         moments_to_cumulants([Fraction(0)] * 801)
     assert time.perf_counter() - started < 1.0
     monkeypatch.setattr(moments, "MAX_CUMULANT_ORDER", 10)
-    assert independent_cumulants(10)[9] == Fraction(3591, 32)
+    assert unscale(independent_cumulants(10))[9] == Fraction(3591, 32)
     with pytest.raises(TooLarge):
         independent_cumulants(11)
     with pytest.raises(TooLarge):
