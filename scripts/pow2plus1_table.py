@@ -12,12 +12,12 @@ import sys
 from fractions import Fraction
 
 from lacuna.moments import moments_to_cumulants, prefix_moments
-from lacuna.sequences import SequenceSpec, generate_terms
+from lacuna.sequences import generate_terms, parse_sequence
 
 
 def main() -> None:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 40
-    terms = generate_terms(SequenceSpec.pow2plus1(), n_max)
+    terms = generate_terms(parse_sequence("pow2plus1"), n_max)
     print("n,kappa2,kappa4,kappa6,kappa4_law_holds,kappa6_law_holds")
     for n, counts in prefix_moments(terms, 1, n_max, 6):
         scaled = moments_to_cumulants(counts)  # K_m = 2^m kappa_m

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from lacuna.moments import independent_cumulants, moments_to_cumulants, prefix_moments
-from lacuna.sequences import SequenceSpec, generate_terms
+from lacuna.sequences import generate_terms, parse_sequence
 
 PI_DIGITS = "3.14159265358979323846264338327950288"
 
@@ -21,7 +21,7 @@ PI_DIGITS = "3.14159265358979323846264338327950288"
 def main() -> None:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 22
     eta = sys.argv[2] if len(sys.argv) > 2 else PI_DIGITS
-    terms = generate_terms(SequenceSpec.roundpow(eta, 100), n_max)
+    terms = generate_terms(parse_sequence(f"roundpow:eta={eta},prec=100"), n_max)
     model = independent_cumulants(6)
     print("n,m,kappa,independent_n_kappa,diff")
     for n, counts in prefix_moments(terms, 1, n_max, 6):

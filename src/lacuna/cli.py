@@ -7,6 +7,8 @@ Identical invocations produce byte-identical output.  ``mult-inspect``
 reads everything from the tuple's zero-sum profile: its ``mult`` is the
 same profile recursion that the cumulant and slope sweeps sum, and its
 partitions are listed from the profile's masks and their minimal ones.
+``slope`` walks the minimal polynomial of the terms and, alone among the
+commands, checks it for a rational root, with one ``warning:`` line.
 
 Exit codes: 0 success, 2 usage error, 3 computation guard tripped,
 4 requested validity check failed.  Exits 2 and 3, argparse's own
@@ -33,8 +35,8 @@ from .moments import (
 )
 from .multiplicity import SignedTuple, mult_from_profile, zero_sum_profile
 from .partitions import all_partitions
-from .recurrence import detect_affine_tail, minimal_polynomial, structural_slope
-from .sequences import generate_terms, parse_sequence
+from .recurrence import detect_affine_tail, minimal_polynomial, rational_roots, structural_slope
+from .sequences import FAMILIES, generate_terms, parse_sequence
 
 _SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
@@ -72,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--seq",
                 required=True,
                 metavar="SPEC",
-                help="sequence, e.g. pow2plus1, fibonacci, geometric:c=1,eta=2, "
+                help=f"sequence, e.g. {', '.join(FAMILIES)}, geometric:c=1,eta=2, "
                 "recurrence:poly=-1,-1,1;init=1,1, explicit:3,5,9, "
                 "roundpow:eta=3.14159265358979323846,prec=128",
             )
@@ -229,14 +231,18 @@ def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
 
 def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = _checked(parse_sequence, args.seq)
-    data = spec.recurrence_data()
-    if data is None:
+    if not spec.poly:
         raise _UsageError(f"sequence {spec.label()} has no recurrence polynomial")
-    spec_poly, _ = data
-    poly = minimal_polynomial(_checked(generate_terms, spec, 2 * (len(spec_poly) - 1)))
-    if poly != spec_poly:
+    poly = minimal_polynomial(_checked(generate_terms, spec, 2 * (len(spec.poly) - 1)))
+    if poly != spec.poly:
         print(
-            f"note: slope uses the minimal polynomial {poly} of the terms, not the spec's {spec_poly}",
+            f"note: slope uses the minimal polynomial {poly} of the terms, not the spec's {spec.poly}",
+            file=sys.stderr,
+        )
+    if len(poly) > 2 and rational_roots(poly):
+        print(
+            f"warning: the minimal polynomial {poly} has a rational root; "
+            "the slope's relation checks assume it is irreducible",
             file=sys.stderr,
         )
     w = structural_slope(args.m, poly, args.gap_bound)

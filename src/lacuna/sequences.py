@@ -1,197 +1,138 @@
-"""Declarative frequency sequences and their exact materialization.
+"""Frequency sequences: the CLI mini-language and exact term generation.
 
-A SequenceSpec names one of the built-in families or carries the data
-for a user recurrence, an explicit list, or rounded powers of a decimal
-ratio.  Materialization is exact integer arithmetic everywhere; the
-rounded-power variant verifies its guard bits and fails loudly rather
-than mis-round.
+``parse_sequence`` validates a spec and returns a SequenceSpec, which
+holds the canonical label and the data that generates the terms: an
+explicit list, a linear recurrence ``(poly, init)``, or rounded powers
+``(eta_decimal, prec)`` of a decimal ratio.  The named families are the
+rows of FAMILIES, and ``geometric:c,eta`` is the recurrence
+``(-eta, 1)`` from ``c * eta``.  Generation is exact integer arithmetic
+everywhere; the rounded powers verify their guard bits and fail loudly
+rather than mis-round.
 """
 
 from __future__ import annotations
 
-import warnings
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import floor
 
 from .errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous, TooLarge
 from .record import Record
-from .recurrence import rational_roots
 
+# Each named family as its recurrence polynomial r_0..r_d (low to high) and initial terms.
+FAMILIES = {
+    "pow2plus1": ((2, -3, 1), (3, 5)),  # 2**k + 1; the polynomial (z - 1)(z - 2) is reducible
+    "fibonacci": ((-1, -1, 1), (1, 1)),
+    "lucas": ((-1, -1, 1), (1, 3)),
+}
 # Rounded powers must clear half-integers by this margin after error
 # propagation, or generation refuses.
 HALF_INTEGER_GUARD = Fraction(1, 256)
 # Fibonacci's first 20,000 terms hold 1.4e8 bits and `cumulants --m 2` peaks at 53 MB.
 MAX_TERM_BITS = 25 * 10**7  # running total over the generated terms
-# 3.8e13 took 3.1 s (n = 22, prec = 6e4), 3.9e13 took 13 s (n = 1000, prec = 150).
-MAX_ROUNDPOW_WORK = 3 * 10**13  # a-priori n * s**2, see _rounded_powers
+# The a-priori n * s**2 is the gcd cost of a loop on reduced fractions, which took 3.1 s at 3.8e13
+# (n = 22, prec = 6e4) and 13 s at 3.9e13 (n = 1000, prec = 150); the integer loop takes under 0.1 s there.
+MAX_ROUNDPOW_WORK = 3 * 10**13  # see _rounded_powers
 
 
 class SequenceSpec(Record):
-    """Declarative description of a positive integer sequence."""
+    """A parsed sequence: its canonical label and the one kind of data that generates its terms."""
 
-    __slots__ = ("kind", "values", "c", "eta", "poly", "init", "eta_decimal", "prec")
+    __slots__ = ("text", "values", "poly", "init", "eta_decimal", "prec")
 
     def __init__(
         self,
-        kind: str,
+        text: str,
         values: tuple[int, ...] = (),
-        c: int = 0,
-        eta: int = 0,
         poly: tuple[int, ...] = (),
         init: tuple[int, ...] = (),
         eta_decimal: str = "",
         prec: int = 0,
     ) -> None:
-        super().__init__(kind, values, c, eta, poly, init, eta_decimal, prec)
+        super().__init__(text, values, poly, init, eta_decimal, prec)
 
-    @staticmethod
-    def explicit(values) -> "SequenceSpec":
-        values = tuple(int(v) for v in values)
+    def label(self) -> str:
+        """Canonical mini-language string (round-trips through parse)."""
+        return self.text
+
+    def recurrence_data(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Recurrence polynomial and initial terms, when the sequence has them."""
+        return (self.poly, self.init) if self.poly else None
+
+
+def parse_sequence(text: str) -> SequenceSpec:
+    """Parse the CLI mini-language, e.g. ``geometric:c=1,eta=2``."""
+    name, _, rest = text.strip().partition(":")
+    if name in FAMILIES:
+        if rest:
+            raise ValueError(f"{name} takes no parameters")
+        return SequenceSpec(name, poly=FAMILIES[name][0], init=FAMILIES[name][1])
+    if name == "explicit":
+        try:
+            values = tuple(int(v) for v in rest.split(",")) if rest else ()
+        except ValueError as exc:
+            raise ValueError(f"bad explicit terms {rest!r}") from exc
         if not values:
             raise ValueError("explicit sequence needs at least one term")
-        return SequenceSpec(kind="explicit", values=values)
-
-    @staticmethod
-    def pow2plus1() -> "SequenceSpec":
-        return SequenceSpec(kind="pow2plus1")
-
-    @staticmethod
-    def fibonacci() -> "SequenceSpec":
-        return SequenceSpec(kind="fibonacci")
-
-    @staticmethod
-    def lucas() -> "SequenceSpec":
-        return SequenceSpec(kind="lucas")
-
-    @staticmethod
-    def geometric(c: int, eta: int) -> "SequenceSpec":
+        return SequenceSpec("explicit:" + _joined(values), values=values)
+    if name == "geometric":
+        c, eta = (int(v) for v in _parse_kv(name, rest, ("c", "eta"), ","))
         if c < 1:
             raise ValueError("geometric factor c must be >= 1")
         if eta < 2:
             raise ValueError("geometric ratio eta must be >= 2")
-        return SequenceSpec(kind="geometric", c=int(c), eta=int(eta))
-
-    @staticmethod
-    def recurrence(poly, init) -> "SequenceSpec":
-        poly = tuple(int(r) for r in poly)
-        init = tuple(int(a) for a in init)
+        return SequenceSpec(f"geometric:c={c},eta={eta}", poly=(-eta, 1), init=(c * eta,))
+    if name == "recurrence":
+        poly, init = (tuple(int(v) for v in part.split(",")) for part in _parse_kv(name, rest, ("poly", "init"), ";"))
         if len(poly) < 2:
             raise ValueError("recurrence polynomial must have degree >= 1")
         if poly[-1] == 0:
             raise ValueError("leading recurrence coefficient must be nonzero")
         if len(init) != len(poly) - 1:
             raise ValueError("need exactly deg(poly) initial terms")
-        return SequenceSpec(kind="recurrence", poly=poly, init=init)
-
-    @staticmethod
-    def roundpow(eta_decimal: str, prec: int) -> "SequenceSpec":
+        return SequenceSpec(f"recurrence:poly={_joined(poly)};init={_joined(init)}", poly=poly, init=init)
+    if name == "roundpow":
+        eta, prec = _parse_kv(name, rest, ("eta", "prec"), ",")
+        prec = int(prec)
         if prec < 1:
             raise ValueError("precision must be >= 1 bit")
-        if _decimal_exponent(eta_decimal) == 0 and Fraction(eta_decimal) <= 1:  # else eta >= 10
+        if _decimal_exponent(eta) == 0 and Fraction(eta) <= 1:  # else eta >= 10
             raise ValueError("rounded-power ratio must exceed 1")
-        return SequenceSpec(kind="roundpow", eta_decimal=eta_decimal, prec=int(prec))
-
-    def label(self) -> str:
-        """Canonical mini-language string (round-trips through parse)."""
-        if self.kind == "explicit":
-            return "explicit:" + ",".join(map(str, self.values))
-        if self.kind == "geometric":
-            return f"geometric:c={self.c},eta={self.eta}"
-        if self.kind == "recurrence":
-            poly = ",".join(map(str, self.poly))
-            init = ",".join(map(str, self.init))
-            return f"recurrence:poly={poly};init={init}"
-        if self.kind == "roundpow":
-            return f"roundpow:eta={self.eta_decimal},prec={self.prec}"
-        return self.kind
-
-    def recurrence_data(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Recurrence polynomial and initial terms, when the family has them."""
-        if self.kind == "fibonacci":
-            return (-1, -1, 1), (1, 1)
-        if self.kind == "lucas":
-            return (-1, -1, 1), (1, 3)
-        if self.kind == "geometric":
-            return (-self.eta, 1), (self.c * self.eta,)
-        if self.kind == "pow2plus1":
-            # 2**k + 1 satisfies a_{k+2} = 3 a_{k+1} - 2 a_k; the polynomial
-            # is reducible, which is exactly what the diagnostics flag.
-            return (2, -3, 1), (3, 5)
-        if self.kind == "recurrence":
-            return self.poly, self.init
-        return None
-
-
-def parse_sequence(text: str) -> SequenceSpec:
-    """Parse the CLI mini-language, e.g. ``geometric:c=1,eta=2``."""
-    name, _, rest = text.strip().partition(":")
-    if name in ("pow2plus1", "fibonacci", "lucas"):
-        if rest:
-            raise ValueError(f"{name} takes no parameters")
-        return SequenceSpec(kind=name)
-    if name == "explicit":
-        try:
-            values = [int(v) for v in rest.split(",")] if rest else []
-        except ValueError as exc:
-            raise ValueError(f"bad explicit terms {rest!r}") from exc
-        return SequenceSpec.explicit(values)
-    if name == "geometric":
-        kv = _parse_kv(rest)
-        _expect_keys(name, kv, {"c", "eta"})
-        return SequenceSpec.geometric(int(kv["c"]), int(kv["eta"]))
-    if name == "recurrence":
-        parts = dict(_split_once(part) for part in rest.split(";") if part)
-        _expect_keys(name, parts, {"poly", "init"})
-        poly = [int(v) for v in parts["poly"].split(",")]
-        init = [int(v) for v in parts["init"].split(",")]
-        return SequenceSpec.recurrence(poly, init)
-    if name == "roundpow":
-        kv = _parse_kv(rest)
-        _expect_keys(name, kv, {"eta", "prec"})
-        return SequenceSpec.roundpow(kv["eta"], int(kv["prec"]))
+        return SequenceSpec(f"roundpow:eta={eta},prec={prec}", eta_decimal=eta, prec=prec)
     raise ValueError(f"unknown sequence kind {name!r}")
 
 
-def _split_once(item: str) -> tuple[str, str]:
-    key, sep, value = item.partition("=")
-    if not sep:
-        raise ValueError(f"expected key=value, got {item!r}")
-    return key.strip(), value.strip()
+def _joined(values: tuple[int, ...]) -> str:
+    return ",".join(map(str, values))
 
 
-def _parse_kv(rest: str) -> dict[str, str]:
-    return dict(_split_once(item) for item in rest.split(",") if item)
-
-
-def _expect_keys(name: str, kv: dict, keys: set[str]) -> None:
-    if set(kv) != keys:
-        raise ValueError(f"{name} needs parameters {sorted(keys)}, got {sorted(kv)}")
+def _parse_kv(name: str, rest: str, keys: tuple[str, ...], sep: str) -> list[str]:
+    """The values of ``key=value`` items split by sep: each of keys exactly once, in the order of keys."""
+    found: dict[str, str] = {}
+    for item in filter(None, rest.split(sep)):
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ValueError(f"expected key=value, got {item!r}")
+        if key in found:
+            raise ValueError(f"{name} repeats parameter {key!r}")
+        found[key] = value
+    if set(found) != set(keys):
+        raise ValueError(f"{name} needs parameters {sorted(keys)}, got {sorted(found)}")
+    return [found[key] for key in keys]
 
 
 def generate_terms(spec: SequenceSpec, n: int) -> list[int]:
     """Exact first n terms of the sequence."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if spec.kind == "explicit":
-        if n > len(spec.values):
-            raise ValueError(f"explicit sequence has only {len(spec.values)} terms")
-        terms = list(spec.values[:n])
-        _check_positive(terms)
-        return terms
-    if spec.kind == "roundpow":
+    if spec.poly:
+        return _iterate_recurrence(spec.poly, spec.init, n)
+    if spec.prec:
         return _rounded_powers(spec.eta_decimal, spec.prec, n)
-    data = spec.recurrence_data()
-    if data is None:
-        raise ValueError(f"unknown sequence kind {spec.kind!r}")
-    if spec.kind == "recurrence" and len(spec.poly) - 1 >= 2 and rational_roots(spec.poly):
-        warnings.warn(
-            "recurrence polynomial has a rational root and is not irreducible; "
-            "relation checks assume irreducibility",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _iterate_recurrence(*data, n)
+    if n > len(spec.values):
+        raise ValueError(f"explicit sequence has only {len(spec.values)} terms")
+    terms = list(spec.values[:n])
+    _check_positive(terms)
+    return terms
 
 
 def _check_positive(terms) -> None:
@@ -228,30 +169,29 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
     The decimal string is taken as exact; ``prec`` is the claimed
     accuracy of that value in bits.  Each power must clear the nearest
     half-integer by the guard margin after propagating the 2**-prec
-    input uncertainty, otherwise rounding is refused as ambiguous.
-
-    Step k reduces fractions of about k*(prec + bits of eta) bits by
-    quadratic-time gcds, so n steps cost about n * s**2 for the last size s.
+    input uncertainty, otherwise rounding is refused as ambiguous.  With
+    eta = p/q the powers of p, q and the upper end's numerator stay
+    plain integers and the tests are cross-multiplied: no fraction is reduced.
     """
     e = _decimal_exponent(eta_decimal)
     if e:  # the numerator has over 3e bits; Fraction would build 10**e first
         _check_roundpow_work(n, prec, 3 * e, f" of a ratio near 10**{e}")
     ratio = Fraction(eta_decimal)
-    _check_roundpow_work(n, prec, ratio.numerator.bit_length() + ratio.denominator.bit_length())
-    slack = ratio + Fraction(1, 2**prec)
-    power = Fraction(1)
-    power_hi = Fraction(1)
+    p, q = ratio.numerator, ratio.denominator
+    _check_roundpow_work(n, prec, p.bit_length() + q.bit_length())
+    guard, hi = HALF_INTEGER_GUARD, (p << prec) + q  # eta + 2**-prec = hi / (q 2**prec)
+    p_k = q_k = hi_k = 1
     terms: list[int] = []
     for k in range(1, n + 1):
-        power *= ratio
-        power_hi *= slack
-        error = power_hi - power
-        nearest = floor(power + Fraction(1, 2))
-        distance_to_half = Fraction(1, 2) - abs(power - nearest)
-        if distance_to_half - error < HALF_INTEGER_GUARD:
+        p_k, q_k, hi_k = p_k * p, q_k * q, hi_k * hi
+        nearest = (2 * p_k + q_k) // (2 * q_k)
+        clear = q_k - abs(2 * p_k - 2 * nearest * q_k)  # eta**k is clear / (2 q_k) from a half-integer
+        error = hi_k - (p_k << prec * k)  # the propagated error is error / (q_k 2**(prec k))
+        # clear / (2 q_k) - error / (q_k 2**(prec k)) < guard, multiplied through by 2 q_k 2**(prec k)
+        if ((clear << prec * k) - 2 * error) * guard.denominator < 2 * guard.numerator * (q_k << prec * k):
             raise RoundingAmbiguous(
-                f"eta**{k} is within {float(distance_to_half):.3g} of a half-integer "
-                f"(guard {float(HALF_INTEGER_GUARD):.3g} at {prec} bits)"
+                f"eta**{k} is within {clear / (2 * q_k):.3g} of a half-integer "
+                f"(guard {float(guard):.3g} at {prec} bits)"
             )
         if nearest < 1:
             raise NonPositiveTerm(f"round(eta**{k}) = {nearest} is not positive")

@@ -12,6 +12,8 @@ evidence for both.
 * ``cumulants_to_moments``: the inverse of ``moments_to_cumulants``.
 * ``unscale``: the package's integer counts N_m and K_m as the exact
   values 2**-m N_m and 2**-m K_m that the tests state.
+* ``rounded_powers_fraction``: ``roundpow`` terms on reduced fractions,
+  against the integer loop of ``generate_terms``.
 * Offset patterns with subset cancellation read off the recurrence
   modulus (``pattern_multiplicity``, ``eta_relation_holds``), against
   the structural slope walk.
@@ -29,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, floor
 from typing import Iterable, Sequence
 
-from lacuna.errors import IndexOutOfRange, LacunaError, TooLarge, ZeroModulus
+from lacuna.errors import IndexOutOfRange, LacunaError, NonPositiveTerm, RoundingAmbiguous, TooLarge, ZeroModulus
 from lacuna.laurent import SparseLaurent, laurent_mul
 from lacuna.moments import independent_cumulants, moment_vector, moments_to_cumulants
 from lacuna.multiplicity import (
@@ -44,6 +46,7 @@ from lacuna.multiplicity import (
 )
 from lacuna.partitions import SetPartition
 from lacuna.recurrence import _encoded_powers, _strip, _validate_pattern_modulus
+from lacuna.sequences import HALF_INTEGER_GUARD
 
 MAX_SWEEP_ORDER = 6
 MAX_SWEEP_TERMS = 12
@@ -213,6 +216,36 @@ def cumulant_via_multiplicity(terms: Sequence[int], n: int, m: int) -> Fraction:
 def independent_cumulant(m: int) -> Fraction:
     """Cumulant of a single arcsine summand; zero for odd m."""
     return Fraction(independent_cumulants(m)[m - 1], 2**m)
+
+
+# --- rounded powers --------------------------------------------------------
+
+
+def rounded_powers_fraction(eta_decimal: str, prec: int, n: int) -> list[int]:
+    """round(eta**k), k = 1..n, on reduced fractions, with the production route's guard and messages.
+
+    The power eta**k and its upper end (eta + 2**-prec)**k are Fractions;
+    the distance to the nearest half-integer less the propagated error
+    must clear ``HALF_INTEGER_GUARD``, else ``RoundingAmbiguous``.
+    """
+    ratio = Fraction(eta_decimal)
+    slack = ratio + Fraction(1, 2**prec)
+    power = power_hi = Fraction(1)
+    terms = []
+    for k in range(1, n + 1):
+        power *= ratio
+        power_hi *= slack
+        nearest = floor(power + Fraction(1, 2))
+        distance_to_half = Fraction(1, 2) - abs(power - nearest)
+        if distance_to_half - (power_hi - power) < HALF_INTEGER_GUARD:
+            raise RoundingAmbiguous(
+                f"eta**{k} is within {float(distance_to_half):.3g} of a half-integer "
+                f"(guard {float(HALF_INTEGER_GUARD):.3g} at {prec} bits)"
+            )
+        if nearest < 1:
+            raise NonPositiveTerm(f"round(eta**{k}) = {nearest} is not positive")
+        terms.append(nearest)
+    return terms
 
 
 # --- offset patterns -------------------------------------------------------

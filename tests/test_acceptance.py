@@ -23,7 +23,7 @@ from lacuna.moments import (
 )
 from lacuna.multiplicity import SignedTuple
 from lacuna.recurrence import detect_affine_tail, structural_slope
-from lacuna.sequences import SequenceSpec, generate_terms
+from lacuna.sequences import generate_terms, parse_sequence
 from oracles import (
     cumulant_via_multiplicity,
     cumulant_vector,
@@ -37,11 +37,11 @@ from oracles import (
 
 PI_DIGITS = "3.14159265358979323846264338327950288"
 
-FIB = SequenceSpec.fibonacci()
-LUCAS = SequenceSpec.lucas()
-POW2 = SequenceSpec.pow2plus1()
-GEO2 = SequenceSpec.geometric(1, 2)
-ROUND_PI = SequenceSpec.roundpow(PI_DIGITS, 100)
+FIB = parse_sequence("fibonacci")
+LUCAS = parse_sequence("lucas")
+POW2 = parse_sequence("pow2plus1")
+GEO2 = parse_sequence("geometric:c=1,eta=2")
+ROUND_PI = parse_sequence(f"roundpow:eta={PI_DIGITS},prec=100")
 
 
 @contextmanager
@@ -159,7 +159,7 @@ GOLDEN_QUADRATURE_CASES = [
     (GEO2, 16, 3),
     (ROUND_PI, 6, 4),
     (ROUND_PI, 10, 2),
-    (SequenceSpec.explicit([1, 2, 3]), 3, 6),
+    (parse_sequence("explicit:1,2,3"), 3, 6),
 ]
 
 

@@ -181,24 +181,37 @@ def test_slope_walk_guard_admits_doubled_bound_six(capsys):
 def test_slope_walks_the_minimal_polynomial(capsys):
     # (z - 1)(z^2 - z - 1) with initial terms 1, 1, 2 generates the Fibonacci numbers.
     seq = "recurrence:poly=1,0,-2,1;init=1,1,2"
-    warning = (
-        "warning: recurrence polynomial has a rational root and is not irreducible; "
-        "relation checks assume irreducibility"
-    )
     code, out, err = invoke(capsys, "slope", "--seq", seq, "--m", "4")
     assert code == 0
-    assert err.splitlines()[0] == warning
     payload = json.loads(out)
     assert payload["w"] == "90"
     assert payload["gap_bound_stable"] is True
-    notes = [line for line in err.splitlines() if line.startswith("note: ")]
-    assert notes == [
+    assert err == (
         "note: slope uses the minimal polynomial (-1, -1, 1) of the terms, "
-        "not the spec's (1, 0, -2, 1)"
-    ]
+        "not the spec's (1, 0, -2, 1)\n"
+    )
     _, detected, err = invoke(capsys, "detect-linear", "--seq", seq, "--m", "4", "--n-from", "10", "--n-to", "25")
     assert json.loads(detected)["w"] == "90"
-    assert err == warning + "\n"
+    assert err == ""
+
+
+def test_slope_warns_when_the_walked_polynomial_is_reducible(capsys):
+    # 2**k + 1 has the minimal polynomial (z - 1)(z - 2), so the walk's relation checks do not hold.
+    code, out, err = invoke(capsys, "slope", "--seq", "pow2plus1", "--m", "6", "--gap-bound", "3")
+    assert code == 0
+    assert json.loads(out)["w"] == "1280"
+    assert err.splitlines()[0].startswith("warning: the minimal polynomial (2, -3, 1) has a rational root; ")
+
+
+def test_tables_never_check_reducibility(capsys):
+    # Only slope walks a polynomial; the tables run on the terms alone.
+    code, out, err = invoke(capsys, "cumulants", "--seq", "recurrence:poly=2,-3,1;init=3,5", "--n", "5", "--m", "2")
+    assert code == 0 and err == ""
+    # A constant term past the rational-root scan's limit is no reason to refuse a table.
+    seq = "recurrence:poly=-10000000000000,-1,1;init=1,1"
+    code, out, err = invoke(capsys, "cumulants", "--seq", seq, "--n", "4", "--m", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["kappa"] == "3"
 
 
 def test_slope_rejects_sequences_without_recurrence(capsys):
@@ -317,6 +330,7 @@ def test_help_exits_zero(capsys):
             r"--n-to >= --n-from \+ 3",
         ),
         (["cumulants", "--seq", "roundpow:eta=1/0,prec=5", "--n", "3", "--m", "2"], 2, ""),
+        (["cumulants", "--seq", "geometric:c=1,eta=2,c=3", "--n", "2", "--m", "2"], 2, r"repeats parameter 'c'"),
         (["independent", "--m-max", "3000"], 3, ""),
         (["cumulants", "--seq", "fibonacci", "--n", "1000000", "--m", "2"], 3, ""),
         (["cumulants", "--seq", "roundpow:eta=3.14,prec=99999999999", "--n", "22", "--m", "2"], 3, ""),
@@ -347,6 +361,7 @@ def test_help_exits_zero(capsys):
         "gap-bound-zero",
         "detect-linear-short-range",
         "roundpow-zero-denominator",
+        "repeated-spec-parameter",
         "cumulant-order-guard",
         "term-bit-guard",
         "roundpow-work-guard",

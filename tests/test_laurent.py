@@ -72,9 +72,9 @@ def test_const_term_rejects_bad_power():
 @pytest.mark.parametrize("n", [1, 3, 5])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_const_term_matches_exhaustive_tuple_count(seq, n, m):
-    from lacuna.sequences import SequenceSpec, generate_terms
+    from lacuna.sequences import generate_terms, parse_sequence
 
-    spec = SequenceSpec(kind=seq)
+    spec = parse_sequence(seq)
     terms = generate_terms(spec, n)
     poly = laurent_from_terms(terms)
     assert laurent_power_const_term(poly, m) == brute_force_zero_sum_count(terms, m)

@@ -1,6 +1,7 @@
 import re
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from lacuna.moments import (
     moments_to_cumulants,
     prefix_moments,
 )
-from lacuna.sequences import SequenceSpec, generate_terms
+from lacuna.sequences import generate_terms, parse_sequence
 from oracles import (
     MAX_SWEEP_ORDER,
     MAX_SWEEP_TERMS,
@@ -31,10 +32,10 @@ from oracles import (
     unscale,
 )
 
-FIB = SequenceSpec.fibonacci()
-POW2 = SequenceSpec.pow2plus1()
-LUCAS = SequenceSpec.lucas()
-GEO2 = SequenceSpec.geometric(1, 2)
+FIB = parse_sequence("fibonacci")
+POW2 = parse_sequence("pow2plus1")
+LUCAS = parse_sequence("lucas")
+GEO2 = parse_sequence("geometric:c=1,eta=2")
 
 rationals = st.builds(
     Fraction, st.integers(-50, 50), st.integers(1, 24)
@@ -229,6 +230,41 @@ def test_work_guard_bound_is_the_estimate(monkeypatch):
     monkeypatch.setattr(moments, "MAX_PREFIX_WORK", 140)
     with pytest.raises(TooLarge, match="141"):
         prefix_moments(terms, 5, 5, 4)
+
+
+def prefix_work_pair(terms, n_from, n_to, m_max):
+    """(the work guard's estimate, the work the engine does) for prefix_moments(terms, n_from, n_to, m_max).
+
+    The realized work counts what ``_prefix_work`` models: per term and (k, j), the len(P^(k-j))
+    source entries ``_add_term`` reads floor(j/2) + 1 times, and per row the len(P^(m//2))
+    products ``_moment_of`` sums for each order m.
+    """
+    half = (m_max + 1) // 2
+    tops = list(accumulate(map(abs, terms[:n_to]), max, initial=0))
+    powers = [{0: 1}] + [{} for _ in range(half)]
+    work = 0
+    for n in range(n_to + 1):
+        if n:
+            work += sum(len(powers[k - j]) * (j // 2 + 1) for k in range(1, half + 1) for j in range(1, k + 1))
+            moments._add_term(powers, terms[n - 1])
+        if n >= n_from:
+            work += sum(len(powers[m // 2]) for m in range(1, m_max + 1))
+    return moments._prefix_work(tops, n_from, n_to, m_max), work
+
+
+@given(data=st.data(), terms=st.lists(st.integers(1, 60), min_size=1, max_size=8), m_max=st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_prefix_work_estimate_bounds_the_realized_work(data, terms, m_max):
+    n_to = data.draw(st.integers(0, len(terms)))
+    n_from = data.draw(st.integers(0, n_to))
+    estimate, realized = prefix_work_pair(terms, n_from, n_to, m_max)
+    assert estimate >= realized
+
+
+def test_prefix_work_estimate_on_the_benchmark_cases():
+    # deep-point's pow2plus1 table, and Fibonacci n = 14..30 at m = 10, whose collisions the estimate ignores.
+    assert prefix_work_pair(terms_of(POW2, 40), 40, 40, 8) == (5_968_901, 1_177_108)
+    assert prefix_work_pair(terms_of(FIB, 30), 14, 30, 10) == (39_222_995, 2_417_410)
 
 
 def test_even_moments_are_nonnegative_and_dyadic():

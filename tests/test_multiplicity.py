@@ -14,14 +14,14 @@ from lacuna.multiplicity import (
     zero_sum_profile,
 )
 from lacuna.partitions import all_partitions
-from lacuna.sequences import SequenceSpec, generate_terms
+from lacuna.sequences import generate_terms, parse_sequence
 from oracles import from_blocks, mult_crosscut, mult_moebius, top
 
 # The alternating tuple with values (1, -1, 1, -1): the canonical case
 # where the multiplicity is neither 0 nor 1.
 ALTERNATING = SignedTuple((1, 1, 1, 1), (1, -1, 1, -1))
-FIB = generate_terms(SequenceSpec.fibonacci(), 8)
-POW2 = generate_terms(SequenceSpec.pow2plus1(), 8)
+FIB = generate_terms(parse_sequence("fibonacci"), 8)
+POW2 = generate_terms(parse_sequence("pow2plus1"), 8)
 
 
 def all_tuples(n, m):

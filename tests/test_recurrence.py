@@ -17,7 +17,7 @@ from lacuna.recurrence import (
     rational_roots,
     structural_slope,
 )
-from lacuna.sequences import SequenceSpec, generate_terms, parse_sequence
+from lacuna.sequences import generate_terms, parse_sequence
 from oracles import (
     OffsetPattern,
     eta_relation_holds,
@@ -135,7 +135,7 @@ def test_pattern_multiplicity_matches_direct_reduction(poly):
 def test_relation_implies_concrete_cancellation(seq):
     # Root relations propagate to every member of the sequence at every
     # base index, via the conjugate representation of the terms.
-    terms = generate_terms(SequenceSpec(kind=seq), 40)
+    terms = generate_terms(parse_sequence(seq), 40)
     for m in (2, 3, 4):
         for offsets in product(range(7), repeat=m):
             if min(offsets) != 0:
@@ -154,7 +154,7 @@ def test_relation_implies_concrete_cancellation(seq):
 def test_concrete_and_relation_predicates_agree_in_tail():
     # Deep enough into the sequence, cancellation of terms and the root
     # relation coincide for every bounded-gap pattern.
-    terms = generate_terms(SequenceSpec.fibonacci(), 64)
+    terms = generate_terms(parse_sequence("fibonacci"), 64)
     base = 10
     for m in (2, 3, 4, 5):
         for gaps in product(range(7), repeat=m - 1):
@@ -172,7 +172,7 @@ def test_concrete_and_relation_predicates_agree_in_tail():
 def test_wide_gap_cancellations_split():
     # Every zero-sum combination of fibonacci terms whose sorted indices
     # jump by more than 10 splits into two zero-sum halves.
-    terms = generate_terms(SequenceSpec.fibonacci(), 18)
+    terms = generate_terms(parse_sequence("fibonacci"), 18)
     from itertools import combinations_with_replacement
 
     n = 18
@@ -269,7 +269,7 @@ def test_structural_slope_pinned_values(seq, m, bound, w, w_doubled):
 
 
 def test_structural_slope_agrees_with_detected_tail_for_lucas():
-    fit = detect_affine_tail(scaled_cumulant_points(SequenceSpec.lucas(), 3, 12, 25))
+    fit = detect_affine_tail(scaled_cumulant_points(parse_sequence("lucas"), 3, 12, 25))
     assert fit.valid
     assert structural_slope(3, FIB_POLY, 8) == fit.w
 
@@ -289,8 +289,7 @@ def test_minimal_polynomial_of_builtin_families_is_their_own(seq):
 
 
 def test_minimal_polynomial_drops_redundant_factors():
-    with pytest.warns(RuntimeWarning):
-        fib_times_z_minus_1 = generate_terms(parse_sequence("recurrence:poly=1,0,-2,1;init=1,1,2"), 6)
+    fib_times_z_minus_1 = generate_terms(parse_sequence("recurrence:poly=1,0,-2,1;init=1,1,2"), 6)
     assert minimal_polynomial(fib_times_z_minus_1) == FIB_POLY
     assert minimal_polynomial([1, 2, 4, 8]) == DOUBLE_POLY
     assert minimal_polynomial([5, 1, 1, 1]) == (0, -1, 1)  # a_{k+2} = a_{k+1}, root 0 kept
@@ -327,17 +326,17 @@ def scaled_cumulant_points(spec, m, n_from, n_to):
 
 
 def test_detect_affine_tail_fibonacci_fourth_order():
-    fit = detect_affine_tail(scaled_cumulant_points(SequenceSpec.fibonacci(), 4, 15, 30))
+    fit = detect_affine_tail(scaled_cumulant_points(parse_sequence("fibonacci"), 4, 15, 30))
     assert fit == AffineFit(90, -212, 15, True)
 
 
 def test_detect_affine_tail_rejects_quadratic_growth():
-    fit = detect_affine_tail(scaled_cumulant_points(SequenceSpec.pow2plus1(), 6, 7, 30))
+    fit = detect_affine_tail(scaled_cumulant_points(parse_sequence("pow2plus1"), 6, 7, 30))
     assert not fit.valid
 
 
 def test_detect_affine_tail_all_zero_column():
-    fit = detect_affine_tail(scaled_cumulant_points(SequenceSpec.pow2plus1(), 3, 4, 16))
+    fit = detect_affine_tail(scaled_cumulant_points(parse_sequence("pow2plus1"), 3, 4, 16))
     assert fit == AffineFit(0, 0, 4, True)
 
 

@@ -3,106 +3,132 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacuna import sequences
-from lacuna.errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous, TooLarge
-from lacuna.sequences import SequenceSpec, generate_terms, parse_sequence
+from lacuna.errors import LacunaError, NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous, TooLarge
+from lacuna.sequences import generate_terms, parse_sequence
+from oracles import rounded_powers_fraction
 
 
 def test_pow2plus1_terms():
-    assert generate_terms(SequenceSpec.pow2plus1(), 3) == [3, 5, 9]
+    assert generate_terms(parse_sequence("pow2plus1"), 3) == [3, 5, 9]
 
 
 def test_fibonacci_keeps_leading_duplicate():
-    assert generate_terms(SequenceSpec.fibonacci(), 5) == [1, 1, 2, 3, 5]
+    assert generate_terms(parse_sequence("fibonacci"), 5) == [1, 1, 2, 3, 5]
 
 
 def test_lucas_terms():
-    assert generate_terms(SequenceSpec.lucas(), 4) == [1, 3, 4, 7]
+    assert generate_terms(parse_sequence("lucas"), 4) == [1, 3, 4, 7]
 
 
 def test_geometric_terms():
-    assert generate_terms(SequenceSpec.geometric(3, 2), 4) == [6, 12, 24, 48]
+    assert generate_terms(parse_sequence("geometric:c=3,eta=2"), 4) == [6, 12, 24, 48]
 
 
 def test_closed_form_families_follow_their_recurrence_data():
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # only kind "recurrence" may warn
-        assert generate_terms(SequenceSpec.pow2plus1(), 70) == [2**k + 1 for k in range(1, 71)]
-        geometric = generate_terms(SequenceSpec.geometric(3, 7), 70)
+        warnings.simplefilter("error")  # generation never warns
+        assert generate_terms(parse_sequence("pow2plus1"), 70) == [2**k + 1 for k in range(1, 71)]
+        geometric = generate_terms(parse_sequence("geometric:c=3,eta=7"), 70)
     assert geometric == [3 * 7**k for k in range(1, 71)]
 
 
 def test_roundpow_pi_terms():
-    spec = SequenceSpec.roundpow("3.14159265358979323846", 128)
+    spec = parse_sequence("roundpow:eta=3.14159265358979323846,prec=128")
     assert generate_terms(spec, 3) == [3, 10, 31]
 
 
 def test_roundpow_integer_ratio_matches_geometric():
-    rounded = generate_terms(SequenceSpec.roundpow("2", 64), 20)
-    assert rounded == generate_terms(SequenceSpec.geometric(1, 2), 20)
+    rounded = generate_terms(parse_sequence("roundpow:eta=2,prec=64"), 20)
+    assert rounded == generate_terms(parse_sequence("geometric:c=1,eta=2"), 20)
 
 
 def test_recurrence_variant_matches_fibonacci():
-    spec = SequenceSpec.recurrence((-1, -1, 1), (1, 1))
-    assert generate_terms(spec, 64) == generate_terms(SequenceSpec.fibonacci(), 64)
-
-
-def test_recurrence_with_rational_root_warns():
-    spec = SequenceSpec.recurrence((2, -3, 1), (3, 5))
-    with pytest.warns(RuntimeWarning, match="rational root"):
-        assert generate_terms(spec, 6) == [3, 5, 9, 17, 33, 65]
+    spec = parse_sequence("recurrence:poly=-1,-1,1;init=1,1")
+    assert generate_terms(spec, 64) == generate_terms(parse_sequence("fibonacci"), 64)
 
 
 def test_recurrence_non_integer_division():
-    spec = SequenceSpec.recurrence((1, 2), (1,))  # 2 a_{k+1} = -a_k
+    spec = parse_sequence("recurrence:poly=1,2;init=1")  # 2 a_{k+1} = -a_k
     with pytest.raises(NonIntegerRecurrence):
         generate_terms(spec, 3)
 
 
 def test_recurrence_negative_term():
-    spec = SequenceSpec.recurrence((1, 1), (1,))  # a_{k+1} = -a_k
+    spec = parse_sequence("recurrence:poly=1,1;init=1")  # a_{k+1} = -a_k
     with pytest.raises(NonPositiveTerm):
         generate_terms(spec, 2)
 
 
 def test_roundpow_half_integer_is_ambiguous():
     with pytest.raises(RoundingAmbiguous):
-        generate_terms(SequenceSpec.roundpow("1.5", 64), 1)
+        generate_terms(parse_sequence("roundpow:eta=1.5,prec=64"), 1)
 
 
 def test_roundpow_low_precision_is_ambiguous():
     # At 4 claimed bits the propagated interval swallows the guard early.
     with pytest.raises(RoundingAmbiguous):
-        generate_terms(SequenceSpec.roundpow("3.14159265358979323846", 4), 22)
+        generate_terms(parse_sequence("roundpow:eta=3.14159265358979323846,prec=4"), 22)
 
 
 def test_term_bit_guard_trips_on_the_running_total(monkeypatch):
     started = time.perf_counter()
     with pytest.raises(TooLarge, match="the first 26838 terms hold over 250000000 bits"):
-        generate_terms(SequenceSpec.fibonacci(), 10**6)
+        generate_terms(parse_sequence("fibonacci"), 10**6)
     with pytest.raises(TooLarge, match="bits"):
-        generate_terms(SequenceSpec.geometric(1, 2), 10**12)
+        generate_terms(parse_sequence("geometric:c=1,eta=2"), 10**12)
     assert time.perf_counter() - started < 2.0
-    fib = generate_terms(SequenceSpec.fibonacci(), 30)
+    fib = generate_terms(parse_sequence("fibonacci"), 30)
     monkeypatch.setattr(sequences, "MAX_TERM_BITS", sum(t.bit_length() for t in fib))
-    assert generate_terms(SequenceSpec.fibonacci(), 30) == fib
+    assert generate_terms(parse_sequence("fibonacci"), 30) == fib
     with pytest.raises(TooLarge, match="the first 31 terms"):
-        generate_terms(SequenceSpec.fibonacci(), 31)
+        generate_terms(parse_sequence("fibonacci"), 31)
 
 
 def test_roundpow_work_guard_trips_before_the_loop(monkeypatch):
     started = time.perf_counter()
     with pytest.raises(TooLarge, match="22 rounded powers at 99999999999 bits"):
-        generate_terms(SequenceSpec.roundpow("3.14", 99999999999), 22)  # 2**prec is never built
+        generate_terms(parse_sequence("roundpow:eta=3.14,prec=99999999999"), 22)  # 2**prec is never built
     assert time.perf_counter() - started < 1.0
     eta = Fraction("3.14159265358979323846")
     size = 22 * (128 + eta.numerator.bit_length() + eta.denominator.bit_length())
     monkeypatch.setattr(sequences, "MAX_ROUNDPOW_WORK", 22 * size**2)
-    spec = SequenceSpec.roundpow("3.14159265358979323846", 128)
+    spec = parse_sequence("roundpow:eta=3.14159265358979323846,prec=128")
     assert generate_terms(spec, 22)[-1] == 86556004192  # round(pi**22)
     with pytest.raises(TooLarge, match="work units"):
         generate_terms(spec, 23)
+
+
+def _decimal_in_one_to_ten(digits: int, num: int) -> str:
+    """num / 10**digits written out with `digits` decimals."""
+    text = str(num)
+    return f"{text[:-digits]}.{text[-digits:]}" if digits else text
+
+
+decimal_ratios = st.integers(0, 30).flatmap(
+    lambda digits: st.builds(_decimal_in_one_to_ten, st.just(digits), st.integers(10**digits + 1, 10 ** (digits + 1)))
+)
+quotient_ratios = st.integers(1, 10**9).flatmap(
+    lambda q: st.builds(lambda p: f"{p}/{q}", st.integers(q + 1, 10 * q))
+)
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except LacunaError as exc:
+        return type(exc), str(exc)
+
+
+@given(eta=st.one_of(decimal_ratios, quotient_ratios), prec=st.integers(1, 300), n=st.integers(1, 120))
+@settings(max_examples=80, deadline=None)
+def test_roundpow_integer_loop_matches_the_fraction_loop(eta, prec, n):
+    # Same terms, or the same refusal with the same message, as the loop on reduced fractions.
+    spec = parse_sequence(f"roundpow:eta={eta},prec={prec}")
+    assert _outcome(generate_terms, spec, n) == _outcome(rounded_powers_fraction, eta, prec, n)
 
 
 def test_roundpow_exponent_is_read_before_the_fraction(monkeypatch):
@@ -111,29 +137,29 @@ def test_roundpow_exponent_is_read_before_the_fraction(monkeypatch):
 
     started = time.perf_counter()
     monkeypatch.setattr(sequences, "Fraction", never)
-    spec = SequenceSpec.roundpow("1e2000000", 8)  # a positive exponent means eta >= 10
+    spec = parse_sequence("roundpow:eta=1e2000000,prec=8")  # a positive exponent means eta >= 10
     with pytest.raises(TooLarge, match="^5 rounded powers of a ratio near 10\\*\\*2000000 at 8 bits"):
         generate_terms(spec, 5)  # 5 * (5 * (8 + 3 * 2e6))**2 > 3e13
     with pytest.raises(ValueError, match="must exceed 1"):
-        SequenceSpec.roundpow("1e-2000000", 8)
+        parse_sequence("roundpow:eta=1e-2000000,prec=8")
     with pytest.raises(ValueError, match="bad rounded-power ratio"):
-        SequenceSpec.roundpow("1e9999999999999999999", 8)  # past what Decimal reads
-    spec = SequenceSpec.roundpow("1e1000000", 8)
+        parse_sequence("roundpow:eta=1e9999999999999999999,prec=8")  # past what Decimal reads
+    spec = parse_sequence("roundpow:eta=1e1000000,prec=8")
     with pytest.raises(TooLarge, match="^2 rounded powers of a ratio near 10\\*\\*1000000 at 8 bits"):
         generate_terms(spec, 2)  # 2 * (2 * (8 + 3e6))**2 = 7.2e13
     assert time.perf_counter() - started < 2.0
 
 
 def test_explicit_terms_and_positivity():
-    assert generate_terms(SequenceSpec.explicit([3, 5, 9]), 2) == [3, 5]
+    assert generate_terms(parse_sequence("explicit:3,5,9"), 2) == [3, 5]
     with pytest.raises(NonPositiveTerm):
-        generate_terms(SequenceSpec.explicit([1, 0]), 2)
+        generate_terms(parse_sequence("explicit:1,0"), 2)
     with pytest.raises(ValueError):
-        generate_terms(SequenceSpec.explicit([1, 2]), 5)
+        generate_terms(parse_sequence("explicit:1,2"), 5)
 
 
 def test_generation_is_deterministic():
-    spec = SequenceSpec.roundpow("3.14159265358979323846", 128)
+    spec = parse_sequence("roundpow:eta=3.14159265358979323846,prec=128")
     assert generate_terms(spec, 15) == generate_terms(spec, 15)
 
 
@@ -167,6 +193,8 @@ def test_parse_label_round_trip(text):
         "roundpow:eta=0.5,prec=64",
         "explicit:a,b",
         "fibonacci:extra",
+        "geometric:c=1,eta=2,c=3",
+        "recurrence:poly=-1,-1,1;init=1,1;init=2,2",
     ],
 )
 def test_parse_rejects_bad_specs(text):
@@ -175,11 +203,9 @@ def test_parse_rejects_bad_specs(text):
 
 
 def test_recurrence_data_families():
-    assert SequenceSpec.fibonacci().recurrence_data() == ((-1, -1, 1), (1, 1))
-    assert SequenceSpec.lucas().recurrence_data() == ((-1, -1, 1), (1, 3))
-    assert SequenceSpec.geometric(1, 2).recurrence_data() == ((-2, 1), (2,))
-    assert SequenceSpec.pow2plus1().recurrence_data() == ((2, -3, 1), (3, 5))
-    assert SequenceSpec.explicit([1]).recurrence_data() is None
-    poly, init = SequenceSpec.pow2plus1().recurrence_data()
-    with pytest.warns(RuntimeWarning):
-        assert generate_terms(SequenceSpec.recurrence(poly, init), 5) == [3, 5, 9, 17, 33]
+    assert parse_sequence("fibonacci").recurrence_data() == ((-1, -1, 1), (1, 1))
+    assert parse_sequence("lucas").recurrence_data() == ((-1, -1, 1), (1, 3))
+    assert parse_sequence("geometric:c=1,eta=2").recurrence_data() == ((-2, 1), (2,))
+    assert parse_sequence("pow2plus1").recurrence_data() == ((2, -3, 1), (3, 5))
+    assert parse_sequence("explicit:1").recurrence_data() is None
+    assert generate_terms(parse_sequence("recurrence:poly=2,-3,1;init=3,5"), 5) == [3, 5, 9, 17, 33]
