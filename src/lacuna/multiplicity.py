@@ -8,12 +8,13 @@ kappa_m(S_n) = 2**-m * sum over all tuples of mult(T).
 
 The one route is ``mult_from_profile``: the set-partition
 moment-cumulant recursion over the zero-sum profile alone, at a cost
-quadratic in the number of zero-sum subsets.  ``mult_of_values`` reads
-the profile off signed values for the offset-pattern sweep, and
-``mult-inspect`` prints it for one tuple, with the zero-sum partitions
-listed by ``partitions.all_partitions`` from the profile's masks and
-the minimal ones from ``ZeroSumProfile.atoms``.  The lattice routes
-that the tests hold it against live in ``tests/oracles.py``.
+quadratic in the number of zero-sum subsets.  The offset-pattern sweep
+of ``recurrence.structural_slope`` builds each pattern's profile from
+the subset sums of its two halves, and ``mult-inspect`` prints one
+tuple's profile, with the zero-sum partitions listed by
+``partitions.all_partitions`` from the profile's masks and the minimal
+ones from ``ZeroSumProfile.atoms``.  The lattice routes that the tests
+hold it against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -85,11 +86,10 @@ def signed_values(t: SignedTuple, terms: Sequence[int]) -> list[int]:
 
 
 def _subset_sums(values: Sequence[int]) -> list[int]:
-    m = len(values)
-    sums = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    """Sum of every subset of the values, at the index whose bit i marks value i."""
+    sums = [0]
+    for value in values:
+        sums += [x + value for x in sums]
     return sums
 
 
@@ -125,17 +125,3 @@ def mult_from_profile(masks: frozenset[int], m: int) -> int:
         low = s & -s
         kappa[s] = 1 - sum(k for b, k in kappa.items() if b & low and b & s == b and s ^ b in kappa)
     return kappa[full]
-
-
-def mult_of_values(values: Sequence[int]) -> int:
-    """Multiplicity of a tuple given directly by its signed values.
-
-    Any injective integer encoding of the summands works here, which is
-    what lets the recurrence module reuse this for offset patterns.
-    Returns 0 immediately unless the full sum vanishes.
-    """
-    if len(values) > MAX_PROFILE_SIZE:
-        raise TooLarge(f"2**{len(values)} subset scan refused (limit m <= {MAX_PROFILE_SIZE})")
-    if sum(values) != 0:
-        return 0
-    return mult_from_profile(_profile_from_values(values), len(values))

@@ -5,7 +5,7 @@ an irreducible integer polynomial P with a dominant real root eta > 1,
 the cancellation pattern of large-index tuples depends only on the
 offsets of the indices from their minimum and on the signs: a subset
 cancels exactly when P divides the corresponding power sum of z.  That
-reduces tail behavior to a finite walk over offset patterns
+reduces tail behavior to a finite sum over offset patterns
 (``structural_slope``) and makes the per-unit growth of 2**m * kappa_m
 computable without touching any concrete term.  ``minimal_polynomial``
 recovers the shortest P from the terms themselves, so a spec with a
@@ -22,16 +22,21 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .errors import TooFewPoints, TooLarge, ZeroModulus
-from .multiplicity import MAX_GROUND_SIZE, mult_of_values
+from .multiplicity import MAX_GROUND_SIZE, _subset_sums, mult_from_profile
 from .record import Record
 
 Poly = tuple[int, ...]
 
-# Prefixes the slope walk visits; about 0.35 us each on a 2-core host, ~10 s at the cap.
-MAX_PATTERN_SWEEP = 30_000_000
+# The slope's halves and joins, timed on a 2-core host with Fibonacci.  Left halves are held, ~230 bytes
+# each: m = 12, g = 4 held 152,975 (estimate 200,000) in 35 MB.  Right halves are streamed, ~0.6 us each:
+# m = 8, g = 20 probed 12,002,256 in 7.3 s.  A join costs ~2**m * 50-150 ns, so at most MAX_JOIN_WORK >> m
+# are made: m = 10, g = 5 joined 59,610 in 3.7 s; m = 12, g = 2 reached the cap, 24,414, after 13-15 s.
+MAX_LEFT_HALVES = 200_000
+MAX_RIGHT_HALVES = 15_000_000
+MAX_JOIN_WORK = 10**8
 # Reduced powers z**0..z**((m-1)*gap_bound) mod p: 10,000 took 1.0 s for z^2 - z - 1, 10 s for 3z^2 - z - 1.
 MAX_PATTERN_OFFSET = 5_000
 _RATIONAL_ROOT_SCAN_LIMIT = 10**12
@@ -180,6 +185,26 @@ def _encoded_powers(p: Poly, max_offset: int, order: int) -> tuple[int, ...]:
     return tuple(encoded)
 
 
+def _half_sizes(m: int, gap_bound: int) -> tuple[int, int]:
+    """Bounds on the left halves (h = ceil(m/2) entries from offset 0) and the right halves, m >= 2."""
+    h, successors = (m + 1) // 2, 2 * (gap_bound + 1)  # each entry has at most 2g + 2 successors
+    return 2 * successors ** (h - 1), 2 * (h * gap_bound + 1) * successors ** (m - h - 1)
+
+
+def _successors(entry: tuple[int, int], gap_bound: int) -> list[tuple[int, int]]:
+    """Entries that may follow ``entry`` in a sorted pattern; + comes before - at one offset."""
+    off, sign = entry
+    return [(nxt, s) for nxt in range(off, off + gap_bound + 1) for s in (1, -1) if nxt > off or s <= sign]
+
+
+def _halves(first: tuple[int, int], length: int, gap_bound: int, signed: dict) -> list[tuple[tuple, int]]:
+    """The sorted runs of ``length`` entries from ``first``, with their sums of ``signed`` encodings."""
+    runs = [((first,), signed[first])] if length else [((), 0)]
+    for _ in range(length - 1):
+        runs = [(run + (e,), total + signed[e]) for run, total in runs for e in _successors(run[-1], gap_bound)]
+    return runs
+
+
 def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
     """Per-unit growth w of 2**m * kappa_m for the sequence of modulus p.
 
@@ -190,13 +215,15 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
     The bound is a working cutoff, not a proven one: recompute at twice
     the bound and compare (``gap_bound_stable`` in the CLI).
 
-    Patterns are walked as sorted (offset, sign) entries, one position at
-    a time, carrying the partial sum of the packed encodings; within a
-    run of equal offsets ``+`` comes before ``-``, so each multiset is
-    visited once.  The last entry is not enumerated: it is looked up as
-    the signed encoding that closes the partial sum to zero.  Only these
-    zero-sum patterns reach ``mult_of_values``, each weighted by m!
-    over the factorials of its runs of equal entries.
+    Patterns are sorted (offset, sign) entries, ``+`` before ``-`` at one
+    offset, so each multiset is met once.  Only zero-sum ones are built,
+    by meet in the middle (Horowitz & Sahni 1974): left halves of
+    h = ceil(m/2) entries from offset 0 are indexed by packed sum, and the
+    right halves, streamed one first entry at a time (Schroeppel & Shamir
+    1981), look up the left halves that close them and may precede them.
+    The halves' subset sums give the profile, ``mult_from_profile`` runs
+    once per distinct profile, and the weight is m! over the factorials
+    of the runs of equal entries.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
@@ -204,45 +231,51 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
         raise ValueError("gap bound must be >= 0")
     if m > MAX_GROUND_SIZE:
         raise TooLarge(f"order {m} exceeds {MAX_GROUND_SIZE}")
-    # Depth-(m-1) prefixes: first entry at offset 0, each later one within gap_bound.
-    sweep = (gap_bound + 1) ** max(m - 2, 0) * 2 ** (m - 1)
-    if sweep > MAX_PATTERN_SWEEP:
-        raise TooLarge(f"pattern walk over {sweep} prefixes refused (limit {MAX_PATTERN_SWEEP})")
     if (m - 1) * gap_bound > MAX_PATTERN_OFFSET:
         raise TooLarge(f"{(m - 1) * gap_bound} pattern offsets refused (limit {MAX_PATTERN_OFFSET})")
     modulus = _validate_pattern_modulus(p)
+    if m == 1:
+        return 0  # one power of z is never divisible by p
+    for side, size, cap in zip(("left", "right"), _half_sizes(m, gap_bound), (MAX_LEFT_HALVES, MAX_RIGHT_HALVES)):
+        if size > cap:
+            raise TooLarge(f"{size} {side} half patterns refused (limit {cap})")
+    h = (m + 1) // 2
     encoded = _encoded_powers(modulus, (m - 1) * gap_bound, m)
-    closers: dict[int, list[tuple[int, int]]] = {}  # signed encoding -> its entries
-    for off, value in enumerate(encoded):
-        for sign in (1, -1):
-            closers.setdefault(sign * value, []).append((off, sign))
-    entries: list[tuple[int, int]] = []
-    total = 0
-
-    def walk(partial: int, last_off: int, last_sign: int, reach: int) -> None:
-        nonlocal total
-        if len(entries) == m - 1:
-            for off, sign in closers.get(-partial, ()):
-                if last_off < off <= last_off + reach or (off == last_off and sign <= last_sign):
-                    total += _closed_contribution(entries + [(off, sign)], encoded)
-            return
-        for off in range(last_off, last_off + reach + 1):
-            for sign in (1, -1) if off > last_off or last_sign == 1 else (-1,):
-                entries.append((off, sign))
-                walk(partial + sign * encoded[off], off, sign, gap_bound)
-                entries.pop()
-
-    # The first entry sits at offset 0; a virtual (0, +) before it allows either sign.
-    walk(0, 0, 1, 0)
+    signed = {(off, sign): sign * value for off, value in enumerate(encoded) for sign in (1, -1)}
+    closing: dict[int, list[tuple[tuple[int, int], ...]]] = {}  # minus a left half's sum -> the halves
+    for first in ((0, 1), (0, -1)):
+        for left, left_sum in _halves(first, h, gap_bound, signed):
+            closing.setdefault(-left_sum, []).append(left)
+    mults: dict[frozenset[int], int] = {}
+    joins = total = 0
+    max_joins = MAX_JOIN_WORK >> m
+    for f in range(h * gap_bound + 1):
+        for first in ((f, 1), (f, -1)):
+            # A right half's last entry is probed, not stored: only a join builds its tuple.
+            for prefix, prefix_sum in _halves(first, m - h - 1, gap_bound, signed):
+                for last in _successors(prefix[-1], gap_bound) if prefix else (first,):
+                    for left in closing.get(prefix_sum + signed[last], ()):
+                        last_off, last_sign = left[-1]  # ``first`` must be among its _successors
+                        if not (last_off < f <= last_off + gap_bound or (f == last_off and first[1] <= last_sign)):
+                            continue
+                        right = prefix + (last,)
+                        joins += 1
+                        if joins > max_joins:
+                            raise TooLarge(f"over {max_joins} zero-sum patterns of order {m} refused")
+                        profile = _split_profile([signed[e] for e in left], [signed[e] for e in right])
+                        if profile not in mults:
+                            mults[profile] = mult_from_profile(profile, m)
+                        repeats = prod(factorial(len(list(equal))) for _, equal in groupby(left + right))
+                        total += factorial(m) // repeats * mults[profile]
     return total
 
 
-def _closed_contribution(entries: list[tuple[int, int]], encoded: Sequence[int]) -> int:
-    """Index orderings of a sorted zero-sum pattern times its multiplicity."""
-    weight = factorial(len(entries))
-    for _, run in groupby(entries):
-        weight //= factorial(len(list(run)))
-    return weight * mult_of_values([sign * encoded[off] for off, sign in entries])
+def _split_profile(left: Sequence[int], right: Sequence[int]) -> frozenset[int]:
+    """Zero-sum profile of left + right, joining the two halves' subset sums by value."""
+    by_value: dict[int, list[int]] = {}
+    for j, value in enumerate(_subset_sums(right)):
+        by_value.setdefault(value, []).append(j << len(left))
+    return frozenset(i | j for i, value in enumerate(_subset_sums(left)) for j in by_value.get(-value, ()) if i | j)
 
 
 def detect_affine_tail(points: Sequence[tuple[int, int]]) -> AffineFit:

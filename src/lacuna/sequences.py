@@ -29,9 +29,11 @@ FAMILIES = {
 HALF_INTEGER_GUARD = Fraction(1, 256)
 # Fibonacci's first 20,000 terms hold 1.4e8 bits and `cumulants --m 2` peaks at 53 MB.
 MAX_TERM_BITS = 25 * 10**7  # running total over the generated terms
-# The a-priori n * s**2 is the gcd cost of a loop on reduced fractions, which took 3.1 s at 3.8e13
-# (n = 22, prec = 6e4) and 13 s at 3.9e13 (n = 1000, prec = 150); the integer loop takes under 0.1 s there.
-MAX_ROUNDPOW_WORK = 3 * 10**13  # see _rounded_powers
+# Step k of the integer loop does linear work on k*s-bit integers, s = prec + eta_bits, and one k*s-bit by
+# s-bit product, k * s**1.585 under Karatsuba: n**2 * s * (s**0.585 + 10) in all.  On a 2-core host a unit
+# took 0.8-3.3e-11 s on a grid of eta = 1.0000001 from s = 68 (n = 10,000, 1.8 s) via s = 2,048 (n = 1,200,
+# 6.3 s) to 10^5 (n = 100), pi at s = 6e4, 6e5, 2e6 (n = 22, 22, 10; 0.08-0.84 s), and 10**2000 to 10**4000000.
+MAX_ROUNDPOW_WORK = 3 * 10**11  # about 10 s at 3.3e-11 s per unit; see _rounded_powers
 
 
 class SequenceSpec(Record):
@@ -215,8 +217,9 @@ def _decimal_exponent(eta_decimal: str) -> int:
 
 
 def _check_roundpow_work(n: int, prec: int, eta_bits: int, ratio: str = "") -> None:
-    """Refuse n rounded powers when their a-priori n * s**2, s = n * (prec + eta_bits), is over the cap."""
-    work = n * (n * (prec + eta_bits)) ** 2
+    """Refuse n rounded powers when their a-priori n**2 * s * (s**0.585 + 10), s = prec + eta_bits, is over the cap."""
+    s = prec + eta_bits
+    work = n * n * s * (int(min(s, 2**64) ** 0.585) + 10)  # the clamp keeps the float finite, far over the cap
     if work > MAX_ROUNDPOW_WORK:
         raise TooLarge(f"{n} rounded powers{ratio} at {prec} bits may take {work} work units, "
                        f"over the cap {MAX_ROUNDPOW_WORK}")

@@ -15,8 +15,10 @@ evidence for both.
 * ``rounded_powers_fraction``: ``roundpow`` terms on reduced fractions,
   against the integer loop of ``generate_terms``.
 * Offset patterns with subset cancellation read off the recurrence
-  modulus (``pattern_multiplicity``, ``eta_relation_holds``), against
-  the structural slope walk.
+  modulus (``pattern_multiplicity``, ``eta_relation_holds``), and
+  ``slope_walk``, a depth-first walk over sorted offset patterns, against
+  the meet-in-the-middle ``structural_slope``; both score patterns with
+  ``mult_of_values``, a tuple's multiplicity from its signed values.
 * Tuple multiplicities over the partition lattice, against the profile
   recursion ``mult_from_profile``: ``mult_moebius`` (the defining
   Moebius sum over zero-sum partitions) and ``mult_crosscut`` (the
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from math import comb, factorial, floor
 from typing import Iterable, Sequence
 
@@ -39,9 +41,11 @@ from lacuna.laurent import SparseLaurent, laurent_mul
 from lacuna.moments import independent_cumulants, moment_vector, moments_to_cumulants
 from lacuna.multiplicity import (
     MAX_GROUND_SIZE,
+    MAX_PROFILE_SIZE,
     SignedTuple,
     ZeroSumProfile,
-    mult_of_values,
+    _profile_from_values,
+    mult_from_profile,
     zero_sum_profile,
 )
 from lacuna.partitions import SetPartition
@@ -249,6 +253,64 @@ def rounded_powers_fraction(eta_decimal: str, prec: int, n: int) -> list[int]:
 
 
 # --- offset patterns -------------------------------------------------------
+
+
+def mult_of_values(values: Sequence[int]) -> int:
+    """Multiplicity of a tuple given directly by its signed values.
+
+    Any injective integer encoding of the summands works here, which is
+    what lets ``pattern_multiplicity`` and ``slope_walk`` score offset
+    patterns.  Returns 0 immediately unless the full sum vanishes.
+    """
+    if len(values) > MAX_PROFILE_SIZE:
+        raise TooLarge(f"2**{len(values)} subset scan refused (limit m <= {MAX_PROFILE_SIZE})")
+    if sum(values) != 0:
+        return 0
+    return mult_from_profile(_profile_from_values(values), len(values))
+
+
+def slope_walk(m: int, p: Sequence[int], gap_bound: int) -> int:
+    """``structural_slope`` by a depth-first walk over the sorted offset patterns.
+
+    Entries are placed one position at a time, carrying the partial sum
+    of the packed encodings; within a run of equal offsets ``+`` comes
+    before ``-``.  The last entry is not enumerated: it is looked up as
+    the signed encoding that closes the partial sum to zero.  Each
+    zero-sum pattern is scored by ``mult_of_values`` and weighted by m!
+    over the factorials of its runs of equal entries.  Unguarded: it
+    visits (gap_bound + 1)**(m - 2) * 2**(m - 1) prefixes.
+    """
+    encoded = _encoded_powers(_validate_pattern_modulus(p), (m - 1) * gap_bound, m)
+    closers: dict[int, list[tuple[int, int]]] = {}  # signed encoding -> its entries
+    for off, value in enumerate(encoded):
+        for sign in (1, -1):
+            closers.setdefault(sign * value, []).append((off, sign))
+    entries: list[tuple[int, int]] = []
+    total = 0
+
+    def closed_contribution(pattern: list[tuple[int, int]]) -> int:
+        weight = factorial(m)
+        for _, run in groupby(pattern):
+            weight //= factorial(len(list(run)))
+        return weight * mult_of_values([sign * encoded[off] for off, sign in pattern])
+
+    def walk(partial: int, last_off: int, last_sign: int, reach: int) -> None:
+        nonlocal total
+        if len(entries) == m - 1:
+            for off, sign in closers.get(-partial, ()):
+                if last_off < off <= last_off + reach or (off == last_off and sign <= last_sign):
+                    total += closed_contribution(entries + [(off, sign)])
+            return
+        for off in range(last_off, last_off + reach + 1):
+            for sign in (1, -1) if off > last_off or last_sign == 1 else (-1,):
+                entries.append((off, sign))
+                walk(partial + sign * encoded[off], off, sign, gap_bound)
+                entries.pop()
+
+    # The first entry sits at offset 0; a virtual (0, +) before it allows either sign.
+    walk(0, 0, 1, 0)
+    return total
+
 
 
 @dataclass(frozen=True)

@@ -169,13 +169,23 @@ def test_slope_reports_stability(capsys):
 
 
 def test_slope_walk_guard_admits_doubled_bound_six(capsys):
-    # The recheck at g = 6 walks 7**6 * 2**7 = 15,059,072 prefixes, under the cap.
+    # Fibonacci m = 8 has not settled at g = 3: the recheck at g = 6 finds the stable slope.
     code, out, err = invoke(capsys, "slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "3")
     assert code == 0
     payload = json.loads(out)
     assert payload["w"] == "-4536742"
     assert payload["gap_bound_stable"] is False
     assert err.startswith("warning: slope changed from -4536742 to -4174982")
+
+
+def test_slope_certifies_fibonacci_order_eight(capsys):
+    # The stable slope needs --gap-bound 5, rechecked at 10: 873,136 right half patterns.
+    code, out, err = invoke(capsys, "slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["w"] == "-4174982"
+    assert payload["gap_bound_stable"] is True
+    assert err == ""
 
 
 def test_slope_walks_the_minimal_polynomial(capsys):
@@ -201,6 +211,14 @@ def test_slope_warns_when_the_walked_polynomial_is_reducible(capsys):
     assert code == 0
     assert json.loads(out)["w"] == "1280"
     assert err.splitlines()[0].startswith("warning: the minimal polynomial (2, -3, 1) has a rational root; ")
+
+
+def test_slope_skips_a_rational_root_scan_too_large_to_run(capsys):
+    seq = "recurrence:poly=-10000000000000,-1,1;init=1,1"
+    code, out, err = invoke(capsys, "slope", "--seq", seq, "--m", "2", "--gap-bound", "1")
+    assert code == 0
+    assert json.loads(out)["w"] == "2"
+    assert err == "warning: rational-root check skipped (rational-root scan refused for |coefficient| = 10000000000000)\n"
 
 
 def test_tables_never_check_reducibility(capsys):
@@ -314,7 +332,7 @@ def test_help_exits_zero(capsys):
             3,
             r"605215 partitions of \[16\] refused",
         ),
-        (["slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "4"], 3, ""),
+        (["slope", "--seq", "fibonacci", "--m", "12", "--gap-bound", "16"], 3, r"90870848 left half patterns refused"),
         (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2, ""),
         (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2, ""),
         (["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"], 2, ""),

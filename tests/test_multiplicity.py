@@ -9,13 +9,12 @@ from lacuna.multiplicity import (
     MAX_PROFILE_MASKS,
     SignedTuple,
     mult_from_profile,
-    mult_of_values,
     signed_values,
     zero_sum_profile,
 )
 from lacuna.partitions import all_partitions
 from lacuna.sequences import generate_terms, parse_sequence
-from oracles import from_blocks, mult_crosscut, mult_moebius, top
+from oracles import from_blocks, mult_crosscut, mult_moebius, mult_of_values, top
 
 # The alternating tuple with values (1, -1, 1, -1): the canonical case
 # where the multiplicity is neither 0 nor 1.

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna import recurrence
 from lacuna.errors import TooFewPoints, TooLarge, ZeroModulus
 from lacuna.moments import moments_to_cumulants, prefix_moments
 from lacuna.recurrence import (
     AffineFit,
     _encoded_powers,
+    _half_sizes,
+    _halves,
     detect_affine_tail,
     minimal_polynomial,
     rational_roots,
@@ -23,6 +26,7 @@ from oracles import (
     eta_relation_holds,
     pattern_multiplicity,
     poly_reduce_mod,
+    slope_walk,
 )
 
 _TAIL_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "recurrence_tail.py"
@@ -212,17 +216,50 @@ def test_structural_slope_order_one_is_zero():
 
 
 def test_structural_slope_guard():
-    with pytest.raises(TooLarge):
+    # 2**6 * 17**5 = 90,870,848 left halves of six entries: refused before any is enumerated.
+    with pytest.raises(TooLarge, match="90870848 left half patterns"):
         structural_slope(12, FIB_POLY, 16)
-    # 9**6 * 2**7 = 68,024,448 depth-7 prefixes: refused before walking.
-    with pytest.raises(TooLarge, match="68024448 prefixes"):
-        structural_slope(8, FIB_POLY, 8)
-    # At m <= 3 the prefix count passes any gap bound; the (m - 1) * g reduced powers do not.
+    # The (m - 1) * g reduced powers are checked first, before the half patterns.
     with pytest.raises(TooLarge, match="1000000000 pattern offsets"):
         structural_slope(2, FIB_POLY, 10**9)
     with pytest.raises(TooLarge, match="5002 pattern offsets"):
         structural_slope(3, FIB_POLY, 2501)
     assert structural_slope(3, FIB_POLY, 2500) == 12  # 5,000 offsets, the cap
+
+
+def test_structural_slope_guards_both_halves_and_the_joins(monkeypatch):
+    # m = 4, g = 1666: 2 * 3,333 first entries times 3,334 successors is over the right half cap.
+    with pytest.raises(TooLarge, match="22224444 right half patterns"):
+        structural_slope(4, FIB_POLY, 1666)
+    # Fibonacci m = 8, g = 5 joins 3,368 zero-sum patterns; the running cap is MAX_JOIN_WORK >> m.
+    monkeypatch.setattr(recurrence, "MAX_JOIN_WORK", 3368 << 8)
+    assert structural_slope(8, FIB_POLY, 5) == -4174982
+    monkeypatch.setattr(recurrence, "MAX_JOIN_WORK", 3367 << 8)
+    with pytest.raises(TooLarge, match="over 3367 zero-sum patterns of order 8"):
+        structural_slope(8, FIB_POLY, 5)
+
+
+@given(m=st.integers(2, 10), gap_bound=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_half_size_estimates_bound_the_enumerated_halves(m, gap_bound):
+    h = (m + 1) // 2
+    signed = dict.fromkeys(((o, s) for o in range((m - 1) * gap_bound + 1) for s in (1, -1)), 0)
+    left = sum(len(_halves(first, h, gap_bound, signed)) for first in ((0, 1), (0, -1)))
+    right = sum(
+        len(_halves((f, s), m - h, gap_bound, signed)) for f in range(h * gap_bound + 1) for s in (1, -1)
+    )
+    left_size, right_size = _half_sizes(m, gap_bound)
+    assert left_size >= left and right_size >= right
+
+
+@given(
+    m=st.integers(1, 7),
+    gap_bound=st.integers(0, 3),
+    poly=st.sampled_from([FIB_POLY, DOUBLE_POLY, (-1, -1, -1, 1), (-1, -1, 3)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_structural_slope_matches_the_oracle_walk(m, gap_bound, poly):
+    assert structural_slope(m, poly, gap_bound) == slope_walk(m, poly, gap_bound)
 
 
 def test_encoded_powers_base_follows_order():

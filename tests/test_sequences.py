@@ -94,8 +94,8 @@ def test_roundpow_work_guard_trips_before_the_loop(monkeypatch):
         generate_terms(parse_sequence("roundpow:eta=3.14,prec=99999999999"), 22)  # 2**prec is never built
     assert time.perf_counter() - started < 1.0
     eta = Fraction("3.14159265358979323846")
-    size = 22 * (128 + eta.numerator.bit_length() + eta.denominator.bit_length())
-    monkeypatch.setattr(sequences, "MAX_ROUNDPOW_WORK", 22 * size**2)
+    size = 128 + eta.numerator.bit_length() + eta.denominator.bit_length()
+    monkeypatch.setattr(sequences, "MAX_ROUNDPOW_WORK", 22**2 * size * (int(size**0.585) + 10))
     spec = parse_sequence("roundpow:eta=3.14159265358979323846,prec=128")
     assert generate_terms(spec, 22)[-1] == 86556004192  # round(pi**22)
     with pytest.raises(TooLarge, match="work units"):
@@ -139,14 +139,14 @@ def test_roundpow_exponent_is_read_before_the_fraction(monkeypatch):
     monkeypatch.setattr(sequences, "Fraction", never)
     spec = parse_sequence("roundpow:eta=1e2000000,prec=8")  # a positive exponent means eta >= 10
     with pytest.raises(TooLarge, match="^5 rounded powers of a ratio near 10\\*\\*2000000 at 8 bits"):
-        generate_terms(spec, 5)  # 5 * (5 * (8 + 3 * 2e6))**2 > 3e13
+        generate_terms(spec, 5)  # 5**2 * 6e6 * (6e6**0.585 + 10) = 1.4e12
     with pytest.raises(ValueError, match="must exceed 1"):
         parse_sequence("roundpow:eta=1e-2000000,prec=8")
     with pytest.raises(ValueError, match="bad rounded-power ratio"):
         parse_sequence("roundpow:eta=1e9999999999999999999,prec=8")  # past what Decimal reads
-    spec = parse_sequence("roundpow:eta=1e1000000,prec=8")
-    with pytest.raises(TooLarge, match="^2 rounded powers of a ratio near 10\\*\\*1000000 at 8 bits"):
-        generate_terms(spec, 2)  # 2 * (2 * (8 + 3e6))**2 = 7.2e13
+    spec = parse_sequence("roundpow:eta=1e4000000,prec=8")
+    with pytest.raises(TooLarge, match="^2 rounded powers of a ratio near 10\\*\\*4000000 at 8 bits"):
+        generate_terms(spec, 2)  # 2**2 * 1.2e7 * (1.2e7**0.585 + 10) = 6.6e11
     assert time.perf_counter() - started < 2.0
 
 
