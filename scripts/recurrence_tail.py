@@ -89,12 +89,11 @@ def dominant_root_check(p: Sequence[int]) -> RootCheck:
 def main() -> None:
     spec = parse_sequence(sys.argv[1] if len(sys.argv) > 1 else "fibonacci")
     m_max = int(sys.argv[2]) if len(sys.argv) > 2 else 5
-    data = spec.recurrence_data()
-    if data is None:
-        raise SystemExit(f"{spec.label()} has no recurrence polynomial")
-    poly, _ = data
+    poly = spec.poly
+    if not poly:
+        raise SystemExit(f"{spec.text} has no recurrence polynomial")
     root = dominant_root_check(poly)
-    print(f"# {spec.label()}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}")
+    print(f"# {spec.text}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}")
     print("m,w_detected,b_detected,n1,w_pattern_sweep,routes_agree,gap_bound_stable")
     terms = generate_terms(spec, N_TO)
     rows = [(n, moments_to_cumulants(counts)) for n, counts in prefix_moments(terms, N_FROM, N_TO, m_max)]

@@ -192,7 +192,7 @@ def _table_command(args: argparse.Namespace) -> tuple[str, bool]:
                 row["independent_n_kappa"] = _scaled(n * model[m - 1], m)
                 row["diff"] = _scaled(vector[m - 1] - n * model[m - 1], m)
             rows.append(row)
-    head = {"sequence": spec.label(), "m_max": m_top} if compare else {"sequence": spec.label()}
+    head = {"sequence": spec.text, "m_max": m_top} if compare else {"sequence": spec.text}
     return _rows_text(args, head, rows), True
 
 
@@ -216,7 +216,7 @@ def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
     ]
     fit = detect_affine_tail(points)
     payload = {
-        "sequence": spec.label(),
+        "sequence": spec.text,
         "m": args.m,
         "n_from": n_from,
         "n_to": n_to,
@@ -232,7 +232,7 @@ def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
 def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = _checked(parse_sequence, args.seq)
     if not spec.poly:
-        raise _UsageError(f"sequence {spec.label()} has no recurrence polynomial")
+        raise _UsageError(f"sequence {spec.text} has no recurrence polynomial")
     poly = minimal_polynomial(_checked(generate_terms, spec, 2 * (len(spec.poly) - 1)))
     if poly != spec.poly:
         print(
@@ -257,7 +257,7 @@ def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
             file=sys.stderr,
         )
     payload = {
-        "sequence": spec.label(),
+        "sequence": spec.text,
         "m": args.m,
         "gap_bound": args.gap_bound,
         "w": str(w),
@@ -281,7 +281,7 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
     upset = all_partitions(profile.masks, tup.order) if cancels else []
     minimal = all_partitions(profile.atoms(), tup.order) if cancels else []
     payload = {
-        "sequence": spec.label(),
+        "sequence": spec.text,
         "indices": list(indices),
         "signs": list(signs),
         "values": [str(s * terms[i - 1]) for i, s in zip(indices, signs)],
@@ -299,7 +299,7 @@ def _oracle_command(args: argparse.Namespace) -> tuple[str, bool]:
     approx = moment_oracle_quadrature(terms, args.m)
     exact = Fraction(moment_vector(terms, args.m)[-1], 2**args.m)
     payload = {
-        "sequence": spec.label(),
+        "sequence": spec.text,
         "n": args.n,
         "m": args.m,
         "oracle": approx,

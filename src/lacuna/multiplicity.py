@@ -8,13 +8,14 @@ kappa_m(S_n) = 2**-m * sum over all tuples of mult(T).
 
 The one route is ``mult_from_profile``: the set-partition
 moment-cumulant recursion over the zero-sum profile alone, at a cost
-quadratic in the number of zero-sum subsets.  The offset-pattern sweep
-of ``recurrence.structural_slope`` builds each pattern's profile from
-the subset sums of its two halves, and ``mult-inspect`` prints one
-tuple's profile, with the zero-sum partitions listed by
-``partitions.all_partitions`` from the profile's masks and the minimal
-ones from ``ZeroSumProfile.atoms``.  The lattice routes that the tests
-hold it against live in ``tests/oracles.py``.
+quadratic in the number of zero-sum subsets.  Every profile is built by
+``_split_profile``, which joins the subset sums of two halves by value:
+the offset-pattern sweep of ``recurrence.structural_slope`` splits each
+pattern where its halves meet, and ``zero_sum_profile`` splits a tuple
+at position m // 2.  ``mult-inspect`` prints that profile, with the
+zero-sum partitions listed by ``partitions.all_partitions`` from its
+masks and the minimal ones from ``ZeroSumProfile.atoms``.  The lattice
+routes that the tests hold it against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -93,9 +94,12 @@ def _subset_sums(values: Sequence[int]) -> list[int]:
     return sums
 
 
-def _profile_from_values(values: Sequence[int]) -> frozenset[int]:
-    sums = _subset_sums(values)
-    return frozenset(mask for mask in range(1, len(sums)) if sums[mask] == 0)
+def _split_profile(left: Sequence[int], right: Sequence[int]) -> frozenset[int]:
+    """Zero-sum profile of left + right, joining the two halves' subset sums by value."""
+    by_value: dict[int, list[int]] = {}
+    for j, value in enumerate(_subset_sums(right)):
+        by_value.setdefault(value, []).append(j << len(left))
+    return frozenset(i | j for i, value in enumerate(_subset_sums(left)) for j in by_value.get(-value, ()) if i | j)
 
 
 def zero_sum_profile(t: SignedTuple, terms: Sequence[int]) -> ZeroSumProfile:
@@ -103,7 +107,8 @@ def zero_sum_profile(t: SignedTuple, terms: Sequence[int]) -> ZeroSumProfile:
     m = t.order
     if m > MAX_PROFILE_SIZE:
         raise TooLarge(f"2**{m} subset scan refused (limit m <= {MAX_PROFILE_SIZE})")
-    return ZeroSumProfile(m, _profile_from_values(signed_values(t, terms)))
+    values = signed_values(t, terms)
+    return ZeroSumProfile(m, _split_profile(values[: m // 2], values[m // 2 :]))
 
 
 def mult_from_profile(masks: frozenset[int], m: int) -> int:

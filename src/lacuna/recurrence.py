@@ -13,19 +13,21 @@ redundant factor is walked on the polynomial its terms satisfy.
 
 Everything here works with coefficient tuples low-to-high, so z**2-z-1
 is (-1, -1, 1).  Divisibility is tested exactly, through packed
-integer encodings of the powers of z reduced mod P.
+integer encodings of the powers of z reduced mod P.  The reduction is
+pseudo-division (Knuth, TAOCP Vol. 2, 4.6.1): lead(P)**K * (z**k mod P)
+has integer coordinates for every k <= K, so z**0 .. z**K are reduced
+from lead(P)**K with exact integer quotients and no fraction is formed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 from math import factorial, gcd, lcm, prod
 
 from .errors import TooFewPoints, TooLarge, ZeroModulus
-from .multiplicity import MAX_GROUND_SIZE, _subset_sums, mult_from_profile
+from .multiplicity import MAX_GROUND_SIZE, _split_profile, mult_from_profile
 from .record import Record
 
 Poly = tuple[int, ...]
@@ -37,7 +39,7 @@ Poly = tuple[int, ...]
 MAX_LEFT_HALVES = 200_000
 MAX_RIGHT_HALVES = 15_000_000
 MAX_JOIN_WORK = 10**8
-# Reduced powers z**0..z**((m-1)*gap_bound) mod p: 10,000 took 1.0 s for z^2 - z - 1, 10 s for 3z^2 - z - 1.
+# Scaled reduced powers of z up to K = (m-1)*gap_bound: K = 10,000 took 0.4 s for z^2 - z - 1, 2.4 s for 3z^2 - z - 1.
 MAX_PATTERN_OFFSET = 5_000
 _RATIONAL_ROOT_SCAN_LIMIT = 10**12
 
@@ -51,8 +53,8 @@ class AffineFit(Record):
         super().__init__(w, b, n1, valid)
 
 
-def _strip(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
-    out = [Fraction(c) for c in coeffs]
+def _strip(coeffs: Sequence[int]) -> list[int]:
+    out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -105,32 +107,26 @@ def _divisors(value: int) -> list[int]:
     return sorted(out)
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def rational_roots(p: Sequence[int]) -> list[Fraction]:
-    """All rational roots of an integer polynomial, by the p/q test."""
+    """All rational roots of an integer polynomial, by the p/q test.
+
+    A reduced x/den is a root exactly when sum c_i * x**i * den**(d - i) is 0.
+    """
     coeffs = _strip(p)
     if not coeffs:
         raise ZeroModulus("rational roots of the zero polynomial")
-    roots: list[Fraction] = []
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
-    if low:
-        roots.append(Fraction(0))
-        coeffs = coeffs[low:]
-    if len(coeffs) <= 1:
+    low = next(i for i, c in enumerate(coeffs) if c)
+    roots = [Fraction(0)] if low else []
+    coeffs = coeffs[low:]
+    d = len(coeffs) - 1
+    if not d:
         return roots
-    for num in _divisors(int(coeffs[0])):
-        for den in _divisors(int(coeffs[-1])):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and _poly_eval(coeffs, cand) == 0:
-                    roots.append(cand)
+    nums, dens = _divisors(coeffs[0]), _divisors(coeffs[-1])
+    for num in nums:
+        for den in dens:
+            for x in (num, -num):
+                if gcd(num, den) == 1 and sum(c * x**i * den ** (d - i) for i, c in enumerate(coeffs)) == 0:
+                    roots.append(Fraction(x, den))
     return sorted(roots)
 
 
@@ -140,49 +136,28 @@ def _validate_pattern_modulus(p: Sequence[int]) -> Poly:
         raise ZeroModulus("zero polynomial")
     if len(coeffs) == 1:
         raise ValueError("modulus must have degree >= 1")
-    return tuple(int(c) for c in coeffs)
+    return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _encoded_powers(p: Poly, max_offset: int, order: int) -> tuple[int, ...]:
-    """Injective integer encodings of z**0 .. z**max_offset reduced mod p.
+def _encoded_powers(p: Poly, max_offset: int, order: int) -> list[int]:
+    """Injective integer encodings of lead(p)**max_offset * (z**k mod p), k = 0 .. max_offset.
 
-    Each reduced power is a rational vector of length deg(p); after
-    clearing denominators the vectors are packed into single integers in
-    a balanced base large enough that any signed sum of up to ``order``
+    Each scaled reduced power is an integer vector of length deg(p), and
+    each step's quotient is an exact integer division by the leading
+    coefficient.  The vectors are packed into single integers in a
+    balanced base large enough that any signed sum of up to ``order``
     encodings is zero exactly when the vector sum is.
     """
-    d = len(p) - 1
-    lead = Fraction(p[-1])
-    cur = [Fraction(0)] * d
-    cur[0] = Fraction(1)
-    vectors = [tuple(cur)]
+    lead = p[-1]
+    vec = [lead**max_offset] + [0] * (len(p) - 2)
+    vectors = [vec]
     for _ in range(max_offset):
-        shifted = [Fraction(0)] + cur
-        overflow = shifted[d]
-        if overflow:
-            factor = overflow / lead
-            shifted = [shifted[i] - factor * p[i] for i in range(d)]
-        else:
-            shifted = shifted[:d]
-        cur = shifted
-        vectors.append(tuple(cur))
-    scale = 1
-    for vec in vectors:
-        for x in vec:
-            scale = lcm(scale, x.denominator)
-    ints = [[int(x * scale) for x in vec] for vec in vectors]
-    largest = max((abs(x) for vec in ints for x in vec), default=0) or 1
-    base = 2 * order * largest + 1
-    encoded = []
-    for vec in ints:
-        packed = 0
-        weight = 1
-        for x in vec:
-            packed += x * weight
-            weight *= base
-        encoded.append(packed)
-    return tuple(encoded)
+        quotient = vec[-1] // lead
+        vec = [x - quotient * c for x, c in zip([0] + vec[:-1], p)]
+        vectors.append(vec)
+    base = 2 * order * max(abs(x) for vec in vectors for x in vec) + 1
+    weights = [base**i for i in range(len(p) - 1)]
+    return [sum(x * w for x, w in zip(vec, weights)) for vec in vectors]
 
 
 def _half_sizes(m: int, gap_bound: int) -> tuple[int, int]:
@@ -268,14 +243,6 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
                         repeats = prod(factorial(len(list(equal))) for _, equal in groupby(left + right))
                         total += factorial(m) // repeats * mults[profile]
     return total
-
-
-def _split_profile(left: Sequence[int], right: Sequence[int]) -> frozenset[int]:
-    """Zero-sum profile of left + right, joining the two halves' subset sums by value."""
-    by_value: dict[int, list[int]] = {}
-    for j, value in enumerate(_subset_sums(right)):
-        by_value.setdefault(value, []).append(j << len(left))
-    return frozenset(i | j for i, value in enumerate(_subset_sums(left)) for j in by_value.get(-value, ()) if i | j)
 
 
 def detect_affine_tail(points: Sequence[tuple[int, int]]) -> AffineFit:

@@ -37,7 +37,7 @@ MAX_ROUNDPOW_WORK = 3 * 10**11  # about 10 s at 3.3e-11 s per unit; see _rounded
 
 
 class SequenceSpec(Record):
-    """A parsed sequence: its canonical label and the one kind of data that generates its terms."""
+    """A parsed sequence: its canonical label ``text`` (round-trips through parse) and the data for its terms."""
 
     __slots__ = ("text", "values", "poly", "init", "eta_decimal", "prec")
 
@@ -51,14 +51,6 @@ class SequenceSpec(Record):
         prec: int = 0,
     ) -> None:
         super().__init__(text, values, poly, init, eta_decimal, prec)
-
-    def label(self) -> str:
-        """Canonical mini-language string (round-trips through parse)."""
-        return self.text
-
-    def recurrence_data(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Recurrence polynomial and initial terms, when the sequence has them."""
-        return (self.poly, self.init) if self.poly else None
 
 
 def parse_sequence(text: str) -> SequenceSpec:

@@ -18,7 +18,13 @@ evidence for both.
   modulus (``pattern_multiplicity``, ``eta_relation_holds``), and
   ``slope_walk``, a depth-first walk over sorted offset patterns, against
   the meet-in-the-middle ``structural_slope``; both score patterns with
-  ``mult_of_values``, a tuple's multiplicity from its signed values.
+  ``mult_of_values``, a tuple's multiplicity from its signed values, on
+  the full 2**m subset scan ``profile_from_values``, which
+  ``zero_sum_profile``'s split join is also held against.
+* ``poly_reduce_mod``, division with remainder over the rationals,
+  against the integer pseudo-division behind ``_encoded_powers``, and
+  ``rational_roots_fraction``, the p/q test evaluated on fractions,
+  against the integer ``rational_roots``.
 * Tuple multiplicities over the partition lattice, against the profile
   recursion ``mult_from_profile``: ``mult_moebius`` (the defining
   Moebius sum over zero-sum partitions) and ``mult_crosscut`` (the
@@ -33,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
-from math import comb, factorial, floor
+from math import comb, factorial, floor, isqrt
 from typing import Iterable, Sequence
 
 from lacuna.errors import IndexOutOfRange, LacunaError, NonPositiveTerm, RoundingAmbiguous, TooLarge, ZeroModulus
@@ -44,12 +50,11 @@ from lacuna.multiplicity import (
     MAX_PROFILE_SIZE,
     SignedTuple,
     ZeroSumProfile,
-    _profile_from_values,
     mult_from_profile,
     zero_sum_profile,
 )
 from lacuna.partitions import SetPartition
-from lacuna.recurrence import _encoded_powers, _strip, _validate_pattern_modulus
+from lacuna.recurrence import _encoded_powers, _validate_pattern_modulus
 from lacuna.sequences import HALF_INTEGER_GUARD
 
 MAX_SWEEP_ORDER = 6
@@ -255,6 +260,14 @@ def rounded_powers_fraction(eta_decimal: str, prec: int, n: int) -> list[int]:
 # --- offset patterns -------------------------------------------------------
 
 
+def profile_from_values(values: Sequence[int]) -> frozenset[int]:
+    """Zero-sum profile by the full scan: every nonempty mask whose subset sum is zero."""
+    sums = [0]
+    for value in values:
+        sums += [x + value for x in sums]
+    return frozenset(mask for mask in range(1, len(sums)) if sums[mask] == 0)
+
+
 def mult_of_values(values: Sequence[int]) -> int:
     """Multiplicity of a tuple given directly by its signed values.
 
@@ -266,7 +279,7 @@ def mult_of_values(values: Sequence[int]) -> int:
         raise TooLarge(f"2**{len(values)} subset scan refused (limit m <= {MAX_PROFILE_SIZE})")
     if sum(values) != 0:
         return 0
-    return mult_from_profile(_profile_from_values(values), len(values))
+    return mult_from_profile(profile_from_values(values), len(values))
 
 
 def slope_walk(m: int, p: Sequence[int], gap_bound: int) -> int:
@@ -346,16 +359,23 @@ class OffsetPattern:
         return max((b - a for a, b in zip(ordered, ordered[1:])), default=0)
 
 
+def _fraction_strip(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def poly_reduce_mod(q: Sequence[int | Fraction], p: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
     """Remainder of q on division by p over the rationals.
 
     Coefficients are low-to-high; the result is trimmed, so divisibility
     is ``poly_reduce_mod(q, p) == ()``.
     """
-    divisor = _strip(p)
+    divisor = _fraction_strip(p)
     if not divisor:
         raise ZeroModulus("reduction modulo the zero polynomial")
-    rem = _strip(q)
+    rem = _fraction_strip(q)
     d = len(divisor) - 1
     lead = divisor[-1]
     while len(rem) - 1 >= d and rem:
@@ -366,6 +386,41 @@ def poly_reduce_mod(q: Sequence[int | Fraction], p: Sequence[int | Fraction]) ->
         while rem and rem[-1] == 0:
             rem.pop()
     return tuple(rem)
+
+
+def _divisors(value: int) -> list[int]:
+    value = abs(value)
+    small = [i for i in range(1, isqrt(value) + 1) if value % i == 0]
+    return sorted(set(small + [value // i for i in small]))
+
+
+def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def rational_roots_fraction(p: Sequence[int]) -> list[Fraction]:
+    """All rational roots of an integer polynomial, by the p/q test on fractions; unguarded."""
+    coeffs = _fraction_strip(p)
+    if not coeffs:
+        raise ZeroModulus("rational roots of the zero polynomial")
+    roots: list[Fraction] = []
+    low = 0
+    while coeffs[low] == 0:
+        low += 1
+    if low:
+        roots.append(Fraction(0))
+        coeffs = coeffs[low:]
+    if len(coeffs) <= 1:
+        return roots
+    for num in _divisors(int(coeffs[0])):
+        for den in _divisors(int(coeffs[-1])):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if cand not in roots and _poly_eval(coeffs, cand) == 0:
+                    roots.append(cand)
+    return sorted(roots)
 
 
 def eta_relation_holds(pattern: OffsetPattern, p: Sequence[int]) -> bool:

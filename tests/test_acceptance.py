@@ -119,7 +119,7 @@ def test_criterion_05_route_equivalence():
                 kappa = cumulant_vector(terms[:n], 5)
                 for m in range(1, 6):
                     assert cumulant_via_multiplicity(terms[:n], n, m) == kappa[m - 1], (
-                        f"{spec.label()} n={n} m={m}"
+                        f"{spec.text} n={n} m={m}"
                     )
 
 
@@ -167,14 +167,14 @@ def test_criterion_07_quadrature_oracle():
     with criterion(7, "quadrature oracle within 1e-9 relative of the exact engine"):
         for spec, n, m in GOLDEN_QUADRATURE_CASES:
             terms = generate_terms(spec, n)
-            assert m * max(terms) <= 10**6, f"case {spec.label()} n={n} m={m} too big"
+            assert m * max(terms) <= 10**6, f"case {spec.text} n={n} m={m} too big"
             exact = Fraction(moment_vector(terms, m)[m - 1], 2**m)
             approx = moment_oracle_quadrature(terms, m)
             if exact == 0:
-                assert abs(approx) <= 1e-12, f"{spec.label()} n={n} m={m}: {approx}"
+                assert abs(approx) <= 1e-12, f"{spec.text} n={n} m={m}: {approx}"
             else:
                 rel = abs(approx - float(exact)) / abs(float(exact))
-                assert rel <= 1e-9, f"{spec.label()} n={n} m={m}: rel={rel}"
+                assert rel <= 1e-9, f"{spec.text} n={n} m={m}: rel={rel}"
 
 
 def test_criterion_08_structural_slopes():
@@ -189,10 +189,10 @@ def test_criterion_08_structural_slopes():
             rows = scaled_cumulant_rows(spec, m_max, 15, 30)
             for m, pinned in orders.items():
                 fit = detect_affine_tail([(n, rows[n][m - 1]) for n in sorted(rows)])
-                assert fit.valid, f"{spec.label()} m={m}: no affine tail"
+                assert fit.valid, f"{spec.text} m={m}: no affine tail"
                 w = structural_slope(m, poly, 8)
-                assert w == structural_slope(m, poly, 16), f"{spec.label()} m={m} unstable"
-                assert w == fit.w, f"{spec.label()} m={m}: sweep {w} vs tail {fit.w}"
+                assert w == structural_slope(m, poly, 16), f"{spec.text} m={m} unstable"
+                assert w == fit.w, f"{spec.text} m={m}: sweep {w} vs tail {fit.w}"
                 if pinned is not None:
                     assert w == pinned
 

@@ -14,7 +14,7 @@ from lacuna.multiplicity import (
 )
 from lacuna.partitions import all_partitions
 from lacuna.sequences import generate_terms, parse_sequence
-from oracles import from_blocks, mult_crosscut, mult_moebius, mult_of_values, top
+from oracles import from_blocks, mult_crosscut, mult_moebius, mult_of_values, profile_from_values, top
 
 # The alternating tuple with values (1, -1, 1, -1): the canonical case
 # where the multiplicity is neither 0 nor 1.
@@ -89,6 +89,14 @@ def test_zero_sum_profile_closed_under_disjoint_union(data):
     tup = SignedTuple(tuple(i for i, _ in data), tuple(s for _, s in data))
     masks = zero_sum_profile(tup, FIB).masks
     assert all(a | b in masks for a in masks for b in masks if not a & b)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_zero_sum_profile_matches_the_full_scan(values):
+    # Small values collide often, so many subsets cancel across the split at m // 2.
+    tup = SignedTuple(tuple(range(1, len(values) + 1)), (1,) * len(values))
+    assert zero_sum_profile(tup, values).masks == profile_from_values(values)
 
 
 def test_zero_sum_profile_guard():

@@ -4,7 +4,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lacuna import recurrence
@@ -26,6 +26,7 @@ from oracles import (
     eta_relation_holds,
     pattern_multiplicity,
     poly_reduce_mod,
+    rational_roots_fraction,
     slope_walk,
 )
 
@@ -85,7 +86,9 @@ def test_reduce_zero_modulus():
 
 def test_reduce_non_monic_modulus():
     # z^2 mod (2z^2 - 1) = 1/2
-    assert poly_reduce_mod([0, 0, 1], [-1, 0, 2]) == (Fraction(1, 2),)
+    remainder = poly_reduce_mod([0, 0, 1], [-1, 0, 2])
+    assert remainder == (Fraction(1, 2),)
+    assert all(type(c) is Fraction for c in remainder)  # 0.5 == Fraction(1, 2) too
 
 
 def test_rational_roots():
@@ -93,6 +96,39 @@ def test_rational_roots():
     assert rational_roots((-1, -1, 1)) == []
     assert rational_roots((0, -2, 1)) == [Fraction(0), Fraction(2)]
     assert rational_roots((-1, 0, 2)) == []  # roots +-sqrt(1/2)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _with_linear_factors(cofactor, factors):
+    """cofactor * prod (den * z - num) and the roots num / den the product must have."""
+    poly = list(cofactor)
+    for num, den in factors:
+        poly = _poly_mul(poly, [-num, den])
+    return tuple(poly), factors
+
+
+@given(
+    case=st.builds(
+        _with_linear_factors,
+        st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda c: c[-1] != 0),
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=4),
+    )
+)
+@example(case=_with_linear_factors([5], [(0, 1), (0, 3), (3, 2), (3, 2)]))  # a double zero and a double 3/2
+@example(case=_with_linear_factors([-1, -1, 1], [(-4, 6), (2, 3)]))  # -2/3 and 2/3 unreduced, times z^2 - z - 1
+@settings(max_examples=200, deadline=None)
+def test_rational_roots_match_the_fraction_route(case):
+    poly, factors = case
+    roots = rational_roots(poly)
+    assert roots == rational_roots_fraction(poly)
+    assert {Fraction(num, den) for num, den in factors} <= set(roots)
 
 
 # --- offset patterns ---------------------------------------------------------
@@ -262,6 +298,38 @@ def test_structural_slope_matches_the_oracle_walk(m, gap_bound, poly):
     assert structural_slope(m, poly, gap_bound) == slope_walk(m, poly, gap_bound)
 
 
+# Monic and not, a negative lead, degree one and degree three.
+ENCODING_MODULI = [FIB_POLY, (-1, -1, 3), (-1, 0, 2), (1, 1, -1), DOUBLE_POLY, (-1, -1, -1, 1)]
+
+
+@st.composite
+def signed_offset_multisets(draw):
+    """A modulus, a signed multiset of up to 8 offsets <= 12, and an encoding range that covers it."""
+    poly = draw(st.sampled_from(ENCODING_MODULI))
+    if draw(st.booleans()):  # a shifted multiple of the modulus, so that half the cases divide
+        shift = draw(st.integers(0, 4))
+        coeffs = [0] * shift + _poly_mul(draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3)), poly)
+        entries = [(off, 1 if c > 0 else -1) for off, c in enumerate(coeffs) for _ in range(abs(c))]
+        assume(1 <= len(entries) <= 8)
+    else:
+        entries = draw(st.lists(st.tuples(st.integers(0, 12), st.sampled_from((1, -1))), min_size=1, max_size=8))
+    max_offset = draw(st.integers(max(off for off, _ in entries), 12))
+    return poly, entries, max_offset
+
+
+@given(signed_offset_multisets())
+@example(((-1, 0, 2), [(2, 1)], 2))  # z^2 mod (2z^2 - 1) = 1/2 is not zero
+@example(((-1, -1, 3), [(2, 1), (2, 1), (2, 1), (1, -1), (0, -1)], 12))
+@settings(max_examples=400, deadline=None)
+def test_encoded_powers_cancel_exactly_when_the_modulus_divides(case):
+    poly, entries, max_offset = case
+    encoded = _encoded_powers(poly, max_offset, len(entries))
+    coeffs = [0] * (max_offset + 1)
+    for off, sign in entries:
+        coeffs[off] += sign
+    assert (sum(sign * encoded[off] for off, sign in entries) == 0) == (poly_reduce_mod(coeffs, poly) == ())
+
+
 def test_encoded_powers_base_follows_order():
     # 25 * z**0 - z**1 is not divisible by z**2 - z - 1, but a base sized
     # for 12 summands (25) packed these 26 encodings to zero.
@@ -300,7 +368,7 @@ def test_structural_slope_matches_ordered_enumeration():
 )
 def test_structural_slope_pinned_values(seq, m, bound, w, w_doubled):
     # The slopes the CLI prints at the bound and at its doubled recheck.
-    poly, _ = parse_sequence(seq).recurrence_data()
+    poly = parse_sequence(seq).poly
     assert structural_slope(m, poly, bound) == w
     assert structural_slope(m, poly, 2 * bound) == w_doubled
 
@@ -320,7 +388,7 @@ def test_structural_slope_agrees_with_detected_tail_for_lucas():
 )
 def test_minimal_polynomial_of_builtin_families_is_their_own(seq):
     spec = parse_sequence(seq)
-    poly, _ = spec.recurrence_data()
+    poly = spec.poly
     assert minimal_polynomial(generate_terms(spec, 2 * (len(poly) - 1))) == poly
     assert minimal_polynomial(generate_terms(spec, 30)) == poly
 

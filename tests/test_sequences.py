@@ -177,8 +177,8 @@ def test_generation_is_deterministic():
 )
 def test_parse_label_round_trip(text):
     spec = parse_sequence(text)
-    assert spec.label() == text
-    assert parse_sequence(spec.label()) == spec
+    assert spec.text == text
+    assert parse_sequence(spec.text) == spec
 
 
 @pytest.mark.parametrize(
@@ -203,9 +203,13 @@ def test_parse_rejects_bad_specs(text):
 
 
 def test_recurrence_data_families():
-    assert parse_sequence("fibonacci").recurrence_data() == ((-1, -1, 1), (1, 1))
-    assert parse_sequence("lucas").recurrence_data() == ((-1, -1, 1), (1, 3))
-    assert parse_sequence("geometric:c=1,eta=2").recurrence_data() == ((-2, 1), (2,))
-    assert parse_sequence("pow2plus1").recurrence_data() == ((2, -3, 1), (3, 5))
-    assert parse_sequence("explicit:1").recurrence_data() is None
+    def recurrence(text):
+        spec = parse_sequence(text)
+        return spec.poly, spec.init
+
+    assert recurrence("fibonacci") == ((-1, -1, 1), (1, 1))
+    assert recurrence("lucas") == ((-1, -1, 1), (1, 3))
+    assert recurrence("geometric:c=1,eta=2") == ((-2, 1), (2,))
+    assert recurrence("pow2plus1") == ((2, -3, 1), (3, 5))
+    assert recurrence("explicit:1") == ((), ())
     assert generate_terms(parse_sequence("recurrence:poly=2,-3,1;init=3,5"), 5) == [3, 5, 9, 17, 33]
