@@ -15,15 +15,14 @@ Usage: python scripts/recurrence_tail.py [SEQ] [M_MAX]
 
 import sys
 import warnings
+from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from math import isfinite
 
 import numpy as np
 
 from lacuna.errors import LacunaError, ZeroModulus
 from lacuna.moments import moments_to_cumulants, prefix_moments
-from lacuna.record import Record
 from lacuna.recurrence import detect_affine_tail, rational_roots, structural_slope
 from lacuna.sequences import generate_terms, parse_sequence
 
@@ -35,15 +34,8 @@ class RootFindingFailed(LacunaError):
     """Numeric root finding returned no usable roots."""
 
 
-class RootCheck(Record):
-    """Numeric root diagnostic for a recurrence polynomial."""
-
-    __slots__ = ("is_perron", "eta_estimate", "roots", "rational")
-
-    def __init__(
-        self, is_perron: bool, eta_estimate: float, roots: tuple[complex, ...], rational: tuple[Fraction, ...]
-    ) -> None:
-        super().__init__(is_perron, eta_estimate, roots, rational)
+# Numeric root diagnostic for a recurrence polynomial.
+RootCheck = namedtuple("RootCheck", "is_perron eta_estimate roots rational")
 
 
 def dominant_root_check(p: Sequence[int]) -> RootCheck:

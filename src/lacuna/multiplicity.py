@@ -20,22 +20,22 @@ routes that the tests hold it against live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import IndexOutOfRange, TooLarge
-from .record import Record
 
 MAX_GROUND_SIZE = 12  # largest offset-pattern order, see ``recurrence``
 MAX_PROFILE_SIZE = 20  # 2**m subset scan guard
 MAX_PROFILE_MASKS = 2**MAX_GROUND_SIZE  # the recursion tests up to len(masks)**2 / 2 pairs
 
 
-class SignedTuple(Record):
+class SignedTuple(namedtuple("SignedTuple", "indices signs")):
     """Indices i_1..i_m (1-based, repeats allowed) with signs e_1..e_m."""
 
-    __slots__ = ("indices", "signs")
+    __slots__ = ()
 
-    def __init__(self, indices: tuple[int, ...], signs: tuple[int, ...]) -> None:
+    def __new__(cls, indices: tuple[int, ...], signs: tuple[int, ...]) -> SignedTuple:
         if len(indices) != len(signs):
             raise ValueError("indices and signs must have equal length")
         if not indices:
@@ -44,20 +44,17 @@ class SignedTuple(Record):
             raise ValueError("signs must be +1 or -1")
         if any(i < 1 for i in indices):
             raise ValueError(f"indices are 1-based, got {min(indices)}")
-        super().__init__(indices, signs)
+        return super().__new__(cls, indices, signs)
 
     @property
     def order(self) -> int:
         return len(self.indices)
 
 
-class ZeroSumProfile(Record):
+class ZeroSumProfile(namedtuple("ZeroSumProfile", "m masks")):
     """All nonempty position subsets (as bitmasks) whose signed sum is zero."""
 
-    __slots__ = ("m", "masks")
-
-    def __init__(self, m: int, masks: frozenset[int]) -> None:
-        super().__init__(m, masks)
+    __slots__ = ()
 
     def subsets(self) -> list[tuple[int, ...]]:
         """Human view: sorted 1-based position subsets."""

@@ -21,6 +21,7 @@ from lead(P)**K with exact integer quotients and no fraction is formed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
@@ -28,7 +29,6 @@ from math import factorial, gcd, lcm, prod
 
 from .errors import TooFewPoints, TooLarge, ZeroModulus
 from .multiplicity import MAX_GROUND_SIZE, _split_profile, mult_from_profile
-from .record import Record
 
 Poly = tuple[int, ...]
 
@@ -41,16 +41,15 @@ MAX_RIGHT_HALVES = 15_000_000
 MAX_JOIN_WORK = 10**8
 # Scaled reduced powers of z up to K = (m-1)*gap_bound: K = 10,000 took 0.4 s for z^2 - z - 1, 2.4 s for 3z^2 - z - 1.
 MAX_PATTERN_OFFSET = 5_000
+# On a 2-core host a divisor scan up to 10**12 takes ~0.18 s, and a coprime p/q candidate pair ~4 us at
+# degree 2 and ~13 us at degree 9, so the pair cap holds the p/q loop to about a second.  Unguarded, the
+# 6,720 x 6,720 divisor pairs of |c_0| = |c_d| = 963761198400 took ~20 s.
 _RATIONAL_ROOT_SCAN_LIMIT = 10**12
+_RATIONAL_ROOT_PAIR_LIMIT = 10**5
 
 
-class AffineFit(Record):
-    """Detected eventual law 2**-m * (w*n + b) for n >= n1."""
-
-    __slots__ = ("w", "b", "n1", "valid")
-
-    def __init__(self, w: int, b: int, n1: int, valid: bool) -> None:
-        super().__init__(w, b, n1, valid)
+# Detected eventual law 2**-m * (w*n + b) for n >= n1.
+AffineFit = namedtuple("AffineFit", "w b n1 valid")
 
 
 def _strip(coeffs: Sequence[int]) -> list[int]:
@@ -122,6 +121,8 @@ def rational_roots(p: Sequence[int]) -> list[Fraction]:
     if not d:
         return roots
     nums, dens = _divisors(coeffs[0]), _divisors(coeffs[-1])
+    if len(nums) * len(dens) > _RATIONAL_ROOT_PAIR_LIMIT:
+        raise TooLarge(f"{len(nums)} x {len(dens)} rational-root candidates refused (limit {_RATIONAL_ROOT_PAIR_LIMIT})")
     for num in nums:
         for den in dens:
             for x in (num, -num):

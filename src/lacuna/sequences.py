@@ -12,11 +12,11 @@ rather than mis-round.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous, TooLarge
-from .record import Record
 
 # Each named family as its recurrence polynomial r_0..r_d (low to high) and initial terms.
 FAMILIES = {
@@ -36,21 +36,8 @@ MAX_TERM_BITS = 25 * 10**7  # running total over the generated terms
 MAX_ROUNDPOW_WORK = 3 * 10**11  # about 10 s at 3.3e-11 s per unit; see _rounded_powers
 
 
-class SequenceSpec(Record):
-    """A parsed sequence: its canonical label ``text`` (round-trips through parse) and the data for its terms."""
-
-    __slots__ = ("text", "values", "poly", "init", "eta_decimal", "prec")
-
-    def __init__(
-        self,
-        text: str,
-        values: tuple[int, ...] = (),
-        poly: tuple[int, ...] = (),
-        init: tuple[int, ...] = (),
-        eta_decimal: str = "",
-        prec: int = 0,
-    ) -> None:
-        super().__init__(text, values, poly, init, eta_decimal, prec)
+# A parsed sequence: its canonical label ``text`` (round-trips through parse) and the data for its terms.
+SequenceSpec = namedtuple("SequenceSpec", "text values poly init eta_decimal prec", defaults=((), (), (), "", 0))
 
 
 def parse_sequence(text: str) -> SequenceSpec:

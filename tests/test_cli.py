@@ -396,18 +396,19 @@ def test_failures_print_one_error_line(capsys, argv, expected, message):
 
 
 def test_cli_import_is_lean():
-    # Every CLI start pays for its imports: no class generator (dataclasses drags in inspect) and no
-    # numpy, which only the quadrature oracle loads.  perfbench/tracer.py wraps all seven layers
-    # right after this import, so each must be loaded by it.
+    # Every CLI start pays for its imports: no class generator (dataclasses drags in inspect), no
+    # typing, and no numpy, which only the quadrature oracle loads.  The probe runs under -S, so no
+    # site hook can load any of them first and hide the CLI's own.  perfbench/tracer.py wraps all
+    # seven layers right after this import, so each must be loaded by it.
     src = str(Path(lacuna.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, lacuna.cli; print(*sys.modules, sep='\\n')"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
-    assert not {"dataclasses", "inspect", "numpy"} & loaded
+    assert not {"dataclasses", "inspect", "typing", "numpy", "lacuna.record"} & loaded
     layers = ("cli", "sequences", "laurent", "moments", "multiplicity", "partitions", "recurrence")
     assert {f"lacuna.{layer}" for layer in layers} <= loaded
 

@@ -1,4 +1,5 @@
 import importlib.util
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -96,6 +97,14 @@ def test_rational_roots():
     assert rational_roots((-1, -1, 1)) == []
     assert rational_roots((0, -2, 1)) == [Fraction(0), Fraction(2)]
     assert rational_roots((-1, 0, 2)) == []  # roots +-sqrt(1/2)
+
+
+def test_rational_roots_refuse_too_many_candidates_before_testing_them():
+    # 963761198400 has 6,720 divisors: each scan is allowed, but their 4.5e7 pairs are not.
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match="6720 x 6720 rational-root candidates"):
+        rational_roots((-963761198400, 1, 963761198400))
+    assert time.perf_counter() - started < 1.0
 
 
 def _poly_mul(a, b):
