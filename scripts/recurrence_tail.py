@@ -11,6 +11,9 @@ routes never consume it.
 Usage: python scripts/recurrence_tail.py [SEQ] [M_MAX]
   SEQ    sequence spec with a recurrence (default: fibonacci)
   M_MAX  largest cumulant order (default: 5)
+
+As with the ``lacuna`` CLI, a rejected argument prints one ``error:``
+line and exits 2, and a tripped computation guard exits 3.
 """
 
 import sys
@@ -21,7 +24,7 @@ from math import isfinite
 
 import numpy as np
 
-from lacuna.errors import LacunaError, ZeroModulus
+from lacuna.errors import LacunaError, TooLarge, ZeroModulus
 from lacuna.moments import moments_to_cumulants, prefix_moments
 from lacuna.recurrence import detect_affine_tail, rational_roots, structural_slope
 from lacuna.sequences import generate_terms, parse_sequence
@@ -43,7 +46,8 @@ def dominant_root_check(p: Sequence[int]) -> RootCheck:
 
     Root finding is numeric (companion matrix) and only diagnostic.
     Rational roots found by the p/q test are reported, with a warning
-    when they certify that the polynomial is not irreducible.
+    when they certify that the polynomial is not irreducible.  A scan too
+    large to run is skipped with a warning and reports none.
     """
     coeffs = list(p)
     while coeffs and coeffs[-1] == 0:
@@ -67,7 +71,11 @@ def dominant_root_check(p: Sequence[int]) -> RootCheck:
     else:
         eta = max(abs(z) for z in roots)
         perron = False
-    ratio = tuple(rational_roots(coeffs))
+    try:
+        ratio = tuple(rational_roots(coeffs))
+    except TooLarge as exc:
+        warnings.warn(f"rational-root check skipped ({exc})", RuntimeWarning, stacklevel=2)
+        ratio = ()
     if ratio and len(coeffs) - 1 >= 2:
         warnings.warn(
             f"polynomial has rational root(s) {[str(r) for r in ratio]} and is not "
@@ -78,23 +86,31 @@ def dominant_root_check(p: Sequence[int]) -> RootCheck:
     return RootCheck(perron, float(eta), roots, ratio)
 
 
-def main() -> None:
-    spec = parse_sequence(sys.argv[1] if len(sys.argv) > 1 else "fibonacci")
-    m_max = int(sys.argv[2]) if len(sys.argv) > 2 else 5
-    poly = spec.poly
-    if not poly:
-        raise SystemExit(f"{spec.text} has no recurrence polynomial")
-    root = dominant_root_check(poly)
-    print(f"# {spec.text}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}")
-    print("m,w_detected,b_detected,n1,w_pattern_sweep,routes_agree,gap_bound_stable")
-    terms = generate_terms(spec, N_TO)
-    rows = [(n, moments_to_cumulants(counts)) for n, counts in prefix_moments(terms, N_FROM, N_TO, m_max)]
-    for m in range(2, m_max + 1):
-        fit = detect_affine_tail([(n, scaled[m - 1]) for n, scaled in rows])
-        w = structural_slope(m, poly, 8)
-        stable = w == structural_slope(m, poly, 16)
-        print(f"{m},{fit.w},{fit.b},{fit.n1},{w},{fit.valid and w == fit.w},{stable}")
+def main() -> int:
+    try:
+        spec = parse_sequence(sys.argv[1] if len(sys.argv) > 1 else "fibonacci")
+        m_max = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+        poly = spec.poly
+        if not poly:
+            raise ValueError(f"{spec.text} has no recurrence polynomial")
+        root = dominant_root_check(poly)
+        print(f"# {spec.text}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}")
+        print("m,w_detected,b_detected,n1,w_pattern_sweep,routes_agree,gap_bound_stable")
+        terms = generate_terms(spec, N_TO)
+        rows = [(n, moments_to_cumulants(counts)) for n, counts in prefix_moments(terms, N_FROM, N_TO, m_max)]
+        for m in range(2, m_max + 1):
+            fit = detect_affine_tail([(n, scaled[m - 1]) for n, scaled in rows])
+            w = structural_slope(m, poly, 8)
+            stable = w == structural_slope(m, poly, 16)
+            print(f"{m},{fit.w},{fit.b},{fit.n1},{w},{fit.valid and w == fit.w},{stable}")
+    except ValueError as exc:  # a rejected spec or M_MAX
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except LacunaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Every value that is exact in the engine stays exact on the wire: the
-counts N_m and K_m = 2**m kappa_m are scaled by 2**-m only here, and
-values print as "p/q" in lowest terms or as decimal integers, never floats.
-Identical invocations produce byte-identical output.  ``mult-inspect``
-reads everything from the tuple's zero-sum profile: its ``mult`` is the
-same profile recursion that the cumulant and slope sweeps sum, and its
-partitions are listed from the profile's masks and their minimal ones.
+The only module that turns engine values into text (JSON, CSV lines,
+1-based subsets, ``{1,2}|{3,4}`` partitions).  Exact engine values stay
+exact on the wire: the counts N_m and K_m = 2**m kappa_m are scaled by
+2**-m only here, and print as "p/q" in lowest terms or as decimal
+integers, never floats.  Identical invocations produce byte-identical
+output.  ``mult-inspect`` reads everything from the tuple's zero-sum
+profile: its ``mult`` is the profile recursion that the cumulant and slope
+sweeps sum, and its partitions are listed from the profile's masks and atoms.
 ``slope`` sums offset patterns on the terms' minimal polynomial and alone checks
 it for a rational root, with one ``warning:`` line, also when the scan is skipped.
 
@@ -18,7 +19,6 @@ rejections included, print one ``error:`` line to stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import warnings
@@ -33,8 +33,8 @@ from .moments import (
     moments_to_cumulants,
     prefix_moments,
 )
-from .multiplicity import SignedTuple, mult_from_profile, zero_sum_profile
-from .partitions import all_partitions
+from .multiplicity import SignedTuple, atoms, mult_from_profile, zero_sum_profile
+from .partitions import SetPartition, all_partitions
 from .recurrence import detect_affine_tail, minimal_polynomial, rational_roots, structural_slope
 from .sequences import FAMILIES, generate_terms, parse_sequence
 
@@ -156,17 +156,17 @@ def _json_text(payload) -> str:
 
 def _rows_text(args: argparse.Namespace, head: dict, rows: Sequence[dict]) -> str:
     """CSV of the rows, or JSON of head and the rows (a lone row is inlined, except by compare)."""
-    if args.format == "csv":
-        import csv  # only this branch writes CSV; keeps start-up lean
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue()
+    if args.format == "csv":  # every cell is an int or _scaled text, so none needs quoting
+        lines = [rows[0].keys(), *(row.values() for row in rows)]
+        return "".join(",".join(map(str, line)) + "\n" for line in lines)
     if len(rows) == 1 and args.command != "compare":
         return _json_text({**head, **rows[0]})
     return _json_text({**head, "rows": rows})
+
+
+def _partition_text(pi: SetPartition) -> str:
+    """A set partition as printed: its blocks in braces, joined by "|", e.g. {1,2}|{3,4}."""
+    return "|".join("{" + ",".join(map(str, block)) + "}" for block in pi.blocks)
 
 
 def _table_command(args: argparse.Namespace) -> tuple[str, bool]:
@@ -275,19 +275,20 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
     except (ValueError, KeyError) as exc:
         raise _UsageError(f"bad tuple: {exc}") from exc
     terms = _checked(generate_terms, spec, max(indices))
-    profile = zero_sum_profile(tup, terms)
-    mult = mult_from_profile(profile.masks, tup.order)
-    cancels = (1 << tup.order) - 1 in profile.masks  # else no partition has only zero-sum blocks
-    upset = all_partitions(profile.masks, tup.order) if cancels else []
-    minimal = all_partitions(profile.atoms(), tup.order) if cancels else []
+    m = tup.order
+    masks = zero_sum_profile(tup, terms)
+    mult = mult_from_profile(masks, m)
+    cancels = (1 << m) - 1 in masks  # else no partition has only zero-sum blocks
+    upset = all_partitions(masks, m) if cancels else []
+    minimal = all_partitions(atoms(masks), m) if cancels else []
     payload = {
         "sequence": spec.text,
         "indices": list(indices),
         "signs": list(signs),
         "values": [str(s * terms[i - 1]) for i, s in zip(indices, signs)],
-        "zero_sum_subsets": [list(s) for s in profile.subsets()],
-        "zero_sum_partitions": [str(pi) for pi in upset],
-        "minimal_partitions": [str(pi) for pi in minimal],
+        "zero_sum_subsets": [[e + 1 for e in range(m) if s >> e & 1] for s in sorted(masks)],
+        "zero_sum_partitions": [_partition_text(pi) for pi in upset],
+        "minimal_partitions": [_partition_text(pi) for pi in minimal],
         "mult": str(mult),
     }
     return _json_text(payload), True

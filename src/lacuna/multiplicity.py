@@ -12,10 +12,10 @@ quadratic in the number of zero-sum subsets.  Every profile is built by
 ``_split_profile``, which joins the subset sums of two halves by value:
 the offset-pattern sweep of ``recurrence.structural_slope`` splits each
 pattern where its halves meet, and ``zero_sum_profile`` splits a tuple
-at position m // 2.  ``mult-inspect`` prints that profile, with the
-zero-sum partitions listed by ``partitions.all_partitions`` from its
-masks and the minimal ones from ``ZeroSumProfile.atoms``.  The lattice
-routes that the tests hold it against live in ``tests/oracles.py``.
+at position m // 2.  A profile is a frozenset of bitmasks; ``mult-inspect``
+lists the zero-sum partitions by ``partitions.all_partitions`` from its
+masks and the minimal ones from its ``atoms``, and prints them.  The
+lattice routes that the tests hold it against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -51,29 +51,6 @@ class SignedTuple(namedtuple("SignedTuple", "indices signs")):
         return len(self.indices)
 
 
-class ZeroSumProfile(namedtuple("ZeroSumProfile", "m masks")):
-    """All nonempty position subsets (as bitmasks) whose signed sum is zero."""
-
-    __slots__ = ()
-
-    def subsets(self) -> list[tuple[int, ...]]:
-        """Human view: sorted 1-based position subsets."""
-        out = [
-            tuple(p + 1 for p in range(self.m) if mask >> p & 1)
-            for mask in sorted(self.masks)
-        ]
-        return out
-
-    def atoms(self) -> frozenset[int]:
-        """The minimal zero-sum subsets: no other zero-sum subset lies inside one.
-
-        A zero-sum partition is minimal in the upset exactly when all its
-        blocks are atoms: a block B with a zero-sum proper subset C splits
-        into C and B ^ C, which is zero-sum too.
-        """
-        return frozenset(s for s in self.masks if not any(b != s and b & s == b for b in self.masks))
-
-
 def signed_values(t: SignedTuple, terms: Sequence[int]) -> list[int]:
     """The m signed terms e_r * a_{i_r}; validates index range."""
     n = len(terms)
@@ -99,13 +76,23 @@ def _split_profile(left: Sequence[int], right: Sequence[int]) -> frozenset[int]:
     return frozenset(i | j for i, value in enumerate(_subset_sums(left)) for j in by_value.get(-value, ()) if i | j)
 
 
-def zero_sum_profile(t: SignedTuple, terms: Sequence[int]) -> ZeroSumProfile:
-    """All nonempty zero-sum position subsets of the tuple."""
+def zero_sum_profile(t: SignedTuple, terms: Sequence[int]) -> frozenset[int]:
+    """All nonempty zero-sum position subsets of the tuple, as bitmasks (position r is bit r-1)."""
     m = t.order
     if m > MAX_PROFILE_SIZE:
         raise TooLarge(f"2**{m} subset scan refused (limit m <= {MAX_PROFILE_SIZE})")
     values = signed_values(t, terms)
-    return ZeroSumProfile(m, _split_profile(values[: m // 2], values[m // 2 :]))
+    return _split_profile(values[: m // 2], values[m // 2 :])
+
+
+def atoms(masks: frozenset[int]) -> frozenset[int]:
+    """The minimal zero-sum subsets: no other zero-sum subset lies inside one.
+
+    A zero-sum partition is minimal in the upset exactly when all its
+    blocks are atoms: a block B with a zero-sum proper subset C splits
+    into C and B ^ C, which is zero-sum too.
+    """
+    return frozenset(s for s in masks if not any(b != s and b & s == b for b in masks))
 
 
 def mult_from_profile(masks: frozenset[int], m: int) -> int:

@@ -1,8 +1,9 @@
 """Set partitions of {1..m} whose blocks come from a given family, for ``mult-inspect``.
 
-Partitions are stored canonically (blocks sorted, ordered by least
-element) and listed in restricted-growth-string order.  Their exact
-number is counted first, so the cap is checked before any is built.
+A ``SetPartition`` is plain data: its blocks are sorted tuples, ordered
+by least element, and only the CLI prints it.  Partitions are listed in
+restricted-growth-string order.  Their exact number is counted first, so
+the cap is checked before any is built.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from .errors import TooLarge
 MAX_PARTITIONS = 5 * 10**5
 
 
-class SetPartition(namedtuple("SetPartition", "blocks")):
-    """A partition of {1..m} into disjoint nonempty blocks."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return "|".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+SetPartition = namedtuple("SetPartition", "blocks")
 
 
 def all_partitions(blocks: Iterable[int], m: int) -> list[SetPartition]:

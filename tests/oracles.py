@@ -49,7 +49,6 @@ from lacuna.multiplicity import (
     MAX_GROUND_SIZE,
     MAX_PROFILE_SIZE,
     SignedTuple,
-    ZeroSumProfile,
     mult_from_profile,
     zero_sum_profile,
 )
@@ -488,11 +487,10 @@ def rgs_partitions(m: int) -> list[SetPartition]:
     return out
 
 
-def lattice_upset(profile: ZeroSumProfile, m: int) -> list[SetPartition]:
+def lattice_upset(masks: frozenset[int], m: int) -> list[SetPartition]:
     """Partitions of {1..m} whose every block is a zero-sum subset, filtered from the whole lattice."""
-    if (1 << m) - 1 not in profile.masks:  # zero-sum blocks sum to a zero-sum whole
+    if (1 << m) - 1 not in masks:  # zero-sum blocks sum to a zero-sum whole
         return []
-    masks = profile.masks
     return [pi for pi in rgs_partitions(m) if all(sum(1 << (e - 1) for e in b) in masks for b in pi.blocks)]
 
 
@@ -593,8 +591,8 @@ def minimal_members(family: Sequence[SetPartition]) -> list[SetPartition]:
 
 def mult_moebius(t: SignedTuple, terms: Sequence[int]) -> int:
     """Multiplicity as the Moebius sum over the zero-sum partition upset."""
-    profile = zero_sum_profile(t, terms)
-    return sum(moebius_to_top(pi) for pi in lattice_upset(profile, t.order))
+    masks = zero_sum_profile(t, terms)
+    return sum(moebius_to_top(pi) for pi in lattice_upset(masks, t.order))
 
 
 def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
@@ -605,8 +603,7 @@ def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
     ``mult_moebius`` for every tuple; coded independently as a check.
     """
     m = t.order
-    profile = zero_sum_profile(t, terms)
-    upset = lattice_upset(profile, m)
+    upset = lattice_upset(zero_sum_profile(t, terms), m)
     if not upset:
         return 0
     mins = minimal_members(upset)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import lacuna
 from lacuna.cli import run
 from lacuna.multiplicity import SignedTuple
-from oracles import from_blocks, minimal_members, mult_crosscut, mult_moebius
+from oracles import lattice_upset, minimal_members, mult_crosscut, mult_moebius, profile_from_values
 
 
 def invoke(capsys, *argv):
@@ -73,6 +74,26 @@ def test_compare_csv_column_order(capsys):
     assert lines[0] == "n,m,kappa,independent_n_kappa,diff"
     last = lines[-1].split(",")
     assert last == ["4", "4", "2", "-3/2", "7/2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Moments are nonnegative, so only the other three commands print negative p/q cells.
+        ["moments", "--seq", "fibonacci", "--n-from", "3", "--n-to", "6", "--m-max", "5"],
+        ["cumulants", "--seq", "fibonacci", "--n-from", "3", "--n-to", "6", "--m-max", "6"],
+        ["independent", "--m-max", "8"],
+        ["compare", "--seq", "pow2plus1", "--n-from", "2", "--n-to", "5", "--m-max", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_rows_equal_the_json_rows(capsys, argv):
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    json_rows = json.loads(invoke(capsys, *argv)[1])["rows"]
+    assert list(csv.DictReader(io.StringIO(out))) == [{k: str(v) for k, v in row.items()} for row in json_rows]
+    cells = [str(v) for row in json_rows for v in row.values()]
+    assert any("/" in cell and cell.startswith("-") == (argv[0] != "moments") for cell in cells)
 
 
 def test_compare_single_row(capsys):
@@ -252,7 +273,7 @@ def test_mult_inspect_worked_example(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["mult"] == "-1"
-    assert [1, 2] in payload["zero_sum_subsets"]
+    assert payload["zero_sum_subsets"] == [[1, 2], [2, 3], [1, 4], [3, 4], [1, 2, 3, 4]]
     assert payload["zero_sum_partitions"] == ["{1,2,3,4}", "{1,2}|{3,4}", "{1,4}|{2,3}"]
     assert payload["minimal_partitions"] == ["{1,2}|{3,4}", "{1,4}|{2,3}"]
 
@@ -273,11 +294,17 @@ def test_mult_inspect_matches_the_lattice_oracles(terms, entries):
     payload = json.loads(out.getvalue())
     tup = SignedTuple(tuple(indices), tuple(1 if sign == "+" else -1 for sign in signs))
     assert payload["mult"] == str(mult_moebius(tup, terms)) == str(mult_crosscut(tup, terms))
-    upset = [
-        from_blocks(map(int, block.strip("{}").split(",")) for block in pi.split("|"))
-        for pi in payload["zero_sum_partitions"]
-    ]
-    assert payload["minimal_partitions"] == [str(pi) for pi in minimal_members(upset)]
+    m = len(entries)
+    masks = profile_from_values([s * terms[i - 1] for i, s in zip(tup.indices, tup.signs)])
+    subsets = [[r for r in range(1, m + 1) if mask >> (r - 1) & 1] for mask in sorted(masks)]
+    assert payload["zero_sum_subsets"] == subsets
+    upset = lattice_upset(masks, m)
+
+    def text(partitions):  # the CLI's format: {1,2}|{3,4}
+        return ["|".join("{" + ",".join(map(str, block)) + "}" for block in pi.blocks) for pi in partitions]
+
+    assert payload["zero_sum_partitions"] == text(upset)
+    assert payload["minimal_partitions"] == text(minimal_members(upset))
 
 
 def test_mult_inspect_lists_the_twelve_entry_alternating_tuple(capsys):
