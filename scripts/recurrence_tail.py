@@ -4,16 +4,18 @@
 For each order m the exact engine detects the eventual law
 kappa_m(S_n) = 2^-m (w n + b), and the offset-pattern sweep recovers
 the same w without touching any concrete term.  Agreement of the two
-routes is the whole point of the experiment.  The header line reports
-the recurrence polynomial's dominant root, found numerically; the exact
-routes never consume it.
+routes is the whole point of the experiment.  Like ``lacuna slope``,
+the sweep walks the minimal polynomial of the terms, not the spec's.
+The header line reports that polynomial's dominant root, found
+numerically; the exact routes never consume it.
 
 Usage: python scripts/recurrence_tail.py [SEQ] [M_MAX]
   SEQ    sequence spec with a recurrence (default: fibonacci)
   M_MAX  largest cumulant order (default: 5)
 
-As with the ``lacuna`` CLI, a rejected argument prints one ``error:``
-line and exits 2, and a tripped computation guard exits 3.
+Failures go through ``lacuna.cli.exit_code``, as in the CLI: a rejected
+argument prints one ``error:`` line and exits 2, a refused computation
+exits 3, and each warning prints as one ``warning:`` line.
 """
 
 import sys
@@ -24,17 +26,14 @@ from math import isfinite
 
 import numpy as np
 
-from lacuna.errors import LacunaError, TooLarge, ZeroModulus
+from lacuna.cli import exit_code
+from lacuna.errors import LacunaError, TooLarge
 from lacuna.moments import moments_to_cumulants, prefix_moments
-from lacuna.recurrence import detect_affine_tail, rational_roots, structural_slope
+from lacuna.recurrence import detect_affine_tail, minimal_polynomial, rational_roots, structural_slope
 from lacuna.sequences import generate_terms, parse_sequence
 
 N_FROM, N_TO = 15, 30
 _PERRON_MARGIN = 1e-9  # the dominant root must beat every other modulus by this much
-
-
-class RootFindingFailed(LacunaError):
-    """Numeric root finding returned no usable roots."""
 
 
 # Numeric root diagnostic for a recurrence polynomial.
@@ -53,12 +52,12 @@ def dominant_root_check(p: Sequence[int]) -> RootCheck:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
-        raise ZeroModulus("zero polynomial")
+        raise LacunaError("zero polynomial")
     if len(coeffs) == 1:
         raise ValueError("degree must be >= 1")
     found = np.roots([float(c) for c in reversed(coeffs)])
     if found.size == 0 or not all(isfinite(r.real) and isfinite(r.imag) for r in found):
-        raise RootFindingFailed("companion-matrix roots are not finite")
+        raise LacunaError("companion-matrix roots are not finite")
     roots = tuple(sorted((complex(r) for r in found), key=lambda z: (z.real, z.imag)))
     real_above_one = [
         r.real for r in roots if abs(r.imag) <= 1e-8 * max(1.0, abs(r)) and r.real > 1.0
@@ -87,30 +86,25 @@ def dominant_root_check(p: Sequence[int]) -> RootCheck:
 
 
 def main() -> int:
-    try:
-        spec = parse_sequence(sys.argv[1] if len(sys.argv) > 1 else "fibonacci")
-        m_max = int(sys.argv[2]) if len(sys.argv) > 2 else 5
-        poly = spec.poly
-        if not poly:
-            raise ValueError(f"{spec.text} has no recurrence polynomial")
-        root = dominant_root_check(poly)
-        print(f"# {spec.text}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}")
-        print("m,w_detected,b_detected,n1,w_pattern_sweep,routes_agree,gap_bound_stable")
-        terms = generate_terms(spec, N_TO)
-        rows = [(n, moments_to_cumulants(counts)) for n, counts in prefix_moments(terms, N_FROM, N_TO, m_max)]
-        for m in range(2, m_max + 1):
-            fit = detect_affine_tail([(n, scaled[m - 1]) for n, scaled in rows])
-            w = structural_slope(m, poly, 8)
-            stable = w == structural_slope(m, poly, 16)
-            print(f"{m},{fit.w},{fit.b},{fit.n1},{w},{fit.valid and w == fit.w},{stable}")
-    except ValueError as exc:  # a rejected spec or M_MAX
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LacunaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    spec = parse_sequence(sys.argv[1] if len(sys.argv) > 1 else "fibonacci")
+    m_max = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+    if not spec.poly:
+        raise ValueError(f"{spec.text} has no recurrence polynomial")
+    if m_max < 1:
+        raise ValueError(f"M_MAX must be >= 1, got {m_max}")
+    poly = minimal_polynomial(generate_terms(spec, 2 * (len(spec.poly) - 1)))
+    root = dominant_root_check(poly)
+    print(f"# {spec.text}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}")
+    print("m,w_detected,b_detected,n1,w_pattern_sweep,routes_agree,gap_bound_stable")
+    terms = generate_terms(spec, N_TO)
+    rows = [(n, moments_to_cumulants(counts)) for n, counts in prefix_moments(terms, N_FROM, N_TO, m_max)]
+    for m in range(2, m_max + 1):
+        fit = detect_affine_tail([(n, scaled[m - 1]) for n, scaled in rows])
+        w = structural_slope(m, poly, 8)
+        stable = w == structural_slope(m, poly, 16)
+        print(f"{m},{fit.w},{fit.b},{fit.n1},{w},{fit.valid and w == fit.w},{stable}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

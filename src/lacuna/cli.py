@@ -12,8 +12,11 @@ sweeps sum, and its partitions are listed from the profile's masks and atoms.
 it for a rational root, with one ``warning:`` line, also when the scan is skipped.
 
 Exit codes: 0 success, 2 usage error, 3 computation guard tripped,
-4 requested validity check failed.  Exits 2 and 3, argparse's own
-rejections included, print one ``error:`` line to stderr.
+4 requested validity check failed.  ``exit_code`` is the one failure
+path of the CLI and of the experiment scripts: a rejected argument
+(``ValueError``, argparse's own rejections included) exits 2 and a
+refused computation (``LacunaError``) exits 3, each with one ``error:``
+line on stderr, and every warning prints as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import argparse
 import json
 import sys
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .errors import LacunaError, TooLarge
@@ -41,15 +44,11 @@ from .sequences import FAMILIES, generate_terms, parse_sequence
 _SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a rejected command line as one ``error:`` line (exit 2), not a usage block."""
 
     def error(self, message: str):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _positive(text: str) -> int:
@@ -125,23 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _checked(fn, *args):
-    """fn(*args), reporting a rejected argument value (ValueError) as a usage error."""
-    try:
-        return fn(*args)
-    except (ValueError, ZeroDivisionError) as exc:  # e.g. roundpow:eta=1/0
-        raise _UsageError(str(exc)) from exc
-
-
 def _n_range(args: argparse.Namespace) -> tuple[int, int]:
     if args.n is not None:
         if args.n_from is not None or args.n_to is not None:
-            raise _UsageError("give either --n or --n-from/--n-to, not both")
+            raise ValueError("give either --n or --n-from/--n-to, not both")
         return args.n, args.n
     if args.n_from is None or args.n_to is None:
-        raise _UsageError("need --n or both --n-from and --n-to")
+        raise ValueError("need --n or both --n-from and --n-to")
     if args.n_from > args.n_to:
-        raise _UsageError("need --n-from <= --n-to")
+        raise ValueError("need --n-from <= --n-to")
     return args.n_from, args.n_to
 
 
@@ -174,14 +165,14 @@ def _table_command(args: argparse.Namespace) -> tuple[str, bool]:
 
     compare adds n times the independent model's cumulant and the difference.
     """
-    spec = _checked(parse_sequence, args.seq)
+    spec = parse_sequence(args.seq)
     n_from, n_to = _n_range(args)
     m_top = args.m or args.m_max
     orders = (m_top,) if args.m else range(1, m_top + 1)
     key = "mu" if args.command == "moments" else "kappa"
     compare = args.command == "compare"
     model = independent_cumulants(m_top) if compare else []
-    terms = _checked(generate_terms, spec, n_to)
+    terms = generate_terms(spec, n_to)
     rows = []
     for n, vector in prefix_moments(terms, n_from, n_to, m_top):
         if key == "kappa":
@@ -205,11 +196,11 @@ def _independent_command(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
-    spec = _checked(parse_sequence, args.seq)
+    spec = parse_sequence(args.seq)
     n_from, n_to = _n_range(args)
     if n_to - n_from < 3:
-        raise _UsageError("need --n-to >= --n-from + 3, at least 4 consecutive points")
-    terms = _checked(generate_terms, spec, n_to)
+        raise ValueError("need --n-to >= --n-from + 3, at least 4 consecutive points")
+    terms = generate_terms(spec, n_to)
     points = [
         (n, moments_to_cumulants(counts)[args.m - 1])
         for n, counts in prefix_moments(terms, n_from, n_to, args.m)
@@ -230,10 +221,10 @@ def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
-    spec = _checked(parse_sequence, args.seq)
+    spec = parse_sequence(args.seq)
     if not spec.poly:
-        raise _UsageError(f"sequence {spec.text} has no recurrence polynomial")
-    poly = minimal_polynomial(_checked(generate_terms, spec, 2 * (len(spec.poly) - 1)))
+        raise ValueError(f"sequence {spec.text} has no recurrence polynomial")
+    poly = minimal_polynomial(generate_terms(spec, 2 * (len(spec.poly) - 1)))
     if poly != spec.poly:
         print(
             f"note: slope uses the minimal polynomial {poly} of the terms, not the spec's {spec.poly}",
@@ -267,14 +258,14 @@ def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
-    spec = _checked(parse_sequence, args.seq)
+    spec = parse_sequence(args.seq)
     try:
         indices = tuple(int(v) for v in args.indices.split(","))
         signs = tuple(_SIGN_TOKENS[v.strip()] for v in args.signs.split(","))
         tup = SignedTuple(indices, signs)
     except (ValueError, KeyError) as exc:
-        raise _UsageError(f"bad tuple: {exc}") from exc
-    terms = _checked(generate_terms, spec, max(indices))
+        raise ValueError(f"bad tuple: {exc}") from exc
+    terms = generate_terms(spec, max(indices))
     m = tup.order
     masks = zero_sum_profile(tup, terms)
     mult = mult_from_profile(masks, m)
@@ -295,10 +286,10 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def _oracle_command(args: argparse.Namespace) -> tuple[str, bool]:
-    spec = _checked(parse_sequence, args.seq)
-    terms = _checked(generate_terms, spec, args.n)
+    spec = parse_sequence(args.seq)
+    terms = generate_terms(spec, args.n)
+    exact = Fraction(moment_vector(terms, args.m)[-1], 2**args.m)  # first: its guards refuse in a-priori time
     approx = moment_oracle_quadrature(terms, args.m)
-    exact = Fraction(moment_vector(terms, args.m)[-1], 2**args.m)
     payload = {
         "sequence": spec.text,
         "n": args.n,
@@ -310,29 +301,37 @@ def _oracle_command(args: argparse.Namespace) -> tuple[str, bool]:
     return _json_text(payload), True
 
 
-def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, compute, write output; returns the exit code."""
+def exit_code(body: Callable[[], int]) -> int:
+    """body()'s exit code, with each warning and failure reported on one stderr line.
+
+    A ``ValueError`` (a rejected argument) gives 2 and a ``LacunaError``
+    (a refused computation) gives 3; ``--help``'s SystemExit gives its code.
+    """
     try:
-        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            text, ok = args.handler(args)
-    except SystemExit as exc:  # --help printed; every parse failure is a _UsageError
+            return body()
+    except SystemExit as exc:
         return exc.code
-    except _UsageError as exc:
+    except (ValueError, LacunaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LacunaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, LacunaError) else 2
+
+
+def run(argv: Sequence[str] | None = None) -> int:
+    """Parse arguments, compute, write output; returns the exit code."""
+    return exit_code(lambda: _run_parsed(build_parser().parse_args(argv)))
+
+
+def _run_parsed(args: argparse.Namespace) -> int:
+    text, ok = args.handler(args)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return 0 if ok else 4

@@ -1,37 +1,14 @@
-"""Exception types shared across the package.
+"""The package's two exception types.
 
-Everything derives from LacunaError so callers (and the CLI) can map
-computation guards to a single exit path without enumerating causes.
+A rejected argument is a plain ``ValueError``.  A computation the
+package refuses to do or finish raises LacunaError; ``lacuna.cli.exit_code``
+maps the first to exit 2 and the second to exit 3.
 """
 
 
 class LacunaError(Exception):
-    """Base class for all package-specific errors."""
+    """A refused computation: ambiguous rounding, a non-integer or non-positive term, too few points."""
 
 
 class TooLarge(LacunaError):
-    """A size guard tripped (enumeration or sample count would explode)."""
-
-
-class TooFewPoints(LacunaError):
-    """Not enough consecutive data points for tail detection."""
-
-
-class IndexOutOfRange(LacunaError):
-    """Tuple index points outside the materialized terms."""
-
-
-class RoundingAmbiguous(LacunaError):
-    """A rounded power sits too close to a half-integer at the given precision."""
-
-
-class NonIntegerRecurrence(LacunaError):
-    """Exact division by the leading recurrence coefficient failed."""
-
-
-class NonPositiveTerm(LacunaError):
-    """A generated sequence term fell below 1."""
-
-
-class ZeroModulus(LacunaError):
-    """Polynomial reduction modulo the zero polynomial."""
+    """A size guard tripped: the work or memory estimated a priori is over its cap."""

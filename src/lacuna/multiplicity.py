@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import IndexOutOfRange, TooLarge
+from .errors import LacunaError, TooLarge
 
 MAX_GROUND_SIZE = 12  # largest offset-pattern order, see ``recurrence``
 MAX_PROFILE_SIZE = 20  # 2**m subset scan guard
@@ -56,7 +56,7 @@ def signed_values(t: SignedTuple, terms: Sequence[int]) -> list[int]:
     n = len(terms)
     for i in t.indices:
         if not 1 <= i <= n:
-            raise IndexOutOfRange(f"index {i} outside 1..{n}")
+            raise LacunaError(f"index {i} outside 1..{n}")
     return [s * terms[i - 1] for i, s in zip(t.indices, t.signs)]
 
 

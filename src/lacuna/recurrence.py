@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import factorial, gcd, lcm, prod
 
-from .errors import TooFewPoints, TooLarge, ZeroModulus
+from .errors import LacunaError, TooLarge
 from .multiplicity import MAX_GROUND_SIZE, _split_profile, mult_from_profile
 
 Poly = tuple[int, ...]
@@ -113,7 +113,7 @@ def rational_roots(p: Sequence[int]) -> list[Fraction]:
     """
     coeffs = _strip(p)
     if not coeffs:
-        raise ZeroModulus("rational roots of the zero polynomial")
+        raise LacunaError("rational roots of the zero polynomial")
     low = next(i for i, c in enumerate(coeffs) if c)
     roots = [Fraction(0)] if low else []
     coeffs = coeffs[low:]
@@ -134,7 +134,7 @@ def rational_roots(p: Sequence[int]) -> list[Fraction]:
 def _validate_pattern_modulus(p: Sequence[int]) -> Poly:
     coeffs = _strip(p)
     if not coeffs:
-        raise ZeroModulus("zero polynomial")
+        raise LacunaError("zero polynomial")
     if len(coeffs) == 1:
         raise ValueError("modulus must have degree >= 1")
     return tuple(coeffs)
@@ -254,7 +254,7 @@ def detect_affine_tail(points: Sequence[tuple[int, int]]) -> AffineFit:
     three points; otherwise the fit is reported invalid.
     """
     if len(points) < 4:
-        raise TooFewPoints("need at least 4 consecutive points")
+        raise LacunaError("need at least 4 consecutive points")
     ns, values = zip(*points)
     if any(b - a != 1 for a, b in zip(ns, ns[1:])):
         raise ValueError("points must cover consecutive n")

@@ -16,7 +16,7 @@ from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .errors import NonIntegerRecurrence, NonPositiveTerm, RoundingAmbiguous, TooLarge
+from .errors import LacunaError, TooLarge
 
 # Each named family as its recurrence polynomial r_0..r_d (low to high) and initial terms.
 FAMILIES = {
@@ -76,8 +76,11 @@ def parse_sequence(text: str) -> SequenceSpec:
         prec = int(prec)
         if prec < 1:
             raise ValueError("precision must be >= 1 bit")
-        if _decimal_exponent(eta) == 0 and Fraction(eta) <= 1:  # else eta >= 10
-            raise ValueError("rounded-power ratio must exceed 1")
+        try:
+            if _decimal_exponent(eta) == 0 and Fraction(eta) <= 1:  # else eta >= 10
+                raise ValueError("rounded-power ratio must exceed 1")
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad rounded-power ratio {eta!r}: zero denominator") from exc
         return SequenceSpec(f"roundpow:eta={eta},prec={prec}", eta_decimal=eta, prec=prec)
     raise ValueError(f"unknown sequence kind {name!r}")
 
@@ -119,7 +122,7 @@ def generate_terms(spec: SequenceSpec, n: int) -> list[int]:
 def _check_positive(terms) -> None:
     for t in terms:
         if t < 1:
-            raise NonPositiveTerm(f"term {t} is not a positive integer")
+            raise LacunaError(f"term {t} is not a positive integer")
 
 
 def _iterate_recurrence(poly: tuple[int, ...], init: tuple[int, ...], n: int) -> list[int]:
@@ -132,11 +135,9 @@ def _iterate_recurrence(poly: tuple[int, ...], init: tuple[int, ...], n: int) ->
         acc = -sum(poly[j] * terms[len(terms) - d + j] for j in range(d))
         quotient, remainder = divmod(acc, lead)
         if remainder:
-            raise NonIntegerRecurrence(
-                f"term {len(terms) + 1}: {acc} is not divisible by leading coefficient {lead}"
-            )
+            raise LacunaError(f"term {len(terms) + 1}: {acc} is not divisible by leading coefficient {lead}")
         if quotient < 1:
-            raise NonPositiveTerm(f"term {len(terms) + 1} = {quotient} is not positive")
+            raise LacunaError(f"term {len(terms) + 1} = {quotient} is not positive")
         bits += quotient.bit_length()
         if bits > MAX_TERM_BITS:
             raise TooLarge(f"the first {len(terms) + 1} terms hold over {MAX_TERM_BITS} bits")
@@ -170,12 +171,12 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
         error = hi_k - (p_k << prec * k)  # the propagated error is error / (q_k 2**(prec k))
         # clear / (2 q_k) - error / (q_k 2**(prec k)) < guard, multiplied through by 2 q_k 2**(prec k)
         if ((clear << prec * k) - 2 * error) * guard.denominator < 2 * guard.numerator * (q_k << prec * k):
-            raise RoundingAmbiguous(
+            raise LacunaError(
                 f"eta**{k} is within {clear / (2 * q_k):.3g} of a half-integer "
                 f"(guard {float(guard):.3g} at {prec} bits)"
             )
         if nearest < 1:
-            raise NonPositiveTerm(f"round(eta**{k}) = {nearest} is not positive")
+            raise LacunaError(f"round(eta**{k}) = {nearest} is not positive")
         terms.append(nearest)
     return terms
 

@@ -42,7 +42,7 @@ from itertools import combinations_with_replacement, groupby
 from math import comb, factorial, floor, isqrt
 from typing import Iterable, Sequence
 
-from lacuna.errors import IndexOutOfRange, LacunaError, NonPositiveTerm, RoundingAmbiguous, TooLarge, ZeroModulus
+from lacuna.errors import LacunaError, TooLarge
 from lacuna.laurent import SparseLaurent, laurent_mul
 from lacuna.moments import independent_cumulants, moment_vector, moments_to_cumulants
 from lacuna.multiplicity import (
@@ -192,7 +192,7 @@ def cumulant_via_multiplicity(terms: Sequence[int], n: int, m: int) -> Fraction:
             f"(limits m <= {MAX_SWEEP_ORDER}, n <= {MAX_SWEEP_TERMS})"
         )
     if n < 1 or n > len(terms):
-        raise IndexOutOfRange(f"n={n} outside the materialized {len(terms)} terms")
+        raise LacunaError(f"n={n} outside the materialized {len(terms)} terms")
     signed = []
     for i in range(n):
         signed.append(terms[i])
@@ -234,7 +234,7 @@ def rounded_powers_fraction(eta_decimal: str, prec: int, n: int) -> list[int]:
 
     The power eta**k and its upper end (eta + 2**-prec)**k are Fractions;
     the distance to the nearest half-integer less the propagated error
-    must clear ``HALF_INTEGER_GUARD``, else ``RoundingAmbiguous``.
+    must clear ``HALF_INTEGER_GUARD``, else LacunaError.
     """
     ratio = Fraction(eta_decimal)
     slack = ratio + Fraction(1, 2**prec)
@@ -246,12 +246,12 @@ def rounded_powers_fraction(eta_decimal: str, prec: int, n: int) -> list[int]:
         nearest = floor(power + Fraction(1, 2))
         distance_to_half = Fraction(1, 2) - abs(power - nearest)
         if distance_to_half - (power_hi - power) < HALF_INTEGER_GUARD:
-            raise RoundingAmbiguous(
+            raise LacunaError(
                 f"eta**{k} is within {float(distance_to_half):.3g} of a half-integer "
                 f"(guard {float(HALF_INTEGER_GUARD):.3g} at {prec} bits)"
             )
         if nearest < 1:
-            raise NonPositiveTerm(f"round(eta**{k}) = {nearest} is not positive")
+            raise LacunaError(f"round(eta**{k}) = {nearest} is not positive")
         terms.append(nearest)
     return terms
 
@@ -373,7 +373,7 @@ def poly_reduce_mod(q: Sequence[int | Fraction], p: Sequence[int | Fraction]) ->
     """
     divisor = _fraction_strip(p)
     if not divisor:
-        raise ZeroModulus("reduction modulo the zero polynomial")
+        raise LacunaError("reduction modulo the zero polynomial")
     rem = _fraction_strip(q)
     d = len(divisor) - 1
     lead = divisor[-1]
@@ -404,7 +404,7 @@ def rational_roots_fraction(p: Sequence[int]) -> list[Fraction]:
     """All rational roots of an integer polynomial, by the p/q test on fractions; unguarded."""
     coeffs = _fraction_strip(p)
     if not coeffs:
-        raise ZeroModulus("rational roots of the zero polynomial")
+        raise LacunaError("rational roots of the zero polynomial")
     roots: list[Fraction] = []
     low = 0
     while coeffs[low] == 0:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -374,7 +375,7 @@ def test_help_exits_zero(capsys):
             2,
             r"--n-to >= --n-from \+ 3",
         ),
-        (["cumulants", "--seq", "roundpow:eta=1/0,prec=5", "--n", "3", "--m", "2"], 2, ""),
+        (["cumulants", "--seq", "roundpow:eta=1/0,prec=5", "--n", "3", "--m", "2"], 2, r"'1/0': zero denominator$"),
         (["cumulants", "--seq", "geometric:c=1,eta=2,c=3", "--n", "2", "--m", "2"], 2, r"repeats parameter 'c'"),
         (["independent", "--m-max", "3000"], 3, ""),
         (["cumulants", "--seq", "fibonacci", "--n", "1000000", "--m", "2"], 3, ""),
@@ -385,6 +386,8 @@ def test_help_exits_zero(capsys):
             3,
             r"5 rounded powers of a ratio near 10\*\*2000000 ",
         ),
+        (["oracle", "--seq", "explicit:1,2,24000", "--n", "3", "--m", "400"], 3, r"prefix engine may take"),
+        (["oracle", "--seq", "explicit:1,2,3", "--n", "3", "--m", "20000"], 3, r"prefix engine may take 250000000000 "),
     ],
     ids=[
         "explicit-too-short",
@@ -412,10 +415,15 @@ def test_help_exits_zero(capsys):
         "roundpow-work-guard",
         "pattern-offset-guard",
         "roundpow-exponent-guard",
+        "oracle-exact-moment-guard",
+        "oracle-refused-before-float-overflow",
     ],
 )
 def test_failures_print_one_error_line(capsys, argv, expected, message):
+    # Each refusal comes before the work it refuses; oracle's quadrature waits for the exact moment's guards.
+    started = time.perf_counter()
     code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - started < 5.0
     assert code == expected
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

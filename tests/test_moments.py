@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna import moments
-from lacuna.errors import IndexOutOfRange, TooLarge
+from lacuna.errors import LacunaError, TooLarge
 from lacuna.moments import (
     independent_cumulants,
     moment_oracle_quadrature,
@@ -341,7 +341,7 @@ def test_cumulant_via_multiplicity_guards():
         cumulant_via_multiplicity(terms, 13, 2)
     with pytest.raises(TooLarge):
         cumulant_via_multiplicity(terms[:4], 4, 7)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LacunaError, match="^n=5 outside the materialized 4 terms$"):
         cumulant_via_multiplicity(terms[:4], 5, 2)
 
 

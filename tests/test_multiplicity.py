@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacuna.errors import IndexOutOfRange, TooLarge
+from lacuna.errors import LacunaError, TooLarge
 from lacuna.multiplicity import (
     MAX_PROFILE_MASKS,
     SignedTuple,
@@ -52,7 +52,7 @@ def test_signed_tuple_is_an_immutable_value():
 
 
 def test_signed_values_checks_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LacunaError, match=r"^index 3 outside 1\.\.2$"):
         signed_values(SignedTuple((3,), (1,)), [1, 2])
 
 
