@@ -14,16 +14,17 @@ argument prints one ``error:`` line and exits 2.
 import sys
 from fractions import Fraction
 
-from lacuna.cli import exit_code
+from lacuna.cli import exit_code, positional
 from lacuna.moments import moments_to_cumulants, prefix_moments
 from lacuna.sequences import generate_terms, parse_sequence
 
 
 def main() -> int:
-    n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 40
+    n_max = positional(1, "N_MAX", 40)
     terms = generate_terms(parse_sequence("pow2plus1"), n_max)
+    rows = prefix_moments(terms, 1, n_max, 6)  # before the header, so a refusal prints no table
     print("n,kappa2,kappa4,kappa6,kappa4_law_holds,kappa6_law_holds")
-    for n, counts in prefix_moments(terms, 1, n_max, 6):
+    for n, counts in rows:
         scaled = moments_to_cumulants(counts)  # K_m = 2^m kappa_m
         quartic = scaled[3] == 2 * (-3 * n + 28) if n >= 4 else ""
         sextic = scaled[5] == 4 * (45 * n * n + 380 * n - 1875) if n >= 7 else ""

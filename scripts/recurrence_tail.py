@@ -26,7 +26,7 @@ from math import isfinite
 
 import numpy as np
 
-from lacuna.cli import exit_code
+from lacuna.cli import exit_code, positional
 from lacuna.errors import LacunaError, TooLarge
 from lacuna.moments import moments_to_cumulants, prefix_moments
 from lacuna.recurrence import detect_affine_tail, minimal_polynomial, rational_roots, structural_slope
@@ -87,22 +87,23 @@ def dominant_root_check(p: Sequence[int]) -> RootCheck:
 
 def main() -> int:
     spec = parse_sequence(sys.argv[1] if len(sys.argv) > 1 else "fibonacci")
-    m_max = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+    m_max = positional(2, "M_MAX", 5)
     if not spec.poly:
         raise ValueError(f"{spec.text} has no recurrence polynomial")
-    if m_max < 1:
-        raise ValueError(f"M_MAX must be >= 1, got {m_max}")
     poly = minimal_polynomial(generate_terms(spec, 2 * (len(spec.poly) - 1)))
     root = dominant_root_check(poly)
-    print(f"# {spec.text}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}")
-    print("m,w_detected,b_detected,n1,w_pattern_sweep,routes_agree,gap_bound_stable")
+    lines = [
+        f"# {spec.text}: dominant root ~ {root.eta_estimate:.9f}, perron={root.is_perron}",
+        "m,w_detected,b_detected,n1,w_pattern_sweep,routes_agree,gap_bound_stable",
+    ]
     terms = generate_terms(spec, N_TO)
     rows = [(n, moments_to_cumulants(counts)) for n, counts in prefix_moments(terms, N_FROM, N_TO, m_max)]
     for m in range(2, m_max + 1):
         fit = detect_affine_tail([(n, scaled[m - 1]) for n, scaled in rows])
         w = structural_slope(m, poly, 8)
         stable = w == structural_slope(m, poly, 16)
-        print(f"{m},{fit.w},{fit.b},{fit.n1},{w},{fit.valid and w == fit.w},{stable}")
+        lines.append(f"{m},{fit.w},{fit.b},{fit.n1},{w},{fit.valid and w == fit.w},{stable}")
+    print(*lines, sep="\n")  # whole or not at all: a refusal at a high order leaves no partial table
     return 0
 
 

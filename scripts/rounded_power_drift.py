@@ -15,7 +15,7 @@ argument prints one ``error:`` line and exits 2.
 import sys
 from fractions import Fraction
 
-from lacuna.cli import exit_code
+from lacuna.cli import exit_code, positional
 from lacuna.moments import independent_cumulants, moments_to_cumulants, prefix_moments
 from lacuna.sequences import generate_terms, parse_sequence
 
@@ -23,12 +23,13 @@ PI_DIGITS = "3.14159265358979323846264338327950288"
 
 
 def main() -> int:
-    n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 22
+    n_max = positional(1, "N_MAX", 22)
     eta = sys.argv[2] if len(sys.argv) > 2 else PI_DIGITS
     terms = generate_terms(parse_sequence(f"roundpow:eta={eta},prec=100"), n_max)
     model = independent_cumulants(6)
+    rows = prefix_moments(terms, 1, n_max, 6)  # before the header, so a refusal prints no table
     print("n,m,kappa,independent_n_kappa,diff")
-    for n, counts in prefix_moments(terms, 1, n_max, 6):
+    for n, counts in rows:
         scaled = moments_to_cumulants(counts)  # K_m = 2^m kappa_m
         for m in (2, 4, 6):
             values = (scaled[m - 1], n * model[m - 1], scaled[m - 1] - n * model[m - 1])

@@ -319,6 +319,16 @@ def exit_code(body: Callable[[], int]) -> int:
         return 3 if isinstance(exc, LacunaError) else 2
 
 
+def positional(index: int, name: str, default: int) -> int:
+    """A script's count argument sys.argv[index], an integer >= 1 named NAME, or the default if absent."""
+    if len(sys.argv) <= index:
+        return default
+    try:
+        return _positive(sys.argv[index])
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"argument {name}: {exc}") from None
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, compute, write output; returns the exit code."""
     return exit_code(lambda: _run_parsed(build_parser().parse_args(argv)))

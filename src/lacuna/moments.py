@@ -24,6 +24,7 @@ cumulant over n summands is n times the single-summand cumulant.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from itertools import accumulate
 from math import comb
@@ -160,6 +161,11 @@ def independent_cumulants(m_max: int) -> list[int]:
 _ORACLE_SLAB = 1 << 20
 
 
+def _oracle_workers() -> int:
+    """Threads of the quadrature: one per CPU this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     """Float cross-check of E[S_n**m] by equally spaced sampling.
 
@@ -168,9 +174,15 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     the only error is float rounding.  Arguments are reduced to
     a_k * j mod N in exact integer arithmetic, so each term gathers from
     one table of the N long-double cosines cos(2*pi*r/N) (16*N bytes, at
-    most 160 MB), slab by bounded slab of the grid.
+    most 160 MB) into one slab array of S_n**m over at most 2**20 nodes,
+    slab by slab of the grid.  Both are filled in one chunk per CPU,
+    each on its own thread: numpy's long-double loops release the GIL
+    and evaluate element by element, every node sees the same operations
+    in the same order, and each slab is summed once, whole, so the bits
+    are the same for any CPU count.
     """
     import numpy as np  # only the float diagnostics need numpy; keeps start-up fast
+    from concurrent.futures import ThreadPoolExecutor
 
     if m < 1:
         raise ValueError("need m >= 1")
@@ -182,12 +194,33 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     # 2*pi to more digits than an x86 long double holds.
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples
     reduced = [a % samples for a in terms]
-    table = np.cos(step * np.arange(samples, dtype=np.int64).astype(np.longdouble))
-    total = np.longdouble(0)
-    for start in range(0, samples, _ORACLE_SLAB):
-        grid = np.arange(start, min(start + _ORACLE_SLAB, samples), dtype=np.int64)
-        acc = np.zeros(grid.size, dtype=np.longdouble)
+    workers = _oracle_workers()
+    table = np.empty(samples, dtype=np.longdouble)
+    acc = np.empty(min(samples, _ORACLE_SLAB), dtype=np.longdouble)
+    width = -(-acc.size // workers)
+    # Each worker's index and gathered cosines, reused over every slab and term.
+    buffers = [(np.empty(width, dtype=np.int64), np.empty(width, dtype=np.longdouble)) for _ in range(workers)]
+
+    def cosines(lo: int, hi: int) -> None:
+        np.cos(step * np.arange(lo, hi, dtype=np.int64).astype(np.longdouble), out=table[lo:hi])
+
+    def fill(start: int, lo: int, hi: int) -> None:  # acc[lo:hi] = S_n**m at nodes start+lo .. start+hi-1
+        index, gathered = (buffer[: hi - lo] for buffer in buffers[lo // width])
+        grid = np.arange(start + lo, start + hi, dtype=np.int64)
+        out = acc[lo:hi]
+        out.fill(0)
         for a in reduced:
-            acc += table[a * grid % samples]
-        total += (acc**m).sum(dtype=np.longdouble)
+            np.remainder(np.multiply(grid, a, out=index), samples, out=index)
+            out += np.take(table, index, out=gathered, mode="clip")  # index already in [0, N)
+        out **= m
+
+    total = np.longdouble(0)
+    with ThreadPoolExecutor(workers) as pool:
+        bounds = [samples * i // workers for i in range(workers + 1)]
+        list(pool.map(cosines, bounds[:-1], bounds[1:]))
+        for start in range(0, samples, _ORACLE_SLAB):
+            size = min(_ORACLE_SLAB, samples - start)
+            chunks = range(0, size, width)
+            list(pool.map(fill, [start] * len(chunks), chunks, [min(lo + width, size) for lo in chunks]))
+            total += acc[:size].sum(dtype=np.longdouble)
     return float(total / samples)

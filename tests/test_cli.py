@@ -432,7 +432,7 @@ def test_failures_print_one_error_line(capsys, argv, expected, message):
 
 def test_cli_import_is_lean():
     # Every CLI start pays for its imports: no class generator (dataclasses drags in inspect), no
-    # typing, and no numpy, which only the quadrature oracle loads.  The probe runs under -S, so no
+    # typing, and no numpy or concurrent.futures, which only the quadrature oracle loads.  The probe runs under -S, so no
     # site hook can load any of them first and hide the CLI's own.  perfbench/tracer.py wraps all
     # seven layers right after this import, so each must be loaded by it.
     src = str(Path(lacuna.__file__).resolve().parents[1])
@@ -443,7 +443,7 @@ def test_cli_import_is_lean():
     )
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
-    assert not {"dataclasses", "inspect", "typing", "numpy", "lacuna.record"} & loaded
+    assert not {"dataclasses", "inspect", "typing", "numpy", "concurrent.futures", "lacuna.record"} & loaded
     layers = ("cli", "sequences", "laurent", "moments", "multiplicity", "partitions", "recurrence")
     assert {f"lacuna.{layer}" for layer in layers} <= loaded
 

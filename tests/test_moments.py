@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lacuna import moments
@@ -457,7 +457,10 @@ def test_oracle_pinned_values():
 
 
 def quadrature_per_term(terms, m):
-    """The oracle's rule with one long-double cosine per term and node."""
+    """The oracle's rule with one long-double cosine per term and node, on one thread.
+
+    Each slab of ``moments._ORACLE_SLAB`` nodes is summed on its own, as the oracle sums it.
+    """
     import numpy as np
 
     samples = m * max(terms) + 1
@@ -466,10 +469,26 @@ def quadrature_per_term(terms, m):
     acc = np.zeros(samples, dtype=np.longdouble)
     for a in terms:
         acc += np.cos(step * ((a % samples) * grid % samples).astype(np.longdouble))
-    return float((acc**m).sum(dtype=np.longdouble) / samples)
+    powers = acc**m
+    total = np.longdouble(0)
+    for start in range(0, samples, moments._ORACLE_SLAB):
+        total += powers[start : start + moments._ORACLE_SLAB].sum(dtype=np.longdouble)
+    return float(total / samples)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 400), min_size=1, max_size=7), st.integers(1, 7))
-def test_oracle_matches_per_term_cosines_exactly(terms, m):
-    assert moment_oracle_quadrature(terms, m) == quadrature_per_term(terms, m)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 400), min_size=1, max_size=7),
+    st.integers(1, 7),
+    st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from([100, 1000, 1 << 20]),
+)
+@example([1, 2, 400], 1, 3, 1000)
+@example([1, 2, 400], 2, 5, 100)
+def test_oracle_matches_per_term_cosines_exactly(terms, m, workers, slab):
+    # The bits depend on neither the worker count nor the slab: a slab of 100 or 1000 nodes splits the
+    # grid of up to 2,801 nodes into many slabs, each into up to `workers` chunks, the last of them short.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "_oracle_workers", lambda: workers)
+        patch.setattr(moments, "_ORACLE_SLAB", slab)
+        assert moment_oracle_quadrature(terms, m) == quadrature_per_term(terms, m)

@@ -70,15 +70,41 @@ def test_recurrence_tail_reports_a_bad_spec_on_one_error_line():
 @pytest.mark.parametrize(
     "script, args, message",
     [
-        ("recurrence_tail.py", ["fibonacci", "0"], "M_MAX must be >= 1, got 0"),
-        ("pow2plus1_table.py", ["abc"], "invalid literal for int() with base 10: 'abc'"),
-        ("pow2plus1_table.py", ["0"], "need n >= 1"),
+        ("recurrence_tail.py", ["fibonacci", "0"], "argument M_MAX: must be an integer >= 1, got '0'"),
+        ("recurrence_tail.py", ["fibonacci", "x"], "argument M_MAX: must be an integer >= 1, got 'x'"),
+        ("pow2plus1_table.py", ["abc"], "argument N_MAX: must be an integer >= 1, got 'abc'"),
+        ("pow2plus1_table.py", ["0"], "argument N_MAX: must be an integer >= 1, got '0'"),
+        ("rounded_power_drift.py", ["2.5"], "argument N_MAX: must be an integer >= 1, got '2.5'"),
         ("rounded_power_drift.py", ["5", "1/0"], "bad rounded-power ratio '1/0': zero denominator"),
     ],
-    ids=["recurrence-tail-m-max-zero", "pow2plus1-not-an-integer", "pow2plus1-n-zero", "drift-zero-denominator"],
+    ids=[
+        "recurrence-tail-m-max-zero",
+        "recurrence-tail-not-an-integer",
+        "pow2plus1-not-an-integer",
+        "pow2plus1-n-zero",
+        "drift-not-an-integer",
+        "drift-zero-denominator",
+    ],
 )
 def test_scripts_report_a_bad_argument_on_one_error_line(script, args, message):
     result = run_script(script, *args)
     assert result.returncode == 2
     assert result.stderr.decode() == f"error: {message}\n"
+    assert result.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("recurrence_tail.py", ["fibonacci", "400"], "P^200 may store 166408001 exponents"),
+        ("pow2plus1_table.py", ["3000"], "P^3 may store 18009001000 exponents of 47 words each"),
+    ],
+    ids=["recurrence-tail", "pow2plus1"],
+)
+def test_scripts_print_no_partial_table_when_refused(script, args, message):
+    # The table is computed whole before its first line is printed: a refusal exits 3 with empty stdout.
+    result = run_script(script, *args)
+    assert result.returncode == 3
+    err = result.stderr.decode()
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert result.stdout == b""
