@@ -12,9 +12,8 @@ argument prints one ``error:`` line and exits 2.
 """
 
 import sys
-from fractions import Fraction
 
-from lacuna.cli import exit_code, positional
+from lacuna.cli import exit_code, positional, scaled
 from lacuna.moments import moments_to_cumulants, prefix_moments
 from lacuna.sequences import generate_terms, parse_sequence
 
@@ -25,10 +24,10 @@ def main() -> int:
     rows = prefix_moments(terms, 1, n_max, 6)  # before the header, so a refusal prints no table
     print("n,kappa2,kappa4,kappa6,kappa4_law_holds,kappa6_law_holds")
     for n, counts in rows:
-        scaled = moments_to_cumulants(counts)  # K_m = 2^m kappa_m
-        quartic = scaled[3] == 2 * (-3 * n + 28) if n >= 4 else ""
-        sextic = scaled[5] == 4 * (45 * n * n + 380 * n - 1875) if n >= 7 else ""
-        kappas = (Fraction(scaled[m - 1], 2**m) for m in (2, 4, 6))
+        cumulants = moments_to_cumulants(counts)  # K_m = 2^m kappa_m
+        quartic = cumulants[3] == 2 * (-3 * n + 28) if n >= 4 else ""
+        sextic = cumulants[5] == 4 * (45 * n * n + 380 * n - 1875) if n >= 7 else ""
+        kappas = (scaled(cumulants[m - 1], m) for m in (2, 4, 6))
         print(",".join(map(str, (n, *kappas, quartic, sextic))))
     return 0
 

@@ -13,9 +13,8 @@ argument prints one ``error:`` line and exits 2.
 """
 
 import sys
-from fractions import Fraction
 
-from lacuna.cli import exit_code, positional
+from lacuna.cli import exit_code, positional, scaled
 from lacuna.moments import independent_cumulants, moments_to_cumulants, prefix_moments
 from lacuna.sequences import generate_terms, parse_sequence
 
@@ -30,10 +29,10 @@ def main() -> int:
     rows = prefix_moments(terms, 1, n_max, 6)  # before the header, so a refusal prints no table
     print("n,m,kappa,independent_n_kappa,diff")
     for n, counts in rows:
-        scaled = moments_to_cumulants(counts)  # K_m = 2^m kappa_m
+        cumulants = moments_to_cumulants(counts)  # K_m = 2^m kappa_m
         for m in (2, 4, 6):
-            values = (scaled[m - 1], n * model[m - 1], scaled[m - 1] - n * model[m - 1])
-            print(",".join(map(str, (n, m, *(Fraction(v, 2**m) for v in values)))))
+            values = (cumulants[m - 1], n * model[m - 1], cumulants[m - 1] - n * model[m - 1])
+            print(",".join(map(str, (n, m, *(scaled(v, m) for v in values)))))
     return 0
 
 

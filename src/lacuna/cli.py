@@ -8,8 +8,8 @@ integers, never floats.  Identical invocations produce byte-identical
 output.  ``mult-inspect`` reads everything from the tuple's zero-sum
 profile: its ``mult`` is the profile recursion that the cumulant and slope
 sweeps sum, and its partitions are listed from the profile's masks and atoms.
-``slope`` sums offset patterns on the terms' minimal polynomial and alone checks
-it for a rational root, with one ``warning:`` line, also when the scan is skipped.
+``slope_modulus``, the front end of ``slope`` and ``scripts/recurrence_tail.py``,
+finds the terms' minimal polynomial and warns when it has a rational root.
 
 Exit codes: 0 success, 2 usage error, 3 computation guard tripped,
 4 requested validity check failed.  ``exit_code`` is the one failure
@@ -38,8 +38,8 @@ from .moments import (
 )
 from .multiplicity import SignedTuple, atoms, mult_from_profile, zero_sum_profile
 from .partitions import SetPartition, all_partitions
-from .recurrence import detect_affine_tail, minimal_polynomial, rational_roots, structural_slope
-from .sequences import FAMILIES, generate_terms, parse_sequence
+from .recurrence import Poly, detect_affine_tail, minimal_polynomial, rational_roots, structural_slope
+from .sequences import FAMILIES, SequenceSpec, generate_terms, parse_sequence
 
 _SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
@@ -136,7 +136,7 @@ def _n_range(args: argparse.Namespace) -> tuple[int, int]:
     return args.n_from, args.n_to
 
 
-def _scaled(count: int, m: int) -> str:
+def scaled(count: int, m: int) -> str:
     """The exact value 2**-m * count, as printed."""
     return str(Fraction(count, 2**m))
 
@@ -147,7 +147,7 @@ def _json_text(payload) -> str:
 
 def _rows_text(args: argparse.Namespace, head: dict, rows: Sequence[dict]) -> str:
     """CSV of the rows, or JSON of head and the rows (a lone row is inlined, except by compare)."""
-    if args.format == "csv":  # every cell is an int or _scaled text, so none needs quoting
+    if args.format == "csv":  # every cell is an int or scaled text, so none needs quoting
         lines = [rows[0].keys(), *(row.values() for row in rows)]
         return "".join(",".join(map(str, line)) + "\n" for line in lines)
     if len(rows) == 1 and args.command != "compare":
@@ -178,10 +178,10 @@ def _table_command(args: argparse.Namespace) -> tuple[str, bool]:
         if key == "kappa":
             vector = moments_to_cumulants(vector)
         for m in orders:
-            row = {"n": n, "m": m, key: _scaled(vector[m - 1], m)}
+            row = {"n": n, "m": m, key: scaled(vector[m - 1], m)}
             if compare:
-                row["independent_n_kappa"] = _scaled(n * model[m - 1], m)
-                row["diff"] = _scaled(vector[m - 1] - n * model[m - 1], m)
+                row["independent_n_kappa"] = scaled(n * model[m - 1], m)
+                row["diff"] = scaled(vector[m - 1] - n * model[m - 1], m)
             rows.append(row)
     head = {"sequence": spec.text, "m_max": m_top} if compare else {"sequence": spec.text}
     return _rows_text(args, head, rows), True
@@ -191,7 +191,7 @@ def _independent_command(args: argparse.Namespace) -> tuple[str, bool]:
     m_top = args.m or args.m_max
     values = independent_cumulants(m_top)
     orders = (m_top,) if args.m else range(1, m_top + 1)
-    rows = [{"m": m, "kappa": _scaled(values[m - 1], m)} for m in orders]
+    rows = [{"m": m, "kappa": scaled(values[m - 1], m)} for m in orders]
     return _rows_text(args, {}, rows), True
 
 
@@ -220,8 +220,8 @@ def _detect_linear_command(args: argparse.Namespace) -> tuple[str, bool]:
     return _json_text(payload), ok
 
 
-def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
-    spec = parse_sequence(args.seq)
+def slope_modulus(spec: SequenceSpec) -> Poly:
+    """The terms' minimal polynomial, which the slope sweep walks, with its note and warnings on stderr."""
     if not spec.poly:
         raise ValueError(f"sequence {spec.text} has no recurrence polynomial")
     poly = minimal_polynomial(generate_terms(spec, 2 * (len(spec.poly) - 1)))
@@ -232,20 +232,24 @@ def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
         )
     try:
         if len(poly) > 2 and rational_roots(poly):
-            print(
-                f"warning: the minimal polynomial {poly} has a rational root; "
-                "the slope's relation checks assume it is irreducible",
-                file=sys.stderr,
+            warnings.warn(
+                f"the minimal polynomial {poly} has a rational root; "
+                "the slope's relation checks assume it is irreducible"
             )
     except TooLarge as exc:  # the check is a diagnostic: the slope is still computed
-        print(f"warning: rational-root check skipped ({exc})", file=sys.stderr)
+        warnings.warn(f"rational-root check skipped ({exc})")
+    return poly
+
+
+def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
+    spec = parse_sequence(args.seq)
+    poly = slope_modulus(spec)
     w = structural_slope(args.m, poly, args.gap_bound)
     w_doubled = structural_slope(args.m, poly, 2 * args.gap_bound)
     if w != w_doubled:
-        print(
-            f"warning: slope changed from {w} to {w_doubled} when doubling the gap "
-            f"bound {args.gap_bound}; report is not stable",
-            file=sys.stderr,
+        warnings.warn(
+            f"slope changed from {w} to {w_doubled} when doubling the gap "
+            f"bound {args.gap_bound}; report is not stable"
         )
     payload = {
         "sequence": spec.text,
@@ -288,15 +292,15 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
 def _oracle_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = parse_sequence(args.seq)
     terms = generate_terms(spec, args.n)
-    exact = Fraction(moment_vector(terms, args.m)[-1], 2**args.m)  # first: its guards refuse in a-priori time
+    count = moment_vector(terms, args.m)[-1]  # first: its guards refuse in a-priori time
     approx = moment_oracle_quadrature(terms, args.m)
     payload = {
         "sequence": spec.text,
         "n": args.n,
         "m": args.m,
         "oracle": approx,
-        "exact": str(exact),
-        "abs_error": abs(approx - float(exact)),
+        "exact": scaled(count, args.m),
+        "abs_error": abs(approx - count / 2**args.m),
     }
     return _json_text(payload), True
 

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from .errors import LacunaError, TooLarge
 
 MAX_GROUND_SIZE = 12  # largest offset-pattern order, see ``recurrence``
-MAX_PROFILE_SIZE = 20  # 2**m subset scan guard
+MAX_PROFILE_SIZE = 20  # a profile holds up to 2**m masks, built before MAX_PROFILE_MASKS can be checked
 MAX_PROFILE_MASKS = 2**MAX_GROUND_SIZE  # the recursion tests up to len(masks)**2 / 2 pairs
 
 
@@ -80,7 +80,7 @@ def zero_sum_profile(t: SignedTuple, terms: Sequence[int]) -> frozenset[int]:
     """All nonempty zero-sum position subsets of the tuple, as bitmasks (position r is bit r-1)."""
     m = t.order
     if m > MAX_PROFILE_SIZE:
-        raise TooLarge(f"2**{m} subset scan refused (limit m <= {MAX_PROFILE_SIZE})")
+        raise TooLarge(f"zero-sum profile of {m} entries refused before it is built (limit m <= {MAX_PROFILE_SIZE})")
     values = signed_values(t, terms)
     return _split_profile(values[: m // 2], values[m // 2 :])
 

@@ -388,6 +388,11 @@ def test_help_exits_zero(capsys):
         ),
         (["oracle", "--seq", "explicit:1,2,24000", "--n", "3", "--m", "400"], 3, r"prefix engine may take"),
         (["oracle", "--seq", "explicit:1,2,3", "--n", "3", "--m", "20000"], 3, r"prefix engine may take 250000000000 "),
+        (
+            ["mult-inspect", "--seq", "fibonacci", "--indices", ",".join("1" * 21), "--signs", ",".join("+" * 21)],
+            3,
+            r"zero-sum profile of 21 entries refused before it is built \(limit m <= 20\)$",
+        ),
     ],
     ids=[
         "explicit-too-short",
@@ -417,6 +422,7 @@ def test_help_exits_zero(capsys):
         "roundpow-exponent-guard",
         "oracle-exact-moment-guard",
         "oracle-refused-before-float-overflow",
+        "profile-size-guard",
     ],
 )
 def test_failures_print_one_error_line(capsys, argv, expected, message):

@@ -23,15 +23,13 @@ STDOUT_SHA256 = {
 }
 
 
-def run_script(script, *args):
+def run_python(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, timeout=120)
+
+
+def run_script(script, *args):
+    return run_python(str(ROOT / "scripts" / script), *args)
 
 
 @pytest.mark.parametrize("script", sorted(STDOUT_SHA256))
@@ -49,6 +47,24 @@ def test_recurrence_tail_skips_a_rational_root_scan_too_large_to_run():
         "warning: rational-root check skipped (rational-root scan refused for |coefficient| = 10000000000000)\n"
     )
     assert result.stdout.decode().splitlines()[-1] == "2,2,4,15,2,True,True"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "geometric:c=1,eta=10000000000000",  # degree 1: no rational-root scan, so no warning
+        "recurrence:poly=6,-5,1;init=2,4",  # a note: the terms' minimal polynomial is z - 2
+        "pow2plus1",  # the rational-root warning on (z - 1)(z - 2)
+        "recurrence:poly=-10000000000000,-1,1;init=1,1",  # the scan is skipped with a warning
+    ],
+    ids=["degree-one", "note", "rational-root", "scan-skipped"],
+)
+def test_recurrence_tail_prints_the_stderr_of_slope(spec):
+    # Both find their polynomial by lacuna.cli.slope_modulus, so they print the same note and warnings.
+    slope = run_python("-m", "lacuna.cli", "slope", "--seq", spec, "--m", "2", "--gap-bound", "1")
+    tail = run_script("recurrence_tail.py", spec, "2")
+    assert slope.returncode == tail.returncode == 0
+    assert tail.stderr.decode() == slope.stderr.decode()
 
 
 def test_recurrence_tail_walks_the_minimal_polynomial():
