@@ -9,7 +9,8 @@ output.  ``mult-inspect`` reads everything from the tuple's zero-sum
 profile: its ``mult`` is the profile recursion that the cumulant and slope
 sweeps sum, and its partitions are listed from the profile's masks and atoms.
 ``slope_modulus``, the front end of ``slope`` and ``scripts/recurrence_tail.py``,
-finds the terms' minimal polynomial and warns when it has a rational root.
+finds the terms' minimal polynomial and warns when it has a rational root;
+``slope`` then sweeps once at twice the gap bound and reads w at both bounds.
 
 Exit codes: 0 success, 2 usage error, 3 computation guard tripped,
 4 requested validity check failed.  ``exit_code`` is the one failure
@@ -244,8 +245,8 @@ def slope_modulus(spec: SequenceSpec) -> Poly:
 def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = parse_sequence(args.seq)
     poly = slope_modulus(spec)
-    w = structural_slope(args.m, poly, args.gap_bound)
-    w_doubled = structural_slope(args.m, poly, 2 * args.gap_bound)
+    slopes = structural_slope(args.m, poly, 2 * args.gap_bound)  # one sweep gives w at both bounds
+    w, w_doubled = slopes[args.gap_bound], slopes[-1]
     if w != w_doubled:
         warnings.warn(
             f"slope changed from {w} to {w_doubled} when doubling the gap "

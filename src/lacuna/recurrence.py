@@ -5,11 +5,11 @@ an irreducible integer polynomial P with a dominant real root eta > 1,
 the cancellation pattern of large-index tuples depends only on the
 offsets of the indices from their minimum and on the signs: a subset
 cancels exactly when P divides the corresponding power sum of z.  That
-reduces tail behavior to a finite sum over offset patterns
-(``structural_slope``) and makes the per-unit growth of 2**m * kappa_m
-computable without touching any concrete term.  ``minimal_polynomial``
-recovers the shortest P from the terms themselves, so a spec with a
-redundant factor is walked on the polynomial its terms satisfy.
+reduces tail behavior to a finite sum over bounded-gap offset patterns,
+and one ``structural_slope`` sweep gives that sum at every gap bound up
+to its own: the per-unit growth of 2**m * kappa_m, without any concrete
+term.  ``minimal_polynomial`` recovers the shortest P from the terms, so
+a spec with a redundant factor is walked on the polynomial they satisfy.
 
 Everything here works with coefficient tuples low-to-high, so z**2-z-1
 is (-1, -1, 1).  Divisibility is tested exactly, through packed
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import factorial, gcd, lcm, prod
 
 from .errors import LacunaError, TooLarge
@@ -181,15 +181,15 @@ def _halves(first: tuple[int, int], length: int, gap_bound: int, signed: dict) -
     return runs
 
 
-def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
-    """Per-unit growth w of 2**m * kappa_m for the sequence of modulus p.
+def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> list[int]:
+    """Per-unit growth w(b) of 2**m * kappa_m for modulus p, as the list [w(0), ..., w(gap_bound)].
 
-    Sums pattern multiplicities over all offset patterns whose sorted
-    consecutive gaps stay within ``gap_bound``, weighted by the number
-    of index orderings.  Every pattern with a nonzero multiplicity
-    contributes one tuple per admissible base index, hence w per unit n.
-    The bound is a working cutoff, not a proven one: recompute at twice
-    the bound and compare (``gap_bound_stable`` in the CLI).
+    w(b) sums pattern multiplicities over the offset patterns whose sorted
+    consecutive gaps stay within b, weighted by the number of index
+    orderings: each one with a nonzero multiplicity contributes one tuple
+    per admissible base index, hence w per unit n.  One sweep gives every
+    w(b), as each pattern's weight goes to the bucket of its largest gap.
+    A bound is a working cutoff, not a proven one: the CLI compares w(g) with w(2g).
 
     Patterns are sorted (offset, sign) entries, ``+`` before ``-`` at one
     offset, so each multiset is met once.  Only zero-sum ones are built,
@@ -207,11 +207,11 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
         raise ValueError("gap bound must be >= 0")
     if m > MAX_GROUND_SIZE:
         raise TooLarge(f"order {m} exceeds {MAX_GROUND_SIZE}")
-    if (m - 1) * gap_bound > MAX_PATTERN_OFFSET:
-        raise TooLarge(f"{(m - 1) * gap_bound} pattern offsets refused (limit {MAX_PATTERN_OFFSET})")
+    if max(m - 1, 1) * gap_bound > MAX_PATTERN_OFFSET:  # at m = 1 it bounds the list returned
+        raise TooLarge(f"{max(m - 1, 1) * gap_bound} pattern offsets refused (limit {MAX_PATTERN_OFFSET})")
     modulus = _validate_pattern_modulus(p)
     if m == 1:
-        return 0  # one power of z is never divisible by p
+        return [0] * (gap_bound + 1)  # one power of z is never divisible by p
     for side, size, cap in zip(("left", "right"), _half_sizes(m, gap_bound), (MAX_LEFT_HALVES, MAX_RIGHT_HALVES)):
         if size > cap:
             raise TooLarge(f"{size} {side} half patterns refused (limit {cap})")
@@ -223,8 +223,8 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
         for left, left_sum in _halves(first, h, gap_bound, signed):
             closing.setdefault(-left_sum, []).append(left)
     mults: dict[frozenset[int], int] = {}
-    joins = total = 0
-    max_joins = MAX_JOIN_WORK >> m
+    joins, max_joins = 0, MAX_JOIN_WORK >> m
+    by_gap = [0] * (gap_bound + 1)  # the patterns' weight by their largest gap
     for f in range(h * gap_bound + 1):
         for first in ((f, 1), (f, -1)):
             # A right half's last entry is probed, not stored: only a join builds its tuple.
@@ -241,9 +241,11 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> int:
                         profile = _split_profile([signed[e] for e in left], [signed[e] for e in right])
                         if profile not in mults:
                             mults[profile] = mult_from_profile(profile, m)
-                        repeats = prod(factorial(len(list(equal))) for _, equal in groupby(left + right))
-                        total += factorial(m) // repeats * mults[profile]
-    return total
+                        pattern = left + right
+                        repeats = prod(factorial(len(list(equal))) for _, equal in groupby(pattern))
+                        gap = max(b[0] - a[0] for a, b in zip(pattern, pattern[1:]))
+                        by_gap[gap] += factorial(m) // repeats * mults[profile]
+    return list(accumulate(by_gap))
 
 
 def detect_affine_tail(points: Sequence[tuple[int, int]]) -> AffineFit:

@@ -282,7 +282,7 @@ def mult_of_values(values: Sequence[int]) -> int:
 
 
 def slope_walk(m: int, p: Sequence[int], gap_bound: int) -> int:
-    """``structural_slope`` by a depth-first walk over the sorted offset patterns.
+    """``structural_slope(m, p, gap_bound)[-1]``, the slope at ``gap_bound``, by a depth-first walk.
 
     Entries are placed one position at a time, carrying the partial sum
     of the packed encodings; within a run of equal offsets ``+`` comes

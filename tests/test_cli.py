@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lacuna
+from lacuna import cli
 from lacuna.cli import run
 from lacuna.multiplicity import SignedTuple
+from lacuna.recurrence import structural_slope
 from oracles import lattice_upset, minimal_members, mult_crosscut, mult_moebius, profile_from_values
 
 
@@ -200,6 +202,19 @@ def test_slope_walk_guard_admits_doubled_bound_six(capsys):
     assert err.startswith("warning: slope changed from -4536742 to -4174982")
 
 
+def test_slope_sweeps_once_at_the_doubled_bound(capsys, monkeypatch):
+    calls = []
+
+    def spy(m, p, gap_bound):
+        calls.append(gap_bound)
+        return structural_slope(m, p, gap_bound)
+
+    monkeypatch.setattr(cli, "structural_slope", spy)
+    code, out, _ = invoke(capsys, "slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "3")
+    assert code == 0 and json.loads(out)["w"] == "-4536742"
+    assert calls == [6]
+
+
 def test_slope_certifies_fibonacci_order_eight(capsys):
     # The stable slope needs --gap-bound 5, rechecked at 10: 873,136 right half patterns.
     code, out, err = invoke(capsys, "slope", "--seq", "fibonacci", "--m", "8", "--gap-bound", "5")
@@ -360,7 +375,9 @@ def test_help_exits_zero(capsys):
             3,
             r"605215 partitions of \[16\] refused",
         ),
-        (["slope", "--seq", "fibonacci", "--m", "12", "--gap-bound", "16"], 3, r"90870848 left half patterns refused"),
+        # The sweep runs once, at the doubled bound 32, so the refusal gives that sweep's estimate.
+        (["slope", "--seq", "fibonacci", "--m", "12", "--gap-bound", "16"], 3, r"2504665152 left half patterns refused"),
+        (["slope", "--seq", "fibonacci", "--m", "9", "--gap-bound", "6"], 3, r"913952 left half patterns refused"),
         (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2, ""),
         (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2, ""),
         (["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"], 2, ""),
@@ -403,6 +420,7 @@ def test_help_exits_zero(capsys):
         "engine-work-guard",
         "partition-count-guard",
         "pattern-walk-guard",
+        "doubled-pattern-walk-guard",
         "out-into-missing-directory",
         "n-not-an-integer",
         "unknown-option",

@@ -202,20 +202,26 @@ def test_relation_implies_concrete_cancellation(seq):
 
 def test_concrete_and_relation_predicates_agree_in_tail():
     # Deep enough into the sequence, cancellation of terms and the root
-    # relation coincide for every bounded-gap pattern.
+    # relation coincide for every bounded-gap pattern.  Reduction mod P is
+    # linear, so a pattern's power sum reduces to the signed sum of its
+    # reduced powers z**o mod P, each reduced once.
     terms = generate_terms(parse_sequence("fibonacci"), 64)
     base = 10
+    reduced = [poly_reduce_mod([0] * o + [1], FIB_POLY) for o in range(4 * 6 + 1)]
+    reduced = [r + (0,) * (len(FIB_POLY) - 1 - len(r)) for r in reduced]
     for m in (2, 3, 4, 5):
         for gaps in product(range(7), repeat=m - 1):
             offsets = [0]
             for g in gaps:
                 offsets.append(offsets[-1] + g)
             for signs in product((1, -1), repeat=m):
-                pattern = OffsetPattern(tuple(offsets), signs)
                 concrete = (
                     sum(s * terms[base + off - 1] for off, s in zip(offsets, signs)) == 0
                 )
-                assert concrete == eta_relation_holds(pattern, FIB_POLY)
+                relation = all(
+                    sum(s * reduced[off][i] for off, s in zip(offsets, signs)) == 0 for i in range(len(FIB_POLY) - 1)
+                )
+                assert concrete == relation
 
 
 def test_wide_gap_cancellations_split():
@@ -248,16 +254,16 @@ def test_wide_gap_cancellations_split():
 
 
 def test_structural_slope_fibonacci_small_orders():
-    assert structural_slope(2, FIB_POLY, 8) == 2
-    assert structural_slope(3, FIB_POLY, 8) == 12
+    assert structural_slope(2, FIB_POLY, 8)[-1] == 2
+    assert structural_slope(3, FIB_POLY, 8)[-1] == 12
 
 
 def test_structural_slope_double():
-    assert structural_slope(2, DOUBLE_POLY, 8) == 2
+    assert structural_slope(2, DOUBLE_POLY, 8)[-1] == 2
 
 
 def test_structural_slope_order_one_is_zero():
-    assert structural_slope(1, FIB_POLY, 8) == 0
+    assert structural_slope(1, FIB_POLY, 8) == [0] * 9
 
 
 def test_structural_slope_guard():
@@ -269,7 +275,10 @@ def test_structural_slope_guard():
         structural_slope(2, FIB_POLY, 10**9)
     with pytest.raises(TooLarge, match="5002 pattern offsets"):
         structural_slope(3, FIB_POLY, 2501)
-    assert structural_slope(3, FIB_POLY, 2500) == 12  # 5,000 offsets, the cap
+    assert structural_slope(3, FIB_POLY, 2500)[-1] == 12  # 5,000 offsets, the cap
+    # At m = 1 the same cap bounds the gap bound, and so the list of slopes.
+    with pytest.raises(TooLarge, match="5001 pattern offsets"):
+        structural_slope(1, FIB_POLY, 5001)
 
 
 def test_structural_slope_guards_both_halves_and_the_joins(monkeypatch):
@@ -278,7 +287,7 @@ def test_structural_slope_guards_both_halves_and_the_joins(monkeypatch):
         structural_slope(4, FIB_POLY, 1666)
     # Fibonacci m = 8, g = 5 joins 3,368 zero-sum patterns; the running cap is MAX_JOIN_WORK >> m.
     monkeypatch.setattr(recurrence, "MAX_JOIN_WORK", 3368 << 8)
-    assert structural_slope(8, FIB_POLY, 5) == -4174982
+    assert structural_slope(8, FIB_POLY, 5)[-1] == -4174982
     monkeypatch.setattr(recurrence, "MAX_JOIN_WORK", 3367 << 8)
     with pytest.raises(TooLarge, match="over 3367 zero-sum patterns of order 8"):
         structural_slope(8, FIB_POLY, 5)
@@ -304,7 +313,8 @@ def test_half_size_estimates_bound_the_enumerated_halves(m, gap_bound):
 )
 @settings(max_examples=60, deadline=None)
 def test_structural_slope_matches_the_oracle_walk(m, gap_bound, poly):
-    assert structural_slope(m, poly, gap_bound) == slope_walk(m, poly, gap_bound)
+    # One sweep gives the slope at every bound b <= gap_bound; the walk is run at each b.
+    assert structural_slope(m, poly, gap_bound) == [slope_walk(m, poly, b) for b in range(gap_bound + 1)]
 
 
 # Monic and not, a negative lead, degree one and degree three.
@@ -362,7 +372,7 @@ def test_structural_slope_matches_ordered_enumeration():
                     continue
                 for signs in product((1, -1), repeat=m):
                     total += pattern_multiplicity(OffsetPattern(offsets, signs), poly)
-            assert structural_slope(m, poly, bound) == total
+            assert structural_slope(m, poly, bound)[-1] == total
 
 
 @pytest.mark.parametrize(
@@ -376,16 +386,15 @@ def test_structural_slope_matches_ordered_enumeration():
     ids=["fibonacci-5", "fibonacci-8", "double-8", "tribonacci-8"],
 )
 def test_structural_slope_pinned_values(seq, m, bound, w, w_doubled):
-    # The slopes the CLI prints at the bound and at its doubled recheck.
-    poly = parse_sequence(seq).poly
-    assert structural_slope(m, poly, bound) == w
-    assert structural_slope(m, poly, 2 * bound) == w_doubled
+    # The slopes the CLI reads at the bound and at its double, from one sweep at the double.
+    slopes = structural_slope(m, parse_sequence(seq).poly, 2 * bound)
+    assert (slopes[bound], slopes[-1]) == (w, w_doubled)
 
 
 def test_structural_slope_agrees_with_detected_tail_for_lucas():
     fit = detect_affine_tail(scaled_cumulant_points(parse_sequence("lucas"), 3, 12, 25))
     assert fit.valid
-    assert structural_slope(3, FIB_POLY, 8) == fit.w
+    assert structural_slope(3, FIB_POLY, 8)[-1] == fit.w
 
 
 # --- minimal polynomial ---------------------------------------------------------
@@ -498,3 +507,18 @@ def test_dominant_root_rejects_repeated_dominant_root():
 def test_dominant_root_no_root_above_one():
     report = dominant_root_check((1, 1))  # z + 1
     assert not report.is_perron
+
+
+def test_recurrence_tail_sweeps_once_per_order(monkeypatch, capsys):
+    calls = []
+
+    def spy(m, p, gap_bound):
+        calls.append((m, gap_bound))
+        return structural_slope(m, p, gap_bound)
+
+    monkeypatch.setattr(recurrence_tail, "structural_slope", spy)
+    monkeypatch.setattr("sys.argv", ["recurrence_tail.py", "fibonacci", "4"])
+    assert recurrence_tail.main() == 0
+    assert calls == [(2, 16), (3, 16), (4, 16)]
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rows == ["2,2,4,15,2,True,True", "3,12,0,15,12,True,True", "4,90,-212,15,90,True,True"]

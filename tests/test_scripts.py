@@ -49,6 +49,16 @@ def test_recurrence_tail_skips_a_rational_root_scan_too_large_to_run():
     assert result.stdout.decode().splitlines()[-1] == "2,2,4,15,2,True,True"
 
 
+def test_recurrence_tail_refuses_a_coefficient_past_float_range():
+    # The header's dominant root is found in floats: |c_0| = 10^400 is refused with one error line, never a traceback.
+    result = run_script("recurrence_tail.py", f"recurrence:poly=-{10**400},-1,1;init=1,1", "2")
+    assert result.returncode == 3
+    warning, error = result.stderr.decode().splitlines()
+    assert warning.startswith("warning: rational-root check skipped (rational-root scan refused for |coefficient| = 1000")
+    assert error == "error: the dominant-root check needs floats, but a coefficient is over 1.8e+308"
+    assert result.stdout == b""
+
+
 @pytest.mark.parametrize(
     "spec",
     [
