@@ -5,7 +5,10 @@ times the count N_m of signed zero-sum index tuples.  The production
 path (``prefix_moments``) returns these counts: it grows the powers of
 a sparse Laurent polynomial one term at a time, storing only the
 exponents e >= 0 of each (every power is symmetric under x -> 1/x), and
-extracts constant terms.  The moment-to-cumulant recursion is
+extracts constant terms.  When a range has more rows to come, it also
+keeps the running sum of squares of each stored power, so an even order
+costs O(1) per row instead of a scan; a single row grows the powers
+untracked and scans once.  The moment-to-cumulant recursion is
 homogeneous under mu_m -> 2**m mu_m, so on the counts it gives the
 integers K_m = 2**m kappa_m; only a printed value is scaled by 2**-m.
 A-priori support and work estimates refuse a call before anything
@@ -47,7 +50,11 @@ def prefix_moments(
     """(n, [N_1 .. N_m_max]) for every n from n_from to n_to, N_m = 2**m E[S_n**m].
 
     Grows P_n**0 .. P_n**ceil(m_max/2) in place one term at a time.  A
-    list, not a generator, so the work is done inside the call.
+    list, not a generator, so the work is done inside the call.  From
+    the first row on, if more rows follow, ``squares[k]`` is the sum of
+    squares of the stored P**k for each 2k <= m_max: scanned once there,
+    then kept up by ``_add_term``.  Terms before that row, and a single
+    row, skip it.
     """
     if m_max < 1 or not 0 <= n_from <= n_to <= len(terms):
         raise ValueError(f"need m_max >= 1 and 0 <= n_from <= n_to <= {len(terms)}")
@@ -65,18 +72,23 @@ def prefix_moments(
     if work > MAX_PREFIX_WORK:
         raise TooLarge(f"the prefix engine may take {work} work units, over the cap {MAX_PREFIX_WORK}")
     powers: list[SparseLaurent] = [{0: 1}] + [{} for _ in range(half)]
+    squares = None
     rows = []
     for n in range(n_to + 1):
         if n:
-            _add_term(powers, terms[n - 1])
+            _add_term(powers, terms[n - 1], squares)
         if n >= n_from:
-            rows.append((n, [_moment_of(powers, m) for m in range(1, m_max + 1)]))
+            if squares is None and n < n_to:
+                squares = [sum(c * c for c in power.values()) for power in powers[: m_max // 2 + 1]]
+            rows.append((n, [_moment_of(powers, m, squares) for m in range(1, m_max + 1)]))
     return rows
 
 
 def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     """Source entries that ``_add_term`` reads plus products that ``_moment_of`` sums.
 
+    The per-row term counts a scan for every order; with running sums an
+    even order is O(1) after the first row, so it over-counts those.
     P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1) exponents; each term
     reads P**i once per distinct |s| of q**j, j <= H - i, that is floor(j/2) + 1 times.
     """
@@ -87,7 +99,7 @@ def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     return n_to * reads + sum(held(n, m // 2) for n in range(n_from, n_to + 1) for m in range(1, m_max + 1))
 
 
-def _add_term(powers: list[SparseLaurent], a: int) -> None:
+def _add_term(powers: list[SparseLaurent], a: int, squares: list[int] | None = None) -> None:
     """P**k += sum_{j>=1} C(k, j) q**j P**(k-j), q = x**a + x**-a, for each held k > 0.
 
     Each P**k is symmetric, P(x) = P(1/x), and stored for exponents e >= 0
@@ -97,11 +109,17 @@ def _add_term(powers: list[SparseLaurent], a: int) -> None:
     the source e = s fed 0 once for both sides, so w*c_s goes onto
     target[0].  (For s = 0 they cancel, and each e is fed once at 2w.)
     Highest k first, so every P**(k-j) read is still the old power.
+    Given ``squares``, the running sums of squares of P**0 .. P**K, it
+    keeps squares[k] for each k <= K: an entry old + d adds 2*old*d + d*d,
+    and the d*d of one pass over P**(k-j) sum to 2*w*w*squares[k-j], still
+    the old power's.  Other powers take the cheaper untracked loop.
     """
     a = abs(a)
     for k in range(len(powers) - 1, 0, -1):
         target = powers[k]
         get = target.get
+        tracked = squares is not None and k < len(squares)
+        grown = 0  # the change of squares[k]
         for j in range(1, k + 1):
             source, shifts = powers[k - j], {}
             for i in range(j + 1):  # q**j = sum_i C(j, i) x**(a(2i - j))
@@ -109,21 +127,49 @@ def _add_term(powers: list[SparseLaurent], a: int) -> None:
                 shifts[s] = shifts.get(s, 0) + comb(k, j) * comb(j, i)
             for s, w in shifts.items():
                 w //= 2  # both shifts +-s; even for s = 0 too, C(2r, r) and 2**j being even
-                for e, c in source.items():
-                    c *= w
-                    target[e + s] = get(e + s, 0) + c
-                    f = abs(e - s)
-                    target[f] = get(f, 0) + c
+                if tracked:
+                    cross = 0
+                    for e, c in source.items():
+                        c *= w
+                        old = get(e + s, 0)
+                        target[e + s] = old + c
+                        cross += old * c
+                        f = abs(e - s)
+                        old = get(f, 0)
+                        target[f] = old + c
+                        cross += old * c
+                    grown += 2 * cross + 2 * w * w * squares[k - j]  # the c*c of both feeds: the source's sum
+                else:
+                    for e, c in source.items():
+                        c *= w
+                        target[e + s] = get(e + s, 0) + c
+                        f = abs(e - s)
+                        target[f] = get(f, 0) + c
                 if 0 in source:
-                    target[s] -= w * source[0]
+                    c, old = w * source[0], target[s]
+                    target[s] = old - c
+                    grown += c * (c - 2 * old)
                 if s in source:
-                    target[0] = get(0, 0) + w * source[s]
+                    c, old = w * source[s], get(0, 0)
+                    target[0] = old + c
+                    grown += c * (2 * old + c)
+        if tracked:
+            squares[k] += grown
 
 
-def _moment_of(powers: list[SparseLaurent], m: int) -> int:
-    """[x^0] P**m = 2 sum_e lo[e] hi[e] - lo[0] hi[0] over the stored e >= 0."""
+def _moment_of(powers: list[SparseLaurent], m: int, squares: list[int] | None = None) -> int:
+    """[x^0] P**m = 2 sum_e lo[e] hi[e] - lo[0] hi[0] over the stored e >= 0.
+
+    An even m reads squares[m/2] when running sums are kept; every other
+    case scans lo, which stores no more entries than hi.
+    """
     lo, hi = powers[m // 2], powers[(m + 1) // 2]  # P**(m//2) and P**ceil(m/2)
-    total = sum(c * c for c in lo.values()) if lo is hi else sum(c * hi.get(e, 0) for e, c in lo.items())
+    if lo is not hi:
+        total = sum(c * hi.get(e, 0) for e, c in lo.items())
+    elif squares is not None:
+        total = squares[m // 2]
+    else:
+        total = sum(c * c for c in lo.values())
     return 2 * total - lo.get(0, 0) * hi.get(0, 0)
 
 

@@ -44,7 +44,7 @@ MAX_PATTERN_OFFSET = 5_000
 # On a 2-core host a divisor scan up to 10**12 takes ~0.18 s, and a coprime p/q candidate pair ~4 us at
 # degree 2 and ~13 us at degree 9, so the pair cap holds the p/q loop to about a second.  Unguarded, the
 # 6,720 x 6,720 divisor pairs of |c_0| = |c_d| = 963761198400 took ~20 s.
-_RATIONAL_ROOT_SCAN_LIMIT = 10**12
+_RATIONAL_ROOT_SCAN_DIGITS = 12  # |coefficient| <= 10**12
 _RATIONAL_ROOT_PAIR_LIMIT = 10**5
 
 
@@ -93,8 +93,8 @@ def minimal_polynomial(terms: Sequence[int]) -> Poly:
 
 def _divisors(value: int) -> list[int]:
     value = abs(value)
-    if value > _RATIONAL_ROOT_SCAN_LIMIT:
-        raise TooLarge(f"rational-root scan refused for |coefficient| = {value}")
+    if value > 10**_RATIONAL_ROOT_SCAN_DIGITS:  # named by its bits, since a huge value's decimal string is long
+        raise TooLarge(f"rational-root scan refused for a {value.bit_length()}-bit coefficient, over 10**{_RATIONAL_ROOT_SCAN_DIGITS}")
     out = []
     i = 1
     while i * i <= value:

@@ -116,10 +116,16 @@ def test_half_storage_matches_full_expansion_with_zero_and_negative_frequencies(
 )
 def test_add_term_stores_the_nonnegative_half_of_each_power(terms):
     # [1, 1, 2] and [3, 3] reach both corrections: a source at e = 0 and one at e = s.
+    # Copies grow with running sums of squares of P^0..P^3 and of P^0..P^4, checked by a scan after every term.
     half = 4
     powers = [{0: 1}] + [{} for _ in range(half)]
+    copies = [([{0: 1}] + [{} for _ in range(half)], [1] + [0] * top) for top in (half - 1, half)]
     for a in terms:
         moments._add_term(powers, a)
+        for tracked, squares in copies:
+            moments._add_term(tracked, a, squares)
+            assert tracked == powers
+            assert squares == [sum(c * c for c in power.values()) for power in powers[: len(squares)]]
     poly = laurent_from_terms(terms)
     for k, stored in enumerate(powers):
         assert all(e >= 0 and c > 0 for e, c in stored.items())
