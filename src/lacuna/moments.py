@@ -217,15 +217,20 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
 
     With N = m * max(a_k) + 1 nodes the rule integrates the degree
     m * max(a_k) trigonometric polynomial S_n**m without aliasing, so
-    the only error is float rounding.  Arguments are reduced to
-    a_k * j mod N in exact integer arithmetic, so each term gathers from
-    one table of the N long-double cosines cos(2*pi*r/N) (16*N bytes, at
-    most 160 MB) into one slab array of S_n**m over at most 2**20 nodes,
-    slab by slab of the grid.  Both are filled in one chunk per CPU,
-    each on its own thread: numpy's long-double loops release the GIL
-    and evaluate element by element, every node sees the same operations
-    in the same order, and each slab is summed once, whole, so the bits
-    are the same for any CPU count.
+    the only error is float rounding.  S_n(1 - w) = S_n(w), so node N - j
+    repeats node j: only the nodes 0 .. N//2 are evaluated, and the sum
+    is twice theirs less node 0 and, for even N, less node N/2, each of
+    which stands for itself alone.  Arguments are reduced to a_k * j mod N
+    in exact integer arithmetic, so each term gathers from one table of
+    the long-double cosines cos(2*pi*r/N), computed for r <= N/2 and
+    mirrored (16*N bytes, at most 160 MB), into one slab array over at
+    most 2**20 nodes, slab by slab.  Each node is raised to the m-th
+    power by binary multiplication, high bit first, with no libm powl.
+    The table's first half and each slab are filled in one chunk per
+    CPU, each on its own thread: numpy's long-double loops release the
+    GIL and evaluate element by element, every node sees the same
+    operations in the same order, and each slab is summed once, whole,
+    so the bits are the same for any CPU count.
     """
     import numpy as np  # only the float diagnostics need numpy; keeps start-up fast
     from concurrent.futures import ThreadPoolExecutor
@@ -240,9 +245,10 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     # 2*pi to more digits than an x86 long double holds.
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples
     reduced = [a % samples for a in terms]
+    half = samples // 2 + 1  # nodes 0 .. N//2
     workers = _oracle_workers()
     table = np.empty(samples, dtype=np.longdouble)
-    acc = np.empty(min(samples, _ORACLE_SLAB), dtype=np.longdouble)
+    acc = np.empty(min(half, _ORACLE_SLAB), dtype=np.longdouble)
     width = -(-acc.size // workers)
     # Each worker's index and gathered cosines, reused over every slab and term.
     buffers = [(np.empty(width, dtype=np.int64), np.empty(width, dtype=np.longdouble)) for _ in range(workers)]
@@ -258,15 +264,24 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
         for a in reduced:
             np.remainder(np.multiply(grid, a, out=index), samples, out=index)
             out += np.take(table, index, out=gathered, mode="clip")  # index already in [0, N)
-        out **= m
+        gathered[:] = out
+        for bit in bin(m)[3:]:  # out = S_n**m by squaring and multiplying, high bit first
+            out *= out
+            if bit == "1":
+                out *= gathered
 
     total = np.longdouble(0)
     with ThreadPoolExecutor(workers) as pool:
-        bounds = [samples * i // workers for i in range(workers + 1)]
+        bounds = [half * i // workers for i in range(workers + 1)]
         list(pool.map(cosines, bounds[:-1], bounds[1:]))
-        for start in range(0, samples, _ORACLE_SLAB):
-            size = min(_ORACLE_SLAB, samples - start)
+        table[half:] = table[samples - half : 0 : -1]  # table[N - r] = table[r]
+        for start in range(0, half, _ORACLE_SLAB):
+            size = min(_ORACLE_SLAB, half - start)
             chunks = range(0, size, width)
             list(pool.map(fill, [start] * len(chunks), chunks, [min(lo + width, size) for lo in chunks]))
-            total += acc[:size].sum(dtype=np.longdouble)
+            total += 2 * acc[:size].sum(dtype=np.longdouble)
+            if start == 0:
+                total -= acc[0]
+            if samples % 2 == 0 and start + size == half:
+                total -= acc[size - 1]  # node N/2
     return float(total / samples)

@@ -454,31 +454,47 @@ def test_oracle_sample_guard():
 
 
 def test_oracle_pinned_values():
-    fib = terms_of(FIB, 26)
+    fib = terms_of(FIB, 28)
     assert moment_oracle_quadrature(fib[:25], 6) == 76266.0
-    # N = 9 * 121393 + 1 = 1,092,538 nodes: two slabs of the grid.
-    two_slabs = moment_oracle_quadrature(fib, 9)
-    assert two_slabs == 258281237.015625
-    assert Fraction(two_slabs) == Fraction(16529999169, 64) == moment(fib, 9)
+    # N = 9 * 121393 + 1 = 1,092,538 nodes, folded to 546,270: one slab.
+    assert moment_oracle_quadrature(fib[:26], 9) == 258281237.015625 == moment(fib[:26], 9)
+    # N = 7 * 317811 + 1 = 2,224,678 nodes, folded to 1,112,340: two slabs of the grid, N even.
+    two_slabs = moment_oracle_quadrature(fib, 7)
+    assert two_slabs == 1308736.078125
+    assert Fraction(two_slabs) == moment(fib, 7)
 
 
 def quadrature_per_term(terms, m):
-    """The oracle's rule with one long-double cosine per term and node, on one thread.
+    """The oracle's folded rule with one long-double cosine per term and node, on one thread.
 
-    Each slab of ``moments._ORACLE_SLAB`` nodes is summed on its own, as the oracle sums it.
+    Only nodes 0 .. N//2 are evaluated, each term's residue r folded to min(r, N - r).  Each node
+    is raised to the m-th power by squaring and multiplying, high bit first.  Each slab of
+    ``moments._ORACLE_SLAB`` nodes is summed on its own as twice its sum, less node 0 and, for
+    even N, node N/2, as the oracle sums it.
     """
     import numpy as np
 
     samples = m * max(terms) + 1
+    half = samples // 2 + 1
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples
-    grid = np.arange(samples, dtype=np.int64)
-    acc = np.zeros(samples, dtype=np.longdouble)
+    grid = np.arange(half, dtype=np.int64)
+    acc = np.zeros(half, dtype=np.longdouble)
     for a in terms:
-        acc += np.cos(step * ((a % samples) * grid % samples).astype(np.longdouble))
-    powers = acc**m
+        residue = (a % samples) * grid % samples
+        acc += np.cos(step * np.minimum(residue, samples - residue).astype(np.longdouble))
+    powers = acc.copy()
+    for bit in bin(m)[3:]:
+        powers = powers * powers
+        if bit == "1":
+            powers = powers * acc
     total = np.longdouble(0)
-    for start in range(0, samples, moments._ORACLE_SLAB):
-        total += powers[start : start + moments._ORACLE_SLAB].sum(dtype=np.longdouble)
+    for start in range(0, half, moments._ORACLE_SLAB):
+        slab = powers[start : start + moments._ORACLE_SLAB]
+        total += 2 * slab.sum(dtype=np.longdouble)
+        if start == 0:
+            total -= slab[0]
+        if samples % 2 == 0 and start + slab.size == half:
+            total -= slab[-1]
     return float(total / samples)
 
 
@@ -491,10 +507,21 @@ def quadrature_per_term(terms, m):
 )
 @example([1, 2, 400], 1, 3, 1000)
 @example([1, 2, 400], 2, 5, 100)
+@example([1, 2, 401], 1, 3, 100)  # N = 402 is even: node N/2 counts once, in the last of three slabs
+@example([1], 1, 2, 1 << 20)  # N = 2: both nodes are ends
+@example([1, 2], 1, 5, 1000)  # 5 workers on a grid of 2 folded nodes
 def test_oracle_matches_per_term_cosines_exactly(terms, m, workers, slab):
     # The bits depend on neither the worker count nor the slab: a slab of 100 or 1000 nodes splits the
-    # grid of up to 2,801 nodes into many slabs, each into up to `workers` chunks, the last of them short.
+    # folded grid of up to 1,401 nodes into many slabs, each into up to `workers` chunks, the last of them short.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(moments, "_oracle_workers", lambda: workers)
         patch.setattr(moments, "_ORACLE_SLAB", slab)
         assert moment_oracle_quadrature(terms, m) == quadrature_per_term(terms, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 400), min_size=1, max_size=7), st.integers(1, 7))
+@example([1, 2, 399], 1)  # N = 400 is even: a node N/2 counted twice would show here
+def test_oracle_tracks_the_exact_moment(terms, m):
+    exact = moment(terms, m)
+    assert abs(moment_oracle_quadrature(terms, m) - exact) <= 1e-12 * max(1, abs(exact))
