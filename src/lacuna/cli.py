@@ -37,12 +37,12 @@ from .moments import (
     moments_to_cumulants,
     prefix_moments,
 )
-from .multiplicity import SignedTuple, atoms, mult_from_profile, zero_sum_profile
+from .multiplicity import atoms, mult_from_profile, zero_sum_profile
 from .partitions import SetPartition, all_partitions
 from .recurrence import Poly, detect_affine_tail, minimal_polynomial, rational_roots, structural_slope
 from .sequences import FAMILIES, SequenceSpec, generate_terms, parse_sequence
 
-_SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+_SIGN_TOKENS = {"+": 1, "-": -1, "+1": 1, "-1": -1, "1": 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,24 +264,33 @@ def _slope_command(args: argparse.Namespace) -> tuple[str, bool]:
 
 def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = parse_sequence(args.seq)
-    try:
-        indices = tuple(int(v) for v in args.indices.split(","))
-        signs = tuple(_SIGN_TOKENS[v.strip()] for v in args.signs.split(","))
-        tup = SignedTuple(indices, signs)
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"bad tuple: {exc}") from exc
+    indices, signs = [], []
+    for token in args.indices.split(","):
+        try:
+            indices.append(int(token))
+        except ValueError:
+            raise ValueError(f"bad tuple: index {token.strip()!r} is not an integer") from None
+    for token in (v.strip() for v in args.signs.split(",")):
+        if token not in _SIGN_TOKENS:
+            raise ValueError(f"bad tuple: sign {token!r} is not one of {', '.join(_SIGN_TOKENS)}")
+        signs.append(_SIGN_TOKENS[token])
+    if len(indices) != len(signs):
+        raise ValueError("bad tuple: indices and signs must have equal length")
+    if min(indices) < 1:
+        raise ValueError(f"bad tuple: indices are 1-based, got {min(indices)}")
     terms = generate_terms(spec, max(indices))
-    m = tup.order
-    masks = zero_sum_profile(tup, terms)
+    values = [s * terms[i - 1] for i, s in zip(indices, signs)]
+    m = len(values)
+    masks = zero_sum_profile(values[: m // 2], values[m // 2 :])
     mult = mult_from_profile(masks, m)
     cancels = (1 << m) - 1 in masks  # else no partition has only zero-sum blocks
     upset = all_partitions(masks, m) if cancels else []
     minimal = all_partitions(atoms(masks), m) if cancels else []
     payload = {
         "sequence": spec.text,
-        "indices": list(indices),
-        "signs": list(signs),
-        "values": [str(s * terms[i - 1]) for i, s in zip(indices, signs)],
+        "indices": indices,
+        "signs": signs,
+        "values": [str(v) for v in values],
         "zero_sum_subsets": [[e + 1 for e in range(m) if s >> e & 1] for s in sorted(masks)],
         "zero_sum_partitions": [_partition_text(pi) for pi in upset],
         "minimal_partitions": [_partition_text(pi) for pi in minimal],

@@ -1,63 +1,34 @@
-"""Zero-sum structure and multiplicity of signed index tuples.
+"""Zero-sum structure and multiplicity of signed values.
 
-A tuple picks m indices into the term list and m signs.  Its zero-sum
-subsets are the positions whose signed terms cancel, and its
-multiplicity is the Moebius-weighted count over the upset of partitions
-all of whose blocks cancel.  Multiplicities are what cumulants sum:
+A tuple picks m indices into the term list and m signs; its signed
+values e_r * a_{i_r} are all that matters here.  Its zero-sum subsets
+are the positions whose values cancel, and its multiplicity is the
+Moebius-weighted count over the upset of partitions all of whose blocks
+cancel.  Multiplicities are what cumulants sum:
 kappa_m(S_n) = 2**-m * sum over all tuples of mult(T).
 
 The one route is ``mult_from_profile``: the set-partition
 moment-cumulant recursion over the zero-sum profile alone, at a cost
 quadratic in the number of zero-sum subsets.  Every profile is built by
-``_split_profile``, which joins the subset sums of two halves by value:
-the offset-pattern sweep of ``recurrence.structural_slope`` splits each
-pattern where its halves meet, and ``zero_sum_profile`` splits a tuple
-at position m // 2.  A profile is a frozenset of bitmasks; ``mult-inspect``
-lists the zero-sum partitions by ``partitions.all_partitions`` from its
-masks and the minimal ones from its ``atoms``, and prints them.  The
-lattice routes that the tests hold it against live in ``tests/oracles.py``.
+``zero_sum_profile``, which joins the subset sums of two halves by
+value, split where the caller chooses: the offset-pattern sweep of
+``recurrence.structural_slope`` splits each pattern where its halves
+meet, and ``mult-inspect`` splits a tuple at position m // 2.  A profile
+is a frozenset of bitmasks; ``mult-inspect`` lists the zero-sum
+partitions by ``partitions.all_partitions`` from its masks and the
+minimal ones from its ``atoms``, and prints them.  The lattice routes
+that the tests hold it against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import LacunaError, TooLarge
+from .errors import TooLarge
 
 MAX_GROUND_SIZE = 12  # largest offset-pattern order, see ``recurrence``
 MAX_PROFILE_SIZE = 20  # a profile holds up to 2**m masks, built before MAX_PROFILE_MASKS can be checked
 MAX_PROFILE_MASKS = 2**MAX_GROUND_SIZE  # the recursion tests up to len(masks)**2 / 2 pairs
-
-
-class SignedTuple(namedtuple("SignedTuple", "indices signs")):
-    """Indices i_1..i_m (1-based, repeats allowed) with signs e_1..e_m."""
-
-    __slots__ = ()
-
-    def __new__(cls, indices: tuple[int, ...], signs: tuple[int, ...]) -> SignedTuple:
-        if len(indices) != len(signs):
-            raise ValueError("indices and signs must have equal length")
-        if not indices:
-            raise ValueError("tuple must have at least one entry")
-        if any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be +1 or -1")
-        if any(i < 1 for i in indices):
-            raise ValueError(f"indices are 1-based, got {min(indices)}")
-        return super().__new__(cls, indices, signs)
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
-
-
-def signed_values(t: SignedTuple, terms: Sequence[int]) -> list[int]:
-    """The m signed terms e_r * a_{i_r}; validates index range."""
-    n = len(terms)
-    for i in t.indices:
-        if not 1 <= i <= n:
-            raise LacunaError(f"index {i} outside 1..{n}")
-    return [s * terms[i - 1] for i, s in zip(t.indices, t.signs)]
 
 
 def _subset_sums(values: Sequence[int]) -> list[int]:
@@ -68,21 +39,18 @@ def _subset_sums(values: Sequence[int]) -> list[int]:
     return sums
 
 
-def _split_profile(left: Sequence[int], right: Sequence[int]) -> frozenset[int]:
-    """Zero-sum profile of left + right, joining the two halves' subset sums by value."""
+def zero_sum_profile(left: Sequence[int], right: Sequence[int]) -> frozenset[int]:
+    """All nonempty zero-sum position subsets of left + right, as bitmasks (position r is bit r-1).
+
+    Every split of the values gives the same profile: the halves' subset sums are joined by value.
+    """
+    m = len(left) + len(right)
+    if m > MAX_PROFILE_SIZE:
+        raise TooLarge(f"zero-sum profile of {m} entries refused before it is built (limit m <= {MAX_PROFILE_SIZE})")
     by_value: dict[int, list[int]] = {}
     for j, value in enumerate(_subset_sums(right)):
         by_value.setdefault(value, []).append(j << len(left))
     return frozenset(i | j for i, value in enumerate(_subset_sums(left)) for j in by_value.get(-value, ()) if i | j)
-
-
-def zero_sum_profile(t: SignedTuple, terms: Sequence[int]) -> frozenset[int]:
-    """All nonempty zero-sum position subsets of the tuple, as bitmasks (position r is bit r-1)."""
-    m = t.order
-    if m > MAX_PROFILE_SIZE:
-        raise TooLarge(f"zero-sum profile of {m} entries refused before it is built (limit m <= {MAX_PROFILE_SIZE})")
-    values = signed_values(t, terms)
-    return _split_profile(values[: m // 2], values[m // 2 :])
 
 
 def atoms(masks: frozenset[int]) -> frozenset[int]:

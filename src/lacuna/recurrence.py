@@ -28,7 +28,7 @@ from itertools import accumulate, groupby
 from math import factorial, gcd, lcm, prod
 
 from .errors import LacunaError, TooLarge
-from .multiplicity import MAX_GROUND_SIZE, _split_profile, mult_from_profile
+from .multiplicity import MAX_GROUND_SIZE, mult_from_profile, zero_sum_profile
 
 Poly = tuple[int, ...]
 
@@ -238,7 +238,7 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> list[int]:
                         joins += 1
                         if joins > max_joins:
                             raise TooLarge(f"over {max_joins} zero-sum patterns of order {m} refused")
-                        profile = _split_profile([signed[e] for e in left], [signed[e] for e in right])
+                        profile = zero_sum_profile([signed[e] for e in left], [signed[e] for e in right])
                         if profile not in mults:
                             mults[profile] = mult_from_profile(profile, m)
                         pattern = left + right

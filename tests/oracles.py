@@ -20,7 +20,7 @@ evidence for both.
   the meet-in-the-middle ``structural_slope``; both score patterns with
   ``mult_of_values``, a tuple's multiplicity from its signed values, on
   the full 2**m subset scan ``profile_from_values``, which
-  ``zero_sum_profile``'s split join is also held against.
+  ``zero_sum_profile`` is also held against at every split of the values.
 * ``poly_reduce_mod``, division with remainder over the rationals,
   against the integer pseudo-division behind ``_encoded_powers``, and
   ``rational_roots_fraction``, the p/q test evaluated on fractions,
@@ -48,7 +48,6 @@ from lacuna.moments import independent_cumulants, moment_vector, moments_to_cumu
 from lacuna.multiplicity import (
     MAX_GROUND_SIZE,
     MAX_PROFILE_SIZE,
-    SignedTuple,
     mult_from_profile,
     zero_sum_profile,
 )
@@ -589,21 +588,22 @@ def minimal_members(family: Sequence[SetPartition]) -> list[SetPartition]:
 # --- tuple multiplicities over the lattice ----------------------------------
 
 
-def mult_moebius(t: SignedTuple, terms: Sequence[int]) -> int:
-    """Multiplicity as the Moebius sum over the zero-sum partition upset."""
-    masks = zero_sum_profile(t, terms)
-    return sum(moebius_to_top(pi) for pi in lattice_upset(masks, t.order))
+def mult_moebius(values: Sequence[int]) -> int:
+    """Multiplicity of the signed values as the Moebius sum over the zero-sum partition upset."""
+    m = len(values)
+    masks = zero_sum_profile(values[: m // 2], values[m // 2 :])
+    return sum(moebius_to_top(pi) for pi in lattice_upset(masks, m))
 
 
-def mult_crosscut(t: SignedTuple, terms: Sequence[int]) -> int:
+def mult_crosscut(values: Sequence[int]) -> int:
     """Multiplicity as an alternating count over minimal zero-sum partitions.
 
     Sums (-1)**(|J|+1) over nonempty subfamilies J of the minimal
     zero-sum partitions whose join is the top partition.  Equals
     ``mult_moebius`` for every tuple; coded independently as a check.
     """
-    m = t.order
-    upset = lattice_upset(zero_sum_profile(t, terms), m)
+    m = len(values)
+    upset = lattice_upset(zero_sum_profile(values[: m // 2], values[m // 2 :]), m)
     if not upset:
         return 0
     mins = minimal_members(upset)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import lacuna
 from lacuna import cli
 from lacuna.cli import run
-from lacuna.multiplicity import SignedTuple
 from lacuna.recurrence import structural_slope
 from oracles import lattice_upset, minimal_members, mult_crosscut, mult_moebius, profile_from_values
 
@@ -308,10 +307,10 @@ def test_mult_inspect_matches_the_lattice_oracles(terms, entries):
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
     payload = json.loads(out.getvalue())
-    tup = SignedTuple(tuple(indices), tuple(1 if sign == "+" else -1 for sign in signs))
-    assert payload["mult"] == str(mult_moebius(tup, terms)) == str(mult_crosscut(tup, terms))
+    values = [terms[i - 1] if sign == "+" else -terms[i - 1] for i, sign in zip(indices, signs)]
+    assert payload["mult"] == str(mult_moebius(values)) == str(mult_crosscut(values))
     m = len(entries)
-    masks = profile_from_values([s * terms[i - 1] for i, s in zip(tup.indices, tup.signs)])
+    masks = profile_from_values(values)
     subsets = [[r for r in range(1, m + 1) if mask >> (r - 1) & 1] for mask in sorted(masks)]
     assert payload["zero_sum_subsets"] == subsets
     upset = lattice_upset(masks, m)
@@ -365,8 +364,31 @@ def test_help_exits_zero(capsys):
     [
         (["cumulants", "--seq", "explicit:1,2", "--n", "5", "--m", "2"], 2, ""),
         (["compare", "--seq", "explicit:1,2", "--n-from", "1", "--n-to", "5", "--m-max", "2"], 2, ""),
-        (["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"], 2, ""),
-        (["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"], 2, ""),
+        (
+            ["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"],
+            2,
+            r"^error: bad tuple: indices are 1-based, got 0\n$",
+        ),
+        (
+            ["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"],
+            2,
+            r"^error: bad tuple: indices are 1-based, got -2\n$",
+        ),
+        (
+            ["mult-inspect", "--seq", "fibonacci", "--indices", "1,2,3", "--signs", "+,-"],
+            2,
+            r"^error: bad tuple: indices and signs must have equal length\n$",
+        ),
+        (
+            ["mult-inspect", "--seq", "fibonacci", "--indices", "1,x", "--signs", "+,+"],
+            2,
+            r"^error: bad tuple: index 'x' is not an integer\n$",
+        ),
+        (
+            ["mult-inspect", "--seq", "fibonacci", "--indices", "1,2", "--signs", "+,x"],
+            2,
+            r"^error: bad tuple: sign 'x' is not one of \+, -, \+1, -1, 1\n$",
+        ),
         (["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3, ""),
         (["moments", "--seq", "explicit:1,2,3", "--n", "3", "--m", "400"], 3, ""),
         (
@@ -416,6 +438,9 @@ def test_help_exits_zero(capsys):
         "compare-explicit-too-short",
         "index-zero",
         "negative-index",
+        "mismatched-lengths",
+        "bad-index-token",
+        "bad-sign-token",
         "power-support-guard",
         "engine-work-guard",
         "partition-count-guard",

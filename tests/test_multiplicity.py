@@ -4,76 +4,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacuna.errors import LacunaError, TooLarge
-from lacuna.multiplicity import (
-    MAX_PROFILE_MASKS,
-    SignedTuple,
-    atoms,
-    mult_from_profile,
-    signed_values,
-    zero_sum_profile,
-)
+from lacuna.errors import TooLarge
+from lacuna.multiplicity import MAX_PROFILE_MASKS, atoms, mult_from_profile, zero_sum_profile
 from lacuna.partitions import all_partitions
 from lacuna.sequences import generate_terms, parse_sequence
 from oracles import from_blocks, mult_crosscut, mult_moebius, mult_of_values, profile_from_values, top
 
-# The alternating tuple with values (1, -1, 1, -1): the canonical case
-# where the multiplicity is neither 0 nor 1.
-ALTERNATING = SignedTuple((1, 1, 1, 1), (1, -1, 1, -1))
+# The alternating values (1, -1, 1, -1): the canonical case where the
+# multiplicity is neither 0 nor 1.
+ALTERNATING = [1, -1, 1, -1]
+CONNECTED = [1, 1, -2]  # a_1 + a_2 - a_3 over fibonacci
 FIB = generate_terms(parse_sequence("fibonacci"), 8)
 POW2 = generate_terms(parse_sequence("pow2plus1"), 8)
 
 
-def all_tuples(n, m):
-    for indices in product(range(1, n + 1), repeat=m):
+def signed_tuples(terms, m):
+    """The signed values of every tuple of m entries over the terms, repeats allowed."""
+    for picked in product(terms, repeat=m):
         for signs in product((1, -1), repeat=m):
-            yield SignedTuple(indices, signs)
+            yield [s * a for s, a in zip(signs, picked)]
 
 
-def test_signed_tuple_validation():
-    with pytest.raises(ValueError):
-        SignedTuple((1, 2), (1,))
-    with pytest.raises(ValueError):
-        SignedTuple((1,), (2,))
-    with pytest.raises(ValueError):
-        SignedTuple((), ())
-    with pytest.raises(ValueError):
-        SignedTuple((0,), (1,))
-
-
-def test_signed_tuple_is_an_immutable_value():
-    tup = SignedTuple((1, 2), (1, -1))
-    with pytest.raises(AttributeError):
-        tup.signs = (1, 1)
-    with pytest.raises(AttributeError):
-        del tup.indices
-    assert tup == SignedTuple((1, 2), (1, -1)) != SignedTuple((1, 2), (1, 1))
-    assert len({tup, SignedTuple((1, 2), (1, -1))}) == 1
-
-
-def test_signed_values_checks_range():
-    with pytest.raises(LacunaError, match=r"^index 3 outside 1\.\.2$"):
-        signed_values(SignedTuple((3,), (1,)), [1, 2])
+def profile(values):
+    return zero_sum_profile(values[: len(values) // 2], values[len(values) // 2 :])
 
 
 def test_zero_sum_profile_worked_example():
     # {1,2}, {2,3}, {1,4}, {3,4} and {1,2,3,4}: position r is bit r - 1.
-    assert zero_sum_profile(ALTERNATING, [1]) == {0b0011, 0b0110, 0b1001, 0b1100, 0b1111}
+    assert profile(ALTERNATING) == {0b0011, 0b0110, 0b1001, 0b1100, 0b1111}
 
 
 def test_atoms_are_the_minimal_zero_sum_subsets():
-    assert sorted(atoms(zero_sum_profile(ALTERNATING, [1]))) == [0b0011, 0b0110, 0b1001, 0b1100]
-    assert atoms(zero_sum_profile(SignedTuple((1, 2, 3), (1, 1, -1)), FIB)) == {0b111}
+    assert sorted(atoms(profile(ALTERNATING))) == [0b0011, 0b0110, 0b1001, 0b1100]
+    assert atoms(profile(CONNECTED)) == {0b111}
 
 
 def test_zero_sum_profile_empty_when_nothing_cancels():
-    tup = SignedTuple((1, 2), (1, 1))
-    assert zero_sum_profile(tup, POW2) == frozenset()
+    assert profile(POW2[:2]) == frozenset()
 
 
 def test_zero_sum_profile_connected_triple():
-    tup = SignedTuple((1, 2, 3), (1, 1, -1))  # 1 + 1 - 2 over fibonacci
-    assert zero_sum_profile(tup, FIB) == {0b111}
+    assert profile(CONNECTED) == {0b111}
 
 
 @given(
@@ -84,27 +55,31 @@ def test_zero_sum_profile_connected_triple():
 @settings(max_examples=150, deadline=None)
 def test_zero_sum_profile_closed_under_disjoint_union(data):
     # Merging disjoint zero-sum blocks stays zero-sum; FIB's small repeated values cancel often.
-    tup = SignedTuple(tuple(i for i, _ in data), tuple(s for _, s in data))
-    masks = zero_sum_profile(tup, FIB)
+    masks = profile([s * FIB[i - 1] for i, s in data])
     assert all(a | b in masks for a in masks for b in masks if not a & b)
 
 
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12))
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=12).flatmap(
+        lambda values: st.tuples(st.just(values), st.integers(0, len(values)))
+    )
+)
 @settings(max_examples=200, deadline=None)
-def test_zero_sum_profile_matches_the_full_scan(values):
-    # Small values collide often, so many subsets cancel across the split at m // 2.
-    tup = SignedTuple(tuple(range(1, len(values) + 1)), (1,) * len(values))
-    assert zero_sum_profile(tup, values) == profile_from_values(values)
+def test_zero_sum_profile_matches_the_full_scan(split):
+    # Small values collide often, so many subsets cancel across the split at k; every k gives one profile.
+    values, k = split
+    assert zero_sum_profile(values[:k], values[k:]) == profile_from_values(values)
 
 
 def test_zero_sum_profile_guard():
-    big = SignedTuple(tuple([1] * 21), tuple([1] * 21))
-    with pytest.raises(TooLarge):
-        zero_sum_profile(big, [1])
+    # The limit is on both halves together, whichever split the caller chose.
+    for k in (0, 10, 21):
+        with pytest.raises(TooLarge, match=r"^zero-sum profile of 21 entries refused before it is built"):
+            zero_sum_profile([1] * k, [1] * (21 - k))
 
 
 def test_upset_partitions_worked_example():
-    masks = zero_sum_profile(ALTERNATING, [1])
+    masks = profile(ALTERNATING)
     assert all_partitions(masks, 4) == [
         top(4),
         from_blocks([[1, 2], [3, 4]]),
@@ -117,30 +92,28 @@ def test_upset_partitions_worked_example():
 
 
 def test_upset_partitions_edge_profiles():
-    none = zero_sum_profile(SignedTuple((1, 2), (1, 1)), POW2)
-    assert all_partitions(none, 2) == []
-    connected = zero_sum_profile(SignedTuple((1, 2, 3), (1, 1, -1)), FIB)
-    assert all_partitions(connected, 3) == [top(3)]
+    assert all_partitions(profile(POW2[:2]), 2) == []
+    assert all_partitions(profile(CONNECTED), 3) == [top(3)]
 
 
 @pytest.mark.parametrize("route", [mult_moebius, mult_crosscut])
 def test_multiplicity_examples(route):
-    assert route(ALTERNATING, [1]) == -1
-    assert route(SignedTuple((1, 2), (1, 1)), POW2) == 0
-    assert route(SignedTuple((1, 2, 3), (1, 1, -1)), FIB) == 1
+    assert route(ALTERNATING) == -1
+    assert route(POW2[:2]) == 0
+    assert route(CONNECTED) == 1
 
 
 @pytest.mark.parametrize("terms", [FIB, POW2], ids=["fibonacci", "pow2plus1"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_moebius_equals_crosscut_exhaustively(terms, m):
-    for tup in all_tuples(5, m):
-        assert mult_moebius(tup, terms) == mult_crosscut(tup, terms)
+    for values in signed_tuples(terms[:5], m):
+        assert mult_moebius(values) == mult_crosscut(values)
 
 
 def test_mult_vanishes_unless_total_cancels():
-    for tup in all_tuples(4, 3):
-        if sum(signed_values(tup, FIB)) != 0:
-            assert mult_moebius(tup, FIB) == 0
+    for values in signed_tuples(FIB[:4], 3):
+        if sum(values) != 0:
+            assert mult_moebius(values) == 0
 
 
 @given(
@@ -151,15 +124,10 @@ def test_mult_vanishes_unless_total_cancels():
 )
 @settings(max_examples=80, deadline=None)
 def test_mult_invariant_under_permutation(data, seed):
-    indices = tuple(i for i, _ in data)
-    signs = tuple(s for _, s in data)
-    baseline = mult_moebius(SignedTuple(indices, signs), FIB)
-    shuffled = list(range(len(data)))
-    seed.shuffle(shuffled)
-    tup = SignedTuple(
-        tuple(indices[p] for p in shuffled), tuple(signs[p] for p in shuffled)
-    )
-    assert mult_moebius(tup, FIB) == baseline
+    values = [s * FIB[i - 1] for i, s in data]
+    baseline = mult_moebius(values)
+    seed.shuffle(values)
+    assert mult_moebius(values) == baseline
 
 
 @given(
@@ -169,30 +137,24 @@ def test_mult_invariant_under_permutation(data, seed):
 )
 @settings(max_examples=80, deadline=None)
 def test_mult_invariant_under_global_sign_flip(data):
-    indices = tuple(i for i, _ in data)
-    signs = tuple(s for _, s in data)
-    flipped = tuple(-s for s in signs)
-    assert mult_moebius(SignedTuple(indices, signs), FIB) == mult_moebius(
-        SignedTuple(indices, flipped), FIB
-    )
+    values = [s * FIB[i - 1] for i, s in data]
+    assert mult_moebius(values) == mult_moebius([-v for v in values])
 
 
 def test_mult_zero_when_every_cancellation_splits():
     # Two widely separated scales: every zero-sum subset decomposes into
     # a low part and a high part, so the minimal partitions never join
     # to the top and the multiplicity collapses to zero.
-    terms = [1, 10**9]
-    tup = SignedTuple((1, 1, 2, 2), (1, -1, 1, -1))
-    assert mult_moebius(tup, terms) == 0
-    assert mult_crosscut(tup, terms) == 0
+    values = [1, -1, 10**9, -(10**9)]
+    assert mult_moebius(values) == 0
+    assert mult_crosscut(values) == 0
     # Same sign pattern without the scale split keeps multiplicity -1.
-    assert mult_moebius(ALTERNATING, [1]) == -1
+    assert mult_moebius(ALTERNATING) == -1
 
 
 def test_mult_of_values_matches_tuple_route():
-    for tup in all_tuples(4, 3):
-        vals = signed_values(tup, POW2)
-        assert mult_of_values(vals) == mult_moebius(tup, POW2)
+    for values in signed_tuples(POW2[:4], 3):
+        assert mult_of_values(values) == mult_moebius(values)
 
 
 @given(
@@ -201,12 +163,7 @@ def test_mult_of_values_matches_tuple_route():
 @settings(max_examples=150, deadline=None)
 def test_profile_recursion_matches_lattice(values):
     # Small values make many zero-sum subsets, so the profiles are rich.
-    terms = sorted({abs(v) for v in values})
-    tup = SignedTuple(
-        tuple(terms.index(abs(v)) + 1 for v in values),
-        tuple(1 if v >= 0 else -1 for v in values),
-    )
-    assert mult_of_values(values) == mult_moebius(tup, terms)
+    assert mult_of_values(values) == mult_moebius(values)
 
 
 def test_profile_recursion_large_order():
@@ -223,12 +180,11 @@ def test_multiplicity_guards_refuse_large_inputs():
 
 
 def test_crosscut_oracle_refuses_many_subfamilies():
-    eight = SignedTuple((1,) * 8, (1, -1) * 4)  # 24 minimal partitions
+    eight = [5, -5] * 4  # 24 minimal partitions
     with pytest.raises(TooLarge, match="2\\*\\*24 subfamilies"):
-        mult_crosscut(eight, [5])
+        mult_crosscut(eight)
 
 
 def test_mult_handles_duplicate_indices():
     # a_1 = a_2 = 1 for fibonacci: (1, 2; +, -) is a zero-sum pair.
-    tup = SignedTuple((1, 2), (1, -1))
-    assert mult_moebius(tup, FIB) == 1
+    assert mult_moebius([FIB[0], -FIB[1]]) == 1
