@@ -39,7 +39,7 @@ from .moments import (
 )
 from .multiplicity import atoms, mult_from_profile, zero_sum_profile
 from .partitions import SetPartition, all_partitions
-from .recurrence import Poly, detect_affine_tail, minimal_polynomial, rational_roots, structural_slope
+from .recurrence import Poly, detect_affine_tail, has_rational_root, minimal_polynomial, structural_slope
 from .sequences import FAMILIES, SequenceSpec, generate_terms, parse_sequence
 
 _SIGN_TOKENS = {"+": 1, "-": -1, "+1": 1, "-1": -1, "1": 1}
@@ -232,7 +232,7 @@ def slope_modulus(spec: SequenceSpec) -> Poly:
             file=sys.stderr,
         )
     try:
-        if len(poly) > 2 and rational_roots(poly):
+        if len(poly) > 2 and has_rational_root(poly):
             warnings.warn(
                 f"the minimal polynomial {poly} has a rational root; "
                 "the slope's relation checks assume it is irreducible"

@@ -5,10 +5,9 @@ times the count N_m of signed zero-sum index tuples.  The production
 path (``prefix_moments``) returns these counts: it grows the powers of
 a sparse Laurent polynomial one term at a time, storing only the
 exponents e >= 0 of each (every power is symmetric under x -> 1/x), and
-extracts constant terms.  When a range has more rows to come, it also
-keeps the running sum of squares of each stored power, so an even order
-costs O(1) per row instead of a scan; a single row grows the powers
-untracked and scans once.  The moment-to-cumulant recursion is
+extracts constant terms.  An even order is a sum of squares: each call
+scans it once at its first row, and a range keeps it up over its later
+rows at O(1) each.  The moment-to-cumulant recursion is
 homogeneous under mu_m -> 2**m mu_m, so on the counts it gives the
 integers K_m = 2**m kappa_m; only a printed value is scaled by 2**-m.
 A-priori support and work estimates refuse a call before anything
@@ -51,10 +50,9 @@ def prefix_moments(
 
     Grows P_n**0 .. P_n**ceil(m_max/2) in place one term at a time.  A
     list, not a generator, so the work is done inside the call.  From
-    the first row on, if more rows follow, ``squares[k]`` is the sum of
-    squares of the stored P**k for each 2k <= m_max: scanned once there,
-    then kept up by ``_add_term``.  Terms before that row, and a single
-    row, skip it.
+    the first row on, ``squares[k]`` is the sum of squares of the stored
+    P**k for each 2k <= m_max: scanned once there, then kept up by
+    ``_add_term``.  Terms before that row grow untracked.
     """
     if m_max < 1 or not 0 <= n_from <= n_to <= len(terms):
         raise ValueError(f"need m_max >= 1 and 0 <= n_from <= n_to <= {len(terms)}")
@@ -72,13 +70,13 @@ def prefix_moments(
     if work > MAX_PREFIX_WORK:
         raise TooLarge(f"the prefix engine may take {work} work units, over the cap {MAX_PREFIX_WORK}")
     powers: list[SparseLaurent] = [{0: 1}] + [{} for _ in range(half)]
-    squares = None
+    squares: list[int] = []
     rows = []
     for n in range(n_to + 1):
         if n:
             _add_term(powers, terms[n - 1], squares)
         if n >= n_from:
-            if squares is None and n < n_to:
+            if n == n_from:
                 squares = [sum(c * c for c in power.values()) for power in powers[: m_max // 2 + 1]]
             rows.append((n, [_moment_of(powers, m, squares) for m in range(1, m_max + 1)]))
     return rows
@@ -87,8 +85,8 @@ def prefix_moments(
 def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     """Source entries that ``_add_term`` reads plus products that ``_moment_of`` sums.
 
-    The per-row term counts a scan for every order; with running sums an
-    even order is O(1) after the first row, so it over-counts those.
+    The per-row term counts a scan for every order; an even order reads
+    its running sum after the first row, so it over-counts those.
     P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1) exponents; each term
     reads P**i once per distinct |s| of q**j, j <= H - i, that is floor(j/2) + 1 times.
     """
@@ -99,7 +97,7 @@ def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     return n_to * reads + sum(held(n, m // 2) for n in range(n_from, n_to + 1) for m in range(1, m_max + 1))
 
 
-def _add_term(powers: list[SparseLaurent], a: int, squares: list[int] | None = None) -> None:
+def _add_term(powers: list[SparseLaurent], a: int, squares: list[int]) -> None:
     """P**k += sum_{j>=1} C(k, j) q**j P**(k-j), q = x**a + x**-a, for each held k > 0.
 
     Each P**k is symmetric, P(x) = P(1/x), and stored for exponents e >= 0
@@ -109,16 +107,16 @@ def _add_term(powers: list[SparseLaurent], a: int, squares: list[int] | None = N
     the source e = s fed 0 once for both sides, so w*c_s goes onto
     target[0].  (For s = 0 they cancel, and each e is fed once at 2w.)
     Highest k first, so every P**(k-j) read is still the old power.
-    Given ``squares``, the running sums of squares of P**0 .. P**K, it
-    keeps squares[k] for each k <= K: an entry old + d adds 2*old*d + d*d,
-    and the d*d of one pass over P**(k-j) sum to 2*w*w*squares[k-j], still
-    the old power's.  Other powers take the cheaper untracked loop.
+    It keeps squares[k], the running sum of squares of P**k, for each
+    k < len(squares): an entry old + d adds 2*old*d + d*d, and the d*d of
+    one pass over P**(k-j) sum to 2*w*w*squares[k-j], still the old
+    power's.  Other powers take the cheaper untracked loop.
     """
     a = abs(a)
     for k in range(len(powers) - 1, 0, -1):
         target = powers[k]
         get = target.get
-        tracked = squares is not None and k < len(squares)
+        tracked = k < len(squares)
         grown = 0  # the change of squares[k]
         for j in range(1, k + 1):
             source, shifts = powers[k - j], {}
@@ -157,19 +155,14 @@ def _add_term(powers: list[SparseLaurent], a: int, squares: list[int] | None = N
             squares[k] += grown
 
 
-def _moment_of(powers: list[SparseLaurent], m: int, squares: list[int] | None = None) -> int:
+def _moment_of(powers: list[SparseLaurent], m: int, squares: list[int]) -> int:
     """[x^0] P**m = 2 sum_e lo[e] hi[e] - lo[0] hi[0] over the stored e >= 0.
 
-    An even m reads squares[m/2] when running sums are kept; every other
-    case scans lo, which stores no more entries than hi.
+    An even m reads its running sum squares[m/2]; an odd m scans lo,
+    which stores no more entries than hi.
     """
     lo, hi = powers[m // 2], powers[(m + 1) // 2]  # P**(m//2) and P**ceil(m/2)
-    if lo is not hi:
-        total = sum(c * hi.get(e, 0) for e, c in lo.items())
-    elif squares is not None:
-        total = squares[m // 2]
-    else:
-        total = sum(c * c for c in lo.values())
+    total = sum(c * hi.get(e, 0) for e, c in lo.items()) if m % 2 else squares[m // 2]
     return 2 * total - lo.get(0, 0) * hi.get(0, 0)
 
 

@@ -106,29 +106,23 @@ def _divisors(value: int) -> list[int]:
     return sorted(out)
 
 
-def rational_roots(p: Sequence[int]) -> list[Fraction]:
-    """All rational roots of an integer polynomial, by the p/q test.
+def has_rational_root(p: Sequence[int]) -> bool:
+    """Whether an integer polynomial has a rational root, by the p/q test.
 
-    A reduced x/den is a root exactly when sum c_i * x**i * den**(d - i) is 0.
+    0 is a root exactly when the constant term is 0; else a reduced x/den
+    is a root exactly when sum c_i * x**i * den**(d - i) is 0.
     """
     coeffs = _strip(p)
     if not coeffs:
         raise LacunaError("rational roots of the zero polynomial")
-    low = next(i for i, c in enumerate(coeffs) if c)
-    roots = [Fraction(0)] if low else []
-    coeffs = coeffs[low:]
+    if len(coeffs) == 1 or not coeffs[0]:  # a nonzero constant has no root; c_0 = 0 has the root 0
+        return not coeffs[0]
     d = len(coeffs) - 1
-    if not d:
-        return roots
     nums, dens = _divisors(coeffs[0]), _divisors(coeffs[-1])
     if len(nums) * len(dens) > _RATIONAL_ROOT_PAIR_LIMIT:
         raise TooLarge(f"{len(nums)} x {len(dens)} rational-root candidates refused (limit {_RATIONAL_ROOT_PAIR_LIMIT})")
-    for num in nums:
-        for den in dens:
-            for x in (num, -num):
-                if gcd(num, den) == 1 and sum(c * x**i * den ** (d - i) for i, c in enumerate(coeffs)) == 0:
-                    roots.append(Fraction(x, den))
-    return sorted(roots)
+    return any(gcd(num, den) == 1 and sum(c * x**i * den ** (d - i) for i, c in enumerate(coeffs)) == 0
+               for num in nums for den in dens for x in (num, -num))
 
 
 def _validate_pattern_modulus(p: Sequence[int]) -> Poly:

@@ -56,14 +56,14 @@ def parse_sequence(text: str) -> SequenceSpec:
             raise ValueError("explicit sequence needs at least one term")
         return SequenceSpec("explicit:" + _joined(values), values=values)
     if name == "geometric":
-        c, eta = (int(v) for v in _parse_kv(name, rest, ("c", "eta"), ","))
+        (c,), (eta,) = _parse_kv(name, rest, ("c", "eta"), ",", ints=("c", "eta"))
         if c < 1:
             raise ValueError("geometric factor c must be >= 1")
         if eta < 2:
             raise ValueError("geometric ratio eta must be >= 2")
         return SequenceSpec(f"geometric:c={c},eta={eta}", poly=(-eta, 1), init=(c * eta,))
     if name == "recurrence":
-        poly, init = (tuple(int(v) for v in part.split(",")) for part in _parse_kv(name, rest, ("poly", "init"), ";"))
+        poly, init = _parse_kv(name, rest, ("poly", "init"), ";", ints=("poly", "init"))
         if len(poly) < 2:
             raise ValueError("recurrence polynomial must have degree >= 1")
         if poly[-1] == 0:
@@ -72,15 +72,10 @@ def parse_sequence(text: str) -> SequenceSpec:
             raise ValueError("need exactly deg(poly) initial terms")
         return SequenceSpec(f"recurrence:poly={_joined(poly)};init={_joined(init)}", poly=poly, init=init)
     if name == "roundpow":
-        eta, prec = _parse_kv(name, rest, ("eta", "prec"), ",")
-        prec = int(prec)
+        eta, (prec,) = _parse_kv(name, rest, ("eta", "prec"), ",", ints=("prec",))
         if prec < 1:
             raise ValueError("precision must be >= 1 bit")
-        try:
-            if _decimal_exponent(eta) == 0 and Fraction(eta) <= 1:  # else eta >= 10
-                raise ValueError("rounded-power ratio must exceed 1")
-        except ZeroDivisionError as exc:
-            raise ValueError(f"bad rounded-power ratio {eta!r}: zero denominator") from exc
+        _decimal_exponent(eta)  # refuses a bad ratio and one <= 1
         return SequenceSpec(f"roundpow:eta={eta},prec={prec}", eta_decimal=eta, prec=prec)
     raise ValueError(f"unknown sequence kind {name!r}")
 
@@ -89,9 +84,9 @@ def _joined(values: tuple[int, ...]) -> str:
     return ",".join(map(str, values))
 
 
-def _parse_kv(name: str, rest: str, keys: tuple[str, ...], sep: str) -> list[str]:
-    """The values of ``key=value`` items split by sep: each of keys exactly once, in the order of keys."""
-    found: dict[str, str] = {}
+def _parse_kv(name: str, rest: str, keys: tuple[str, ...], sep: str, ints: tuple[str, ...] = ()) -> list:
+    """The values of ``key=value`` items split by sep, each of keys once, in key order; a key in ints as an int tuple."""
+    found: dict = {}
     for item in filter(None, rest.split(sep)):
         key, eq, value = (part.strip() for part in item.partition("="))
         if not eq:
@@ -101,6 +96,11 @@ def _parse_kv(name: str, rest: str, keys: tuple[str, ...], sep: str) -> list[str
         found[key] = value
     if set(found) != set(keys):
         raise ValueError(f"{name} needs parameters {sorted(keys)}, got {sorted(found)}")
+    for key in ints:
+        try:
+            found[key] = tuple(int(v) for v in found[key].split(","))
+        except ValueError as exc:
+            raise ValueError(f"bad {name} {key} {found[key]!r}") from exc
     return [found[key] for key in keys]
 
 
@@ -184,14 +184,17 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
 def _decimal_exponent(eta_decimal: str) -> int:
     """The decimal exponent e of eta, read without building 10**e; 0 for a p/q ratio.
 
-    eta's leading digit sits at 10**e, so e > 0 means eta >= 10 and e < 0
-    means eta < 1, which is refused.
+    eta's leading digit sits at 10**e, so e > 0 means eta >= 10; a ratio
+    eta <= 1 is refused, and so is one that is not a finite number.
     """
     try:
         e = 0 if "/" in eta_decimal else Decimal(eta_decimal).adjusted()
-    except InvalidOperation as exc:  # not a number, or an exponent past 10**18
+        small = e < 0 or e == 0 and Fraction(eta_decimal) <= 1
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad rounded-power ratio {eta_decimal!r}: zero denominator") from exc
+    except (InvalidOperation, ValueError) as exc:  # not a number, inf, nan, or an exponent past 10**18
         raise ValueError(f"bad rounded-power ratio {eta_decimal!r}") from exc
-    if e < 0:
+    if small:
         raise ValueError("rounded-power ratio must exceed 1")
     return e
 

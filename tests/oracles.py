@@ -24,7 +24,7 @@ evidence for both.
 * ``poly_reduce_mod``, division with remainder over the rationals,
   against the integer pseudo-division behind ``_encoded_powers``, and
   ``rational_roots_fraction``, the p/q test evaluated on fractions,
-  against the integer ``rational_roots``.
+  against the integer ``has_rational_root``.
 * Tuple multiplicities over the partition lattice, against the profile
   recursion ``mult_from_profile``: ``mult_moebius`` (the defining
   Moebius sum over zero-sum partitions) and ``mult_crosscut`` (the
@@ -427,7 +427,7 @@ def eta_relation_holds(pattern: OffsetPattern, p: Sequence[int]) -> bool:
     For irreducible p this holds exactly when p divides
     sum_j sign_j * z**offset_j, by conjugating the root relation through
     the Galois action.  Irreducibility is the caller's assertion;
-    ``lacuna.recurrence.rational_roots`` flags rational factors.
+    ``lacuna.recurrence.has_rational_root`` flags rational factors.
     """
     modulus = _validate_pattern_modulus(p)
     coeffs = [0] * (max(pattern.offsets) + 1)

@@ -257,6 +257,18 @@ def test_slope_skips_a_rational_root_scan_too_large_to_run(capsys):
     assert err == "warning: rational-root check skipped (rational-root scan refused for a 44-bit coefficient, over 10**12)\n"
 
 
+def test_slope_warns_on_a_zero_root_without_a_scan(capsys):
+    # z(z - 10**13): a zero constant term is a root, though the other coefficient is past the scan's limit.
+    seq = "recurrence:poly=0,-10000000000000,1;init=1,1"
+    code, out, err = invoke(capsys, "slope", "--seq", seq, "--m", "3", "--gap-bound", "2")
+    assert code == 0
+    assert json.loads(out)["w"] == "0"
+    assert err == (
+        "warning: the minimal polynomial (0, -10000000000000, 1) has a rational root; "
+        "the slope's relation checks assume it is irreducible\n"
+    )
+
+
 def test_tables_never_check_reducibility(capsys):
     # Only slope walks a polynomial; the tables run on the terms alone.
     code, out, err = invoke(capsys, "cumulants", "--seq", "recurrence:poly=2,-3,1;init=3,5", "--n", "5", "--m", "2")
@@ -406,6 +418,11 @@ def test_help_exits_zero(capsys):
         (["wat"], 2, ""),
         ([], 2, ""),
         (["cumulants", "--seq", "fibonacci", "--n-from", "3", "--m", "2"], 2, ""),
+        (
+            ["cumulants", "--seq", "fibonacci", "--n", "3", "--n-from", "1", "--n-to", "3", "--m", "2"],
+            2,
+            r"^error: give either --n or --n-from/--n-to, not both\n$",
+        ),
         (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "2", "--m-max", "3"], 2, ""),
         (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "0"], 2, ""),
         (["slope", "--seq", "fibonacci", "--m", "3", "--gap-bound", "0"], 2, ""),
@@ -452,6 +469,7 @@ def test_help_exits_zero(capsys):
         "unknown-subcommand",
         "no-subcommand",
         "missing-n-to",
+        "n-with-range",
         "m-with-m-max",
         "m-zero",
         "gap-bound-zero",

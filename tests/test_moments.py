@@ -121,7 +121,7 @@ def test_add_term_stores_the_nonnegative_half_of_each_power(terms):
     powers = [{0: 1}] + [{} for _ in range(half)]
     copies = [([{0: 1}] + [{} for _ in range(half)], [1] + [0] * top) for top in (half - 1, half)]
     for a in terms:
-        moments._add_term(powers, a)
+        moments._add_term(powers, a, [])
         for tracked, squares in copies:
             moments._add_term(tracked, a, squares)
             assert tracked == powers
@@ -144,7 +144,7 @@ def test_prefix_moments_ranges():
 
 
 def test_power_support_guard_trips_before_growing(monkeypatch):
-    def never(powers, a):
+    def never(powers, a, squares):
         raise AssertionError("the guard must fire before any power grows")
 
     monkeypatch.setattr(moments, "_add_term", never)
@@ -175,7 +175,7 @@ def test_power_support_guard_weighs_exponent_words(monkeypatch):
         prefix_moments(terms, 70, 70, 4)
     monkeypatch.undo()
 
-    def never(powers, a):
+    def never(powers, a, squares):
         raise AssertionError("the guard must fire before any power grows")
 
     monkeypatch.setattr(moments, "_add_term", never)
@@ -197,7 +197,7 @@ def stored_estimate(terms, m_max):
 def stored_entries(terms, half):
     powers = [{0: 1}] + [{} for _ in range(half)]
     for a in terms:
-        moments._add_term(powers, a)
+        moments._add_term(powers, a, [])
     return len(powers[half])
 
 
@@ -215,7 +215,7 @@ def test_power_support_estimate_on_deep_point():
 
 
 def test_work_guard_trips_before_growing(monkeypatch):
-    def never(powers, a):
+    def never(powers, a, squares):
         raise AssertionError("the guard must fire before any power grows")
 
     monkeypatch.setattr(moments, "_add_term", never)
@@ -252,7 +252,7 @@ def prefix_work_pair(terms, n_from, n_to, m_max):
     for n in range(n_to + 1):
         if n:
             work += sum(len(powers[k - j]) * (j // 2 + 1) for k in range(1, half + 1) for j in range(1, k + 1))
-            moments._add_term(powers, terms[n - 1])
+            moments._add_term(powers, terms[n - 1], [])
         if n >= n_from:
             work += sum(len(powers[m // 2]) for m in range(1, m_max + 1))
     return moments._prefix_work(tops, n_from, n_to, m_max), work

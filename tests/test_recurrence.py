@@ -17,8 +17,8 @@ from lacuna.recurrence import (
     _half_sizes,
     _halves,
     detect_affine_tail,
+    has_rational_root,
     minimal_polynomial,
-    rational_roots,
     structural_slope,
 )
 from lacuna.sequences import generate_terms, parse_sequence
@@ -92,18 +92,30 @@ def test_reduce_non_monic_modulus():
     assert all(type(c) is Fraction for c in remainder)  # 0.5 == Fraction(1, 2) too
 
 
-def test_rational_roots():
-    assert rational_roots((2, -3, 1)) == [Fraction(1), Fraction(2)]
-    assert rational_roots((-1, -1, 1)) == []
-    assert rational_roots((0, -2, 1)) == [Fraction(0), Fraction(2)]
-    assert rational_roots((-1, 0, 2)) == []  # roots +-sqrt(1/2)
+def test_has_rational_root():
+    # (-1, 0, 2) has the roots +-sqrt(1/2); a nonzero constant has none.
+    cases = {(2, -3, 1): True, (-1, -1, 1): False, (0, -2, 1): True, (-1, 0, 2): False, (5,): False, (-7, 0, 0): False}
+    for poly, rooted in cases.items():
+        assert has_rational_root(poly) == bool(rational_roots_fraction(poly)) == rooted
 
 
-def test_rational_roots_refuse_too_many_candidates_before_testing_them():
+def test_has_rational_root_finds_zero_before_any_scan():
+    # z(z - 10**13): the other coefficient is past the scan's limit, but a zero constant term is a root.
+    assert has_rational_root((0, -(10**13), 1))
+    with pytest.raises(TooLarge, match="44-bit coefficient"):
+        has_rational_root((-(10**13), -1, 1))
+
+
+def test_has_rational_root_of_the_zero_polynomial():
+    with pytest.raises(LacunaError, match="^rational roots of the zero polynomial$"):
+        has_rational_root((0, 0))
+
+
+def test_has_rational_root_refuses_too_many_candidates_before_testing_them():
     # 963761198400 has 6,720 divisors: each scan is allowed, but their 4.5e7 pairs are not.
     started = time.perf_counter()
     with pytest.raises(TooLarge, match="6720 x 6720 rational-root candidates"):
-        rational_roots((-963761198400, 1, 963761198400))
+        has_rational_root((-963761198400, 1, 963761198400))
     assert time.perf_counter() - started < 1.0
 
 
@@ -133,10 +145,10 @@ def _with_linear_factors(cofactor, factors):
 @example(case=_with_linear_factors([5], [(0, 1), (0, 3), (3, 2), (3, 2)]))  # a double zero and a double 3/2
 @example(case=_with_linear_factors([-1, -1, 1], [(-4, 6), (2, 3)]))  # -2/3 and 2/3 unreduced, times z^2 - z - 1
 @settings(max_examples=200, deadline=None)
-def test_rational_roots_match_the_fraction_route(case):
+def test_has_rational_root_matches_the_fraction_route(case):
     poly, factors = case
-    roots = rational_roots(poly)
-    assert roots == rational_roots_fraction(poly)
+    roots = rational_roots_fraction(poly)
+    assert has_rational_root(poly) == bool(roots)
     assert {Fraction(num, den) for num, den in factors} <= set(roots)
 
 

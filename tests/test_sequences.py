@@ -181,25 +181,37 @@ def test_parse_label_round_trip(text):
     assert parse_sequence(spec.text) == spec
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "unknown",
-        "geometric:c=1",
-        "geometric:c=0,eta=2",
-        "geometric:c=1,eta=1",
-        "recurrence:poly=1,1",
-        "recurrence:poly=-1,-1,0;init=1,1",
-        "roundpow:eta=0.5,prec=64",
-        "explicit:a,b",
-        "fibonacci:extra",
-        "geometric:c=1,eta=2,c=3",
-        "recurrence:poly=-1,-1,1;init=1,1;init=2,2",
-    ],
-)
-def test_parse_rejects_bad_specs(text):
-    with pytest.raises(ValueError):
+BAD_SPECS = [
+    ("unknown", "unknown sequence kind 'unknown'"),
+    ("geometric:c=1", "geometric needs parameters ['c', 'eta'], got ['c']"),
+    ("geometric:c=0,eta=2", "geometric factor c must be >= 1"),
+    ("geometric:c=1,eta=1", "geometric ratio eta must be >= 2"),
+    ("recurrence:poly=1,1", "recurrence needs parameters ['init', 'poly'], got ['poly']"),
+    ("recurrence:poly=-1,-1,0;init=1,1", "leading recurrence coefficient must be nonzero"),
+    ("roundpow:eta=0.5,prec=64", "rounded-power ratio must exceed 1"),
+    ("explicit:a,b", "bad explicit terms 'a,b'"),
+    ("fibonacci:extra", "fibonacci takes no parameters"),
+    ("geometric:c=1,eta=2,c=3", "geometric repeats parameter 'c'"),
+    ("recurrence:poly=-1,-1,1;init=1,1;init=2,2", "recurrence repeats parameter 'init'"),
+    ("explicit:", "explicit sequence needs at least one term"),
+    ("roundpow:eta=3,prec=0", "precision must be >= 1 bit"),
+    ("geometric:c1,eta=2", "expected key=value, got 'c1'"),
+    # Each bad token is named with its kind and field.
+    ("geometric:c=x,eta=2", "bad geometric c 'x'"),
+    ("recurrence:poly=-1,-1,1;init=1,y", "bad recurrence init '1,y'"),
+    ("recurrence:poly=5;init=", "bad recurrence init ''"),
+    ("roundpow:eta=3,prec=z", "bad roundpow prec 'z'"),
+    ("roundpow:eta=inf,prec=10", "bad rounded-power ratio 'inf'"),
+    ("roundpow:eta=nan,prec=10", "bad rounded-power ratio 'nan'"),
+    ("roundpow:eta=a/b,prec=10", "bad rounded-power ratio 'a/b'"),
+]
+
+
+@pytest.mark.parametrize(("text", "message"), BAD_SPECS, ids=[text for text, _ in BAD_SPECS])
+def test_parse_rejects_bad_specs(text, message):
+    with pytest.raises(ValueError) as refused:
         parse_sequence(text)
+    assert str(refused.value) == message
 
 
 def test_recurrence_data_families():
