@@ -88,7 +88,7 @@ def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     The per-row term counts a scan for every order; an even order reads
     its running sum after the first row, so it over-counts those.
     P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1) exponents; each term
-    reads P**i once per distinct |s| of q**j, j <= H - i, that is floor(j/2) + 1 times.
+    reads P**i once per t of q**j, j <= H - i, that is floor(j/2) + 1 times.
     """
     half = (m_max + 1) // 2
     def held(n: int, i: int) -> int:
@@ -101,11 +101,12 @@ def _add_term(powers: list[SparseLaurent], a: int, squares: list[int]) -> None:
     """P**k += sum_{j>=1} C(k, j) q**j P**(k-j), q = x**a + x**-a, for each held k > 0.
 
     Each P**k is symmetric, P(x) = P(1/x), and stored for exponents e >= 0
-    only.  The shifts of q**j, merged by |s|, pair up as +-s of weight w
-    each, so a stored source e feeds e + s and |e - s|.  Two corrections
-    follow: the source e = 0 fed s twice, so w*c_0 comes off target[s];
-    the source e = s fed 0 once for both sides, so w*c_s goes onto
-    target[0].  (For s = 0 they cancel, and each e is fed once at 2w.)
+    only.  A pass per t = j%2, j%2 + 2, .., j adds the offsets +-s, s = a*t, at
+    weight w = C(k, j) C(j, (j+t)/2), halved at t = 0, so a stored source e
+    feeds e + s and |e - s|.  Two corrections follow: the source e = 0 fed
+    s twice, so w*c_0 comes off target[s]; the source e = s fed 0 once for
+    both sides, so w*c_s goes onto target[0].  (For s = 0 they cancel, and
+    each e is fed once at 2w, so a zero frequency's s = 0 passes just add.)
     Highest k first, so every P**(k-j) read is still the old power.
     It keeps squares[k], the running sum of squares of P**k, for each
     k < len(squares): an entry old + d adds 2*old*d + d*d, and the d*d of
@@ -118,13 +119,9 @@ def _add_term(powers: list[SparseLaurent], a: int, squares: list[int]) -> None:
         get = target.get
         tracked = k < len(squares)
         grown = 0  # the change of squares[k]
-        for j in range(1, k + 1):
-            source, shifts = powers[k - j], {}
-            for i in range(j + 1):  # q**j = sum_i C(j, i) x**(a(2i - j))
-                s = a * abs(2 * i - j)
-                shifts[s] = shifts.get(s, 0) + comb(k, j) * comb(j, i)
-            for s, w in shifts.items():
-                w //= 2  # both shifts +-s; even for s = 0 too, C(2r, r) and 2**j being even
+        for j, source in enumerate(powers[k - 1 :: -1], 1):  # source = P**(k-j)
+            for t in range(j % 2, j + 1, 2):  # q**j = sum_t C(j, (j+t)/2) (x**(at) + x**(-at)), halved at t = 0
+                s, w = a * t, comb(k, j) * comb(j, (j + t) // 2) // (1 if t else 2)  # C(2r, r) is even
                 if tracked:
                     cross = 0
                     for e, c in source.items():
@@ -220,10 +217,10 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     most 2**20 nodes, slab by slab.  Each node is raised to the m-th
     power by binary multiplication, high bit first, with no libm powl.
     The table's first half and each slab are filled in one chunk per
-    CPU, each on its own thread: numpy's long-double loops release the
-    GIL and evaluate element by element, every node sees the same
-    operations in the same order, and each slab is summed once, whole,
-    so the bits are the same for any CPU count.
+    CPU, each on its own thread with index and gather arrays of its own:
+    numpy's long-double loops release the GIL and evaluate element by
+    element, every node sees the same operations in the same order, and
+    each slab is summed once, whole, so the bits are the same for any CPU count.
     """
     import numpy as np  # only the float diagnostics need numpy; keeps start-up fast
     from concurrent.futures import ThreadPoolExecutor
@@ -243,14 +240,12 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     table = np.empty(samples, dtype=np.longdouble)
     acc = np.empty(min(half, _ORACLE_SLAB), dtype=np.longdouble)
     width = -(-acc.size // workers)
-    # Each worker's index and gathered cosines, reused over every slab and term.
-    buffers = [(np.empty(width, dtype=np.int64), np.empty(width, dtype=np.longdouble)) for _ in range(workers)]
 
     def cosines(lo: int, hi: int) -> None:
         np.cos(step * np.arange(lo, hi, dtype=np.int64).astype(np.longdouble), out=table[lo:hi])
 
     def fill(start: int, lo: int, hi: int) -> None:  # acc[lo:hi] = S_n**m at nodes start+lo .. start+hi-1
-        index, gathered = (buffer[: hi - lo] for buffer in buffers[lo // width])
+        index, gathered = np.empty(hi - lo, dtype=np.int64), np.empty(hi - lo, dtype=np.longdouble)
         grid = np.arange(start + lo, start + hi, dtype=np.int64)
         out = acc[lo:hi]
         out.fill(0)

@@ -75,7 +75,7 @@ def parse_sequence(text: str) -> SequenceSpec:
         eta, (prec,) = _parse_kv(name, rest, ("eta", "prec"), ",", ints=("prec",))
         if prec < 1:
             raise ValueError("precision must be >= 1 bit")
-        _decimal_exponent(eta)  # refuses a bad ratio and one <= 1
+        _read_ratio(eta)  # refuses a bad ratio and one <= 1
         return SequenceSpec(f"roundpow:eta={eta},prec={prec}", eta_decimal=eta, prec=prec)
     raise ValueError(f"unknown sequence kind {name!r}")
 
@@ -155,11 +155,10 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
     eta = p/q the powers of p, q and the upper end's numerator stay
     plain integers and the tests are cross-multiplied: no fraction is reduced.
     """
-    e = _decimal_exponent(eta_decimal)
-    if e:  # the numerator has over 3e bits; Fraction would build 10**e first
+    eta, e = _read_ratio(eta_decimal)
+    if e:  # the numerator has over 3e bits; as_integer_ratio would build 10**e first
         _check_roundpow_work(n, prec, 3 * e, f" of a ratio near 10**{e}")
-    ratio = Fraction(eta_decimal)
-    p, q = ratio.numerator, ratio.denominator
+    p, q = eta.as_integer_ratio()  # a Decimal's has no str -> int digit limit
     _check_roundpow_work(n, prec, p.bit_length() + q.bit_length())
     guard, hi = HALF_INTEGER_GUARD, (p << prec) + q  # eta + 2**-prec = hi / (q 2**prec)
     p_k = q_k = hi_k = 1
@@ -172,8 +171,8 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
         # clear / (2 q_k) - error / (q_k 2**(prec k)) < guard, multiplied through by 2 q_k 2**(prec k)
         if ((clear << prec * k) - 2 * error) * guard.denominator < 2 * guard.numerator * (q_k << prec * k):
             raise LacunaError(
-                f"eta**{k} is within {clear / (2 * q_k):.3g} of a half-integer "
-                f"(guard {float(guard):.3g} at {prec} bits)"
+                f"eta**{k} is {clear / (2 * q_k):.3g} from a half-integer, "
+                f"which its error at {prec} bits plus the guard {float(guard):.3g} covers"
             )
         if nearest < 1:
             raise LacunaError(f"round(eta**{k}) = {nearest} is not positive")
@@ -181,22 +180,24 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
     return terms
 
 
-def _decimal_exponent(eta_decimal: str) -> int:
-    """The decimal exponent e of eta, read without building 10**e; 0 for a p/q ratio.
+def _read_ratio(eta_decimal: str) -> tuple[Fraction | Decimal, int]:
+    """eta as a Decimal, or a Fraction for p/q, and its decimal exponent e (0 for p/q); 10**e is not built.
 
     eta's leading digit sits at 10**e, so e > 0 means eta >= 10; a ratio
     eta <= 1 is refused, and so is one that is not a finite number.
     """
+    ratio = "/" in eta_decimal
     try:
-        e = 0 if "/" in eta_decimal else Decimal(eta_decimal).adjusted()
-        small = e < 0 or e == 0 and Fraction(eta_decimal) <= 1
+        eta = Fraction(eta_decimal) if ratio else Decimal(eta_decimal)
+        if not (ratio or eta.is_finite()):
+            raise ValueError("not a finite number")
     except ZeroDivisionError as exc:
         raise ValueError(f"bad rounded-power ratio {eta_decimal!r}: zero denominator") from exc
     except (InvalidOperation, ValueError) as exc:  # not a number, inf, nan, or an exponent past 10**18
         raise ValueError(f"bad rounded-power ratio {eta_decimal!r}") from exc
-    if small:
+    if eta <= 1:
         raise ValueError("rounded-power ratio must exceed 1")
-    return e
+    return eta, 0 if ratio else eta.adjusted()
 
 
 def _check_roundpow_work(n: int, prec: int, eta_bits: int, ratio: str = "") -> None:

@@ -246,8 +246,8 @@ def rounded_powers_fraction(eta_decimal: str, prec: int, n: int) -> list[int]:
         distance_to_half = Fraction(1, 2) - abs(power - nearest)
         if distance_to_half - (power_hi - power) < HALF_INTEGER_GUARD:
             raise LacunaError(
-                f"eta**{k} is within {float(distance_to_half):.3g} of a half-integer "
-                f"(guard {float(HALF_INTEGER_GUARD):.3g} at {prec} bits)"
+                f"eta**{k} is {float(distance_to_half):.3g} from a half-integer, "
+                f"which its error at {prec} bits plus the guard {float(HALF_INTEGER_GUARD):.3g} covers"
             )
         if nearest < 1:
             raise LacunaError(f"round(eta**{k}) = {nearest} is not positive")

@@ -442,6 +442,17 @@ def test_help_exits_zero(capsys):
             3,
             r"5 rounded powers of a ratio near 10\*\*2000000 ",
         ),
+        # 15**3 = 3375 is an integer: the refusal names the error at 8 bits, not a near half-integer.
+        (
+            ["cumulants", "--seq", "roundpow:eta=1.5e1,prec=8", "--n", "3", "--m", "2"],
+            3,
+            r"^error: eta\*\*3 is 0.5 from a half-integer, which its error at 8 bits plus the guard 0.00391 covers\n$",
+        ),
+        (
+            ["cumulants", "--seq", f"roundpow:eta={'3' * 5000},prec=8", "--n", "2", "--m", "2"],
+            3,
+            r"^error: eta\*\*2 is 0.5 from a half-integer, which its error at 8 bits plus",
+        ),
         (["oracle", "--seq", "explicit:1,2,24000", "--n", "3", "--m", "400"], 3, r"prefix engine may take"),
         (["oracle", "--seq", "explicit:1,2,3", "--n", "3", "--m", "20000"], 3, r"prefix engine may take 250000000000 "),
         (
@@ -481,6 +492,8 @@ def test_help_exits_zero(capsys):
         "roundpow-work-guard",
         "pattern-offset-guard",
         "roundpow-exponent-guard",
+        "roundpow-integer-power-error-guard",
+        "roundpow-5000-digit-ratio-error-guard",
         "oracle-exact-moment-guard",
         "oracle-refused-before-float-overflow",
         "profile-size-guard",
@@ -495,6 +508,18 @@ def test_failures_print_one_error_line(capsys, argv, expected, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "eta, prec, kappa",
+    [("1." + "0" * 5000 + "1", 8, "2"), ("3" * 5000, 16700, "1")],
+    ids=["5002-digit-ratio-near-1", "5000-digit-ratio"],
+)
+def test_long_decimal_ratios_print_their_row(capsys, eta, prec, kappa):
+    # Over Python's 4300-digit str -> int limit: the ratio is read through Decimal, never int(str).
+    code, out, err = invoke(capsys, "cumulants", "--seq", f"roundpow:eta={eta},prec={prec}", "--n", "2", "--m", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["kappa"] == kappa
 
 
 def test_cli_import_is_lean():
