@@ -2,12 +2,14 @@
 
 E[S_n**m] for S_n = sum_k cos(2 pi a_k w), w uniform on [0,1], is 2**-m
 times the count N_m of signed zero-sum index tuples.  The production
-path (``prefix_moments``) returns these counts: it grows the powers of
-a sparse Laurent polynomial one term at a time, storing only the
-exponents e >= 0 of each (every power is symmetric under x -> 1/x), and
-extracts constant terms.  An even order is a sum of squares: each call
-scans it once at its first row, and a range keeps it up over its later
-rows at O(1) each.  The moment-to-cumulant recursion is
+path (``prefix_moments``) returns these counts.  Its carry count runs
+from the top index down, memoized, and drops each partial sum that the
+slots left cannot cancel.  Past a state budget the prefix engine answers:
+it grows the powers of a sparse Laurent polynomial one term at a time,
+storing only the exponents e >= 0 of each (every power is symmetric
+under x -> 1/x), and extracts constant terms.  An even order is a sum of
+squares: each call scans it once at its first row, and a range keeps it
+up over its later rows at O(1) each.  The moment-to-cumulant recursion is
 homogeneous under mu_m -> 2**m mu_m, so on the counts it gives the
 integers K_m = 2**m kappa_m; only a printed value is scaled by 2**-m.
 A-priori support and work estimates refuse a call before anything
@@ -48,11 +50,9 @@ def prefix_moments(
 ) -> list[tuple[int, list[int]]]:
     """(n, [N_1 .. N_m_max]) for every n from n_from to n_to, N_m = 2**m E[S_n**m].
 
-    Grows P_n**0 .. P_n**ceil(m_max/2) in place one term at a time.  A
-    list, not a generator, so the work is done inside the call.  From
-    the first row on, ``squares[k]`` is the sum of squares of the stored
-    P**k for each 2k <= m_max: scanned once there, then kept up by
-    ``_add_term``.  Terms before that row grow untracked.
+    A list, not a generator, so the work is done inside the call.  The
+    guards bound the prefix engine's largest power and its work; the
+    carry count runs first, under a budget of work >> 7 states.
     """
     if m_max < 1 or not 0 <= n_from <= n_to <= len(terms):
         raise ValueError(f"need m_max >= 1 and 0 <= n_from <= n_to <= {len(terms)}")
@@ -69,7 +69,13 @@ def prefix_moments(
         work = _prefix_work(tops, n_from, n_to, m_max)
     if work > MAX_PREFIX_WORK:
         raise TooLarge(f"the prefix engine may take {work} work units, over the cap {MAX_PREFIX_WORK}")
-    powers: list[SparseLaurent] = [{0: 1}] + [{} for _ in range(half)]
+    rows, _ = _carry_rows(terms, n_from, n_to, m_max, work >> 7)
+    return rows if rows is not None else _prefix_rows(terms, n_from, n_to, m_max)
+
+
+def _prefix_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int) -> list[tuple[int, list[int]]]:
+    """The prefix engine: grows P**0 .. P**ceil(m_max/2) one term at a time, tracking squares from the first row."""
+    powers: list[SparseLaurent] = [{0: 1}] + [{} for _ in range((m_max + 1) // 2)]
     squares: list[int] = []
     rows = []
     for n in range(n_to + 1):
@@ -85,16 +91,56 @@ def prefix_moments(
 def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     """Source entries that ``_add_term`` reads plus products that ``_moment_of`` sums.
 
-    The per-row term counts a scan for every order; an even order reads
-    its running sum after the first row, so it over-counts those.
-    P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1) exponents; each term
-    reads P**i once per t of q**j, j <= H - i, that is floor(j/2) + 1 times.
+    It caps the prefix engine, and 1/128 of it is the carry count's state budget.  The per-row
+    term counts a scan for every order; an even order reads its running sum after the first row,
+    so it over-counts those.  P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1)
+    exponents; each term reads P**i once per t of q**j, j <= H - i, that is floor(j/2) + 1 times.
     """
     half = (m_max + 1) // 2
     def held(n: int, i: int) -> int:
         return min(comb(2 * n + i - 1, i), i * tops[n] + 1) if i else 1
     reads = sum(held(n_to, i) * (half - i + (half - i) ** 2 // 4) for i in range(half))
     return n_to * reads + sum(held(n, m // 2) for n in range(n_from, n_to + 1) for m in range(1, m_max + 1))
+
+
+def _carry_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int, budget: int) -> tuple[list | None, int]:
+    """(``prefix_moments``'s rows, or None if over ``budget`` states could be held; the states held).
+
+    T(j, r, S), the fillings of r ordered signed slots from a_1..a_j with sum -S, sums C(r, c) C(c, c+)
+    T(j-1, r-c, S + (2c+ - c) a_j) over the c slots of a_j, c+ of them positive; it is even in S and 0
+    once |S| > r max_{k<=j} |a_k|.  N_m(n) = T(n, m, 0).  A top-down pass builds each level's keys
+    |S| (m_max + 1) + r that the rows need; a bottom-up pass evaluates them.
+    """
+    keys = m_max + 1
+    if keys > budget:
+        return None, 0
+    tops = list(accumulate(map(abs, terms[:n_to]), max, initial=0))
+    moves = [[(r - c, t, comb(r, c) * comb(c, (c + t) // 2)) for c in range(r + 1) for t in range(-c, c + 1, 2)]
+             for r in range(keys)]  # (r - c, 2c+ - c, C(r, c) C(c, c+))
+    levels, level, held = [], set(), 0
+    for j in range(n_to, 0, -1):
+        if j >= n_from:
+            level.update(range(1, keys))  # the row's keys (m, 0), for which room was kept
+        levels.append(level)
+        held += len(level)
+        a, top, level = abs(terms[j - 1]), tops[j - 1], set()
+        steps = [[(left, t * a, left * top) for left, t, _ in moves[r]] for r in range(keys)]
+        for key in levels[-1] if j > 1 else ():
+            s, r = divmod(key, keys)
+            if held + len(level) + len(steps[r]) + keys > budget:
+                return None, held + len(level)
+            for left, d, bound in steps[r]:
+                if (f := abs(s + d)) <= bound:
+                    level.add(f * keys + left)
+    rows, values = [(0, [0] * m_max)] if n_from == 0 else [], {0: 1}  # T(0, r, S) = [r = 0 and S = 0]
+    for j in range(1, n_to + 1):
+        a, get = abs(terms[j - 1]), values.get
+        steps = [[(left, t * a, w) for left, t, w in moves[r]] for r in range(keys)]
+        values = {key: sum(w * get(abs(key // keys + d) * keys + left, 0) for left, d, w in steps[key % keys])
+                  for key in levels.pop()}
+        if j >= n_from:
+            rows.append((j, [values[m] for m in range(1, keys)]))
+    return rows, held
 
 
 def _add_term(powers: list[SparseLaurent], a: int, squares: list[int]) -> None:

@@ -188,8 +188,11 @@ def _read_ratio(eta_decimal: str) -> tuple[Fraction | Decimal, int]:
     """
     ratio = "/" in eta_decimal
     try:
-        eta = Fraction(eta_decimal) if ratio else Decimal(eta_decimal)
-        if not (ratio or eta.is_finite()):
+        if ratio:  # Fraction's own p/q syntax check, on digit runs cut to one digit: its str -> int stops at 4300
+            import re
+            Fraction(re.sub(r"\d+", "1", eta_decimal))
+            eta = Fraction(*(int(Decimal(side)) for side in eta_decimal.split("/")))
+        elif not (eta := Decimal(eta_decimal)).is_finite():
             raise ValueError("not a finite number")
     except ZeroDivisionError as exc:
         raise ValueError(f"bad rounded-power ratio {eta_decimal!r}: zero denominator") from exc

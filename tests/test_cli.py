@@ -453,6 +453,11 @@ def test_help_exits_zero(capsys):
             3,
             r"^error: eta\*\*2 is 0.5 from a half-integer, which its error at 8 bits plus",
         ),
+        (
+            ["cumulants", "--seq", f"roundpow:eta={'3' * 5000}/7,prec=8", "--n", "2", "--m", "2"],
+            3,
+            r"^error: eta\*\*2 is 0.276 from a half-integer, which its error at 8 bits plus",
+        ),
         (["oracle", "--seq", "explicit:1,2,24000", "--n", "3", "--m", "400"], 3, r"prefix engine may take"),
         (["oracle", "--seq", "explicit:1,2,3", "--n", "3", "--m", "20000"], 3, r"prefix engine may take 250000000000 "),
         (
@@ -494,6 +499,7 @@ def test_help_exits_zero(capsys):
         "roundpow-exponent-guard",
         "roundpow-integer-power-error-guard",
         "roundpow-5000-digit-ratio-error-guard",
+        "roundpow-5000-digit-fraction-error-guard",
         "oracle-exact-moment-guard",
         "oracle-refused-before-float-overflow",
         "profile-size-guard",
@@ -512,11 +518,11 @@ def test_failures_print_one_error_line(capsys, argv, expected, message):
 
 @pytest.mark.parametrize(
     "eta, prec, kappa",
-    [("1." + "0" * 5000 + "1", 8, "2"), ("3" * 5000, 16700, "1")],
-    ids=["5002-digit-ratio-near-1", "5000-digit-ratio"],
+    [("1." + "0" * 5000 + "1", 8, "2"), ("3" * 5000, 16700, "1"), ("3" * 5000 + "/7", 16700, "1")],
+    ids=["5002-digit-ratio-near-1", "5000-digit-ratio", "5000-digit-fraction"],
 )
 def test_long_decimal_ratios_print_their_row(capsys, eta, prec, kappa):
-    # Over Python's 4300-digit str -> int limit: the ratio is read through Decimal, never int(str).
+    # Over Python's 4300-digit str -> int limit: the ratio, or p and q, is read through Decimal, never int(str).
     code, out, err = invoke(capsys, "cumulants", "--seq", f"roundpow:eta={eta},prec={prec}", "--n", "2", "--m", "2")
     assert (code, err) == (0, "")
     assert json.loads(out)["kappa"] == kappa

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from fractions import Fraction
@@ -271,6 +272,67 @@ def test_prefix_work_estimate_on_the_benchmark_cases():
     # deep-point's pow2plus1 table, and Fibonacci n = 14..30 at m = 10, whose collisions the estimate ignores.
     assert prefix_work_pair(terms_of(POW2, 40), 40, 40, 8) == (5_968_901, 1_177_108)
     assert prefix_work_pair(terms_of(FIB, 30), 14, 30, 10) == (39_222_995, 2_417_410)
+
+
+# --- the two routes: carry count and prefix engine --------------------------
+
+
+@st.composite
+def lacunary_terms(draw):
+    """Terms whose magnitudes grow by a ratio of at least 1.3, each signed, in any order."""
+    x, terms = draw(st.integers(1, 40)), []
+    for _ in range(draw(st.integers(0, 12))):
+        terms.append(x * draw(st.sampled_from((1, -1))))
+        x = draw(st.integers(-(-13 * x // 10), 4 * x))
+    return draw(st.permutations(terms))
+
+
+@given(
+    data=st.data(),
+    terms=st.one_of(lacunary_terms(), st.lists(st.integers(-12, 12), max_size=9)),
+    m_max=st.integers(1, 8),
+    budget=st.integers(0, 3000),
+)
+@settings(max_examples=200, deadline=None)
+def test_carry_count_and_prefix_engine_give_equal_rows(data, terms, m_max, budget):
+    # Dense lists of small values bring zeros, negatives, repeats and cancellations; lacunary ones prune.
+    n_to = data.draw(st.integers(0, len(terms)))
+    n_from = data.draw(st.integers(0, n_to))
+    rows = moments._prefix_rows(terms, n_from, n_to, m_max)
+    assert moments._carry_rows(terms, n_from, n_to, m_max, 10**9)[0] == rows
+    # Under any budget the carry count holds at most that many states, and gives up or answers alike.
+    carried, held = moments._carry_rows(terms, n_from, n_to, m_max, budget)
+    assert held <= budget and carried in (None, rows)
+    assert prefix_moments(terms, n_from, n_to, m_max) == rows
+
+
+def test_dense_benchmark_list_falls_back_within_its_budget(monkeypatch):
+    # range-tables' seed-1 explicit: list, 30 distinct terms in [1, 10^6] at m <= 6: almost nothing prunes.
+    terms = random.Random(1).sample(range(1, 10**6 + 1), 30)
+    budget = moments._prefix_work(list(accumulate(terms, max, initial=0)), 1, 30, 6) >> 7
+    rows, held = moments._carry_rows(terms, 1, 30, 6, budget)
+    assert rows is None and held <= budget
+    engine, calls = moments._prefix_rows, []
+    monkeypatch.setattr(moments, "_prefix_rows", lambda *args: calls.append(args) or engine(*args))
+    assert prefix_moments(terms, 1, 30, 6) == engine(terms, 1, 30, 6)
+    assert calls == [(terms, 1, 30, 6)]
+
+
+def test_deep_point_row_finishes_on_the_carry_route(monkeypatch):
+    # pow2plus1 at n = 40, m <= 8: the prefix engine would store 671,288 entries of P^4.
+    def never(*args):
+        raise AssertionError("the carry count must answer this row")
+
+    monkeypatch.setattr(moments, "_prefix_rows", never)
+    terms = terms_of(POW2, 40)
+    kappas = unscale(moments_to_cumulants(prefix_moments(terms, 40, 40, 8)[-1][1]))
+    assert kappas[3] == Fraction(-3 * 40 + 28, 8)
+    assert kappas[5] == Fraction(45 * 40**2 + 380 * 40 - 1875, 16)  # the quadratic law of 2^k + 1
+
+
+def test_carry_count_does_not_recurse():
+    # 3,000 levels, one per term: a recursive count would pass Python's recursion limit.
+    assert moments._carry_rows(terms_of(POW2, 3000), 3000, 3000, 2, 10**6)[0] == [(3000, [0, 6000])]
 
 
 def test_even_moments_are_nonnegative_and_dyadic():

@@ -85,6 +85,37 @@ def test_roundpow_reads_long_decimals_without_the_digit_limit():
     assert generate_terms(parse_sequence(f"roundpow:eta={'3' * 5000},prec=16700"), 2) == [threes, threes**2]
 
 
+def test_roundpow_reads_long_fractions_without_the_digit_limit():
+    # Fraction(str) reads p and q through int(str), which stops at 4300 digits; the ratio reads them as Decimals.
+    threes = "3" * 5000
+    eta = Fraction(int(Decimal(threes)), 7)  # 5/7 past an integer
+    assert generate_terms(parse_sequence(f"roundpow:eta={threes}/7,prec=16700"), 2) == [round(eta), round(eta**2)]
+    with pytest.raises(LacunaError, match=r"^eta\*\*2 is 0.276" + COVERS.format(8)):
+        generate_terms(parse_sequence(f"roundpow:eta={threes}/7,prec=8"), 2)
+
+
+def _fraction_outcome(token):
+    """What the ratio reader made of a p/q token when Fraction read it whole."""
+    try:
+        eta = Fraction(token)
+    except ZeroDivisionError:
+        return f"bad rounded-power ratio {token!r}: zero denominator"
+    except ValueError:
+        return f"bad rounded-power ratio {token!r}"
+    return (eta, 0) if eta > 1 else "rounded-power ratio must exceed 1"
+
+
+@given(st.text(alphabet="0123456789/ +-._eE\u0663\t", min_size=1, max_size=8).filter(lambda token: "/" in token))
+@settings(max_examples=300)
+def test_ratio_reader_keeps_the_outcome_of_fraction_on_every_short_p_q(token):
+    # Whitespace, signs, underscores, exponents and digits of any script: every outcome is Fraction's.
+    try:
+        outcome = sequences._read_ratio(token)
+    except ValueError as exc:
+        outcome = str(exc)
+    assert outcome == _fraction_outcome(token)
+
+
 def test_term_bit_guard_trips_on_the_running_total(monkeypatch):
     started = time.perf_counter()
     with pytest.raises(TooLarge, match="the first 26838 terms hold over 250000000 bits"):
@@ -220,10 +251,12 @@ BAD_SPECS = [
     ("roundpow:eta=-inf,prec=10", "bad rounded-power ratio '-inf'"),
     ("roundpow:eta=sNaN,prec=10", "bad rounded-power ratio 'sNaN'"),
     ("roundpow:eta=a/b,prec=10", "bad rounded-power ratio 'a/b'"),
+    # Past 4300 digits a malformed p/q is still refused by its syntax, not by the length of its digits.
+    (f"roundpow:eta={'3' * 5000}/-7,prec=8", f"bad rounded-power ratio '{'3' * 5000}/-7'"),
 ]
 
 
-@pytest.mark.parametrize(("text", "message"), BAD_SPECS, ids=[text for text, _ in BAD_SPECS])
+@pytest.mark.parametrize(("text", "message"), BAD_SPECS, ids=[text[:60] for text, _ in BAD_SPECS])
 def test_parse_rejects_bad_specs(text, message):
     with pytest.raises(ValueError) as refused:
         parse_sequence(text)
