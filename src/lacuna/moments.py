@@ -4,7 +4,7 @@ E[S_n**m] for S_n = sum_k cos(2 pi a_k w), w uniform on [0,1], is 2**-m
 times the count N_m of signed zero-sum index tuples.  The production
 path (``prefix_moments``) returns these counts.  Its carry count runs
 from the top index down, memoized, and drops each partial sum that the
-slots left cannot cancel.  Past a state budget the prefix engine answers:
+slots left cannot cancel.  Past a budget of moves the prefix engine answers:
 it grows the powers of a sparse Laurent polynomial one term at a time,
 storing only the exponents e >= 0 of each (every power is symmetric
 under x -> 1/x), and extracts constant terms.  An even order is a sum of
@@ -52,7 +52,7 @@ def prefix_moments(
 
     A list, not a generator, so the work is done inside the call.  The
     guards bound the prefix engine's largest power and its work; the
-    carry count runs first, under a budget of work >> 7 states.
+    carry count runs first, under a budget of work >> 5 moves and keys.
     """
     if m_max < 1 or not 0 <= n_from <= n_to <= len(terms):
         raise ValueError(f"need m_max >= 1 and 0 <= n_from <= n_to <= {len(terms)}")
@@ -69,7 +69,7 @@ def prefix_moments(
         work = _prefix_work(tops, n_from, n_to, m_max)
     if work > MAX_PREFIX_WORK:
         raise TooLarge(f"the prefix engine may take {work} work units, over the cap {MAX_PREFIX_WORK}")
-    rows, _ = _carry_rows(terms, n_from, n_to, m_max, work >> 7)
+    rows = _carry_rows(terms, n_from, n_to, m_max, work >> 5)
     return rows if rows is not None else _prefix_rows(terms, n_from, n_to, m_max)
 
 
@@ -91,7 +91,7 @@ def _prefix_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int) -> li
 def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     """Source entries that ``_add_term`` reads plus products that ``_moment_of`` sums.
 
-    It caps the prefix engine, and 1/128 of it is the carry count's state budget.  The per-row
+    It caps the prefix engine, and 1/32 of it is the carry count's budget.  The per-row
     term counts a scan for every order; an even order reads its running sum after the first row,
     so it over-counts those.  P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1)
     exponents; each term reads P**i once per t of q**j, j <= H - i, that is floor(j/2) + 1 times.
@@ -103,44 +103,45 @@ def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     return n_to * reads + sum(held(n, m // 2) for n in range(n_from, n_to + 1) for m in range(1, m_max + 1))
 
 
-def _carry_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int, budget: int) -> tuple[list | None, int]:
-    """(``prefix_moments``'s rows, or None if over ``budget`` states could be held; the states held).
+def _carry_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int, budget: int) -> list | None:
+    """``prefix_moments``'s rows, or None once the count could pass ``budget`` units.
 
     T(j, r, S), the fillings of r ordered signed slots from a_1..a_j with sum -S, sums C(r, c) C(c, c+)
     T(j-1, r-c, S + (2c+ - c) a_j) over the c slots of a_j, c+ of them positive; it is even in S and 0
     once |S| > r max_{k<=j} |a_k|.  N_m(n) = T(n, m, 0).  A top-down pass builds each level's keys
-    |S| (m_max + 1) + r that the rows need; a bottom-up pass evaluates them.
+    |S| (m_max + 1) + r that the rows need; a bottom-up pass evaluates them.  One unit pays for a move
+    of the table, a row's key, or a move that a key reads, which makes at most one key below it: so
+    neither the moves read nor the keys held pass the budget.
     """
-    keys = m_max + 1
-    if keys > budget:
-        return None, 0
+    keys, spent = m_max + 1, comb(m_max + 3, 3)  # the move table's length
+    if spent > budget:
+        return None
     tops = list(accumulate(map(abs, terms[:n_to]), max, initial=0))
     moves = [[(r - c, t, comb(r, c) * comb(c, (c + t) // 2)) for c in range(r + 1) for t in range(-c, c + 1, 2)]
              for r in range(keys)]  # (r - c, 2c+ - c, C(r, c) C(c, c+))
-    levels, level, held = [], set(), 0
+    levels, level = [], set()
     for j in range(n_to, 0, -1):
         if j >= n_from:
             level.update(range(1, keys))  # the row's keys (m, 0), for which room was kept
+            spent += m_max
         levels.append(level)
-        held += len(level)
         a, top, level = abs(terms[j - 1]), tops[j - 1], set()
-        steps = [[(left, t * a, left * top) for left, t, _ in moves[r]] for r in range(keys)]
-        for key in levels[-1] if j > 1 else ():
+        for key in levels[-1]:
             s, r = divmod(key, keys)
-            if held + len(level) + len(steps[r]) + keys > budget:
-                return None, held + len(level)
-            for left, d, bound in steps[r]:
-                if (f := abs(s + d)) <= bound:
+            spent += len(moves[r])
+            if spent > budget:
+                return None
+            for left, t, _ in moves[r] if j > 1 else ():
+                if (f := abs(s + t * a)) <= left * top:
                     level.add(f * keys + left)
     rows, values = [(0, [0] * m_max)] if n_from == 0 else [], {0: 1}  # T(0, r, S) = [r = 0 and S = 0]
     for j in range(1, n_to + 1):
         a, get = abs(terms[j - 1]), values.get
-        steps = [[(left, t * a, w) for left, t, w in moves[r]] for r in range(keys)]
-        values = {key: sum(w * get(abs(key // keys + d) * keys + left, 0) for left, d, w in steps[key % keys])
+        values = {key: sum(w * get(abs(key // keys + t * a) * keys + left, 0) for left, t, w in moves[key % keys])
                   for key in levels.pop()}
         if j >= n_from:
             rows.append((j, [values[m] for m in range(1, keys)]))
-    return rows, held
+    return rows
 
 
 def _add_term(powers: list[SparseLaurent], a: int, squares: list[int]) -> None:

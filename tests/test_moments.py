@@ -287,6 +287,26 @@ def lacunary_terms(draw):
     return draw(st.permutations(terms))
 
 
+def counted_carry(terms, n_from, n_to, m_max, budget):
+    """_carry_rows's answer, the keys its sets held and its calls of abs: one per move read, one per term and level."""
+    made, absolutes = [], []
+
+    class Recorded(set):
+        def __init__(self, *items):
+            super().__init__(*items)
+            made.append(self)
+
+    def counted_abs(x):
+        absolutes.append(x)
+        return abs(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "set", Recorded, raising=False)
+        patch.setattr(moments, "abs", counted_abs, raising=False)
+        rows = moments._carry_rows(terms, n_from, n_to, m_max, budget)
+    return rows, sum(map(len, made)), len(absolutes)  # the sets only grow
+
+
 @given(
     data=st.data(),
     terms=st.one_of(lacunary_terms(), st.lists(st.integers(-12, 12), max_size=9)),
@@ -299,23 +319,45 @@ def test_carry_count_and_prefix_engine_give_equal_rows(data, terms, m_max, budge
     n_to = data.draw(st.integers(0, len(terms)))
     n_from = data.draw(st.integers(0, n_to))
     rows = moments._prefix_rows(terms, n_from, n_to, m_max)
-    assert moments._carry_rows(terms, n_from, n_to, m_max, 10**9)[0] == rows
-    # Under any budget the carry count holds at most that many states, and gives up or answers alike.
-    carried, held = moments._carry_rows(terms, n_from, n_to, m_max, budget)
+    assert moments._carry_rows(terms, n_from, n_to, m_max, 10**9) == rows
+    # Under any budget the carry count holds at most that many keys, and gives up or answers alike.
+    carried, held, _ = counted_carry(terms, n_from, n_to, m_max, budget)
     assert held <= budget and carried in (None, rows)
     assert prefix_moments(terms, n_from, n_to, m_max) == rows
+
+
+def budget_of(terms, n_from, n_to, m_max):
+    """The budget prefix_moments hands the carry count."""
+    return moments._prefix_work(list(accumulate(map(abs, terms), max, initial=0)), n_from, n_to, m_max) >> 5
 
 
 def test_dense_benchmark_list_falls_back_within_its_budget(monkeypatch):
     # range-tables' seed-1 explicit: list, 30 distinct terms in [1, 10^6] at m <= 6: almost nothing prunes.
     terms = random.Random(1).sample(range(1, 10**6 + 1), 30)
-    budget = moments._prefix_work(list(accumulate(terms, max, initial=0)), 1, 30, 6) >> 7
-    rows, held = moments._carry_rows(terms, 1, 30, 6, budget)
-    assert rows is None and held <= budget
+    budget = budget_of(terms, 1, 30, 6)
+    rows, held, absolutes = counted_carry(terms, 1, 30, 6, budget)
+    assert rows is None and held <= budget and absolutes <= budget + 2 * 30
     engine, calls = moments._prefix_rows, []
     monkeypatch.setattr(moments, "_prefix_rows", lambda *args: calls.append(args) or engine(*args))
     assert prefix_moments(terms, 1, 30, 6) == engine(terms, 1, 30, 6)
     assert calls == [(terms, 1, 30, 6)]
+
+
+def test_dense_row_of_high_order_falls_back_within_its_moves():
+    # 2,000 ones at m = 40: few keys, since every |S| <= 40, but up to 861 moves read from each.
+    terms = [1] * 2000
+    budget = budget_of(terms, 2000, 2000, 40)
+    rows, held, absolutes = counted_carry(terms, 2000, 2000, 40, budget)
+    assert rows is None and held <= budget and absolutes <= budget + 2 * 2000
+
+
+def test_move_table_is_charged_before_it_is_built(monkeypatch):
+    # pow2plus1 at n = 1, m = 430 passes the guards; its move table would make 2 C(433, 3) = 26,808,912 binomials.
+    binomial, calls = moments.comb, []
+    monkeypatch.setattr(moments, "comb", lambda *args: calls.append(args) or binomial(*args))
+    monkeypatch.setattr(moments, "_prefix_rows", lambda *args: "prefix engine")
+    assert prefix_moments(terms_of(POW2, 1), 1, 1, 430) == "prefix engine"
+    assert len(calls) < 1000  # the guards' estimates and the table's length take 645
 
 
 def test_deep_point_row_finishes_on_the_carry_route(monkeypatch):
@@ -332,7 +374,7 @@ def test_deep_point_row_finishes_on_the_carry_route(monkeypatch):
 
 def test_carry_count_does_not_recurse():
     # 3,000 levels, one per term: a recursive count would pass Python's recursion limit.
-    assert moments._carry_rows(terms_of(POW2, 3000), 3000, 3000, 2, 10**6)[0] == [(3000, [0, 6000])]
+    assert moments._carry_rows(terms_of(POW2, 3000), 3000, 3000, 2, 10**6) == [(3000, [0, 6000])]
 
 
 def test_even_moments_are_nonnegative_and_dyadic():
