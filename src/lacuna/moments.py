@@ -8,8 +8,8 @@ slots left cannot cancel.  Past a budget of moves the prefix engine answers:
 it grows the powers of a sparse Laurent polynomial one term at a time,
 storing only the exponents e >= 0 of each (every power is symmetric
 under x -> 1/x), and extracts constant terms.  An even order is a sum of
-squares: each call scans it once at its first row, and a range keeps it
-up over its later rows at O(1) each.  The moment-to-cumulant recursion is
+squares, which each power keeps up from its first term as its entries
+change, so no row scans it.  The moment-to-cumulant recursion is
 homogeneous under mu_m -> 2**m mu_m, so on the counts it gives the
 integers K_m = 2**m kappa_m; only a printed value is scaled by 2**-m.
 A-priori support and work estimates refuse a call before anything
@@ -74,16 +74,15 @@ def prefix_moments(
 
 
 def _prefix_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int) -> list[tuple[int, list[int]]]:
-    """The prefix engine: grows P**0 .. P**ceil(m_max/2) one term at a time, tracking squares from the first row."""
-    powers: list[SparseLaurent] = [{0: 1}] + [{} for _ in range((m_max + 1) // 2)]
-    squares: list[int] = []
+    """The prefix engine: grows P**0 .. P**H, H = ceil(m_max/2), one term at a time, each with its sum of squares."""
+    half = (m_max + 1) // 2
+    powers: list[SparseLaurent] = [{0: 1}] + [{} for _ in range(half)]
+    squares = [1] + [0] * half  # of P**0 = {0: 1} and the empty P**1 .. P**H
     rows = []
     for n in range(n_to + 1):
         if n:
             _add_term(powers, terms[n - 1], squares)
         if n >= n_from:
-            if n == n_from:
-                squares = [sum(c * c for c in power.values()) for power in powers[: m_max // 2 + 1]]
             rows.append((n, [_moment_of(powers, m, squares) for m in range(1, m_max + 1)]))
     return rows
 
@@ -92,8 +91,8 @@ def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     """Source entries that ``_add_term`` reads plus products that ``_moment_of`` sums.
 
     It caps the prefix engine, and 1/32 of it is the carry count's budget.  The per-row
-    term counts a scan for every order; an even order reads its running sum after the first row,
-    so it over-counts those.  P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1)
+    term counts a scan for every order; an even order reads its running sum instead, so it
+    over-counts those.  P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1)
     exponents; each term reads P**i once per t of q**j, j <= H - i, that is floor(j/2) + 1 times.
     """
     half = (m_max + 1) // 2
@@ -155,38 +154,29 @@ def _add_term(powers: list[SparseLaurent], a: int, squares: list[int]) -> None:
     both sides, so w*c_s goes onto target[0].  (For s = 0 they cancel, and
     each e is fed once at 2w, so a zero frequency's s = 0 passes just add.)
     Highest k first, so every P**(k-j) read is still the old power.
-    It keeps squares[k], the running sum of squares of P**k, for each
-    k < len(squares): an entry old + d adds 2*old*d + d*d, and the d*d of
-    one pass over P**(k-j) sum to 2*w*w*squares[k-j], still the old
-    power's.  Other powers take the cheaper untracked loop.
+    It keeps squares[k], the running sum of squares of P**k, for every
+    held k: an entry old + d adds 2*old*d + d*d, and the d*d of one pass
+    over P**(k-j) sum to 2*w*w*squares[k-j], still the old power's.
     """
     a = abs(a)
     for k in range(len(powers) - 1, 0, -1):
         target = powers[k]
         get = target.get
-        tracked = k < len(squares)
         grown = 0  # the change of squares[k]
         for j, source in enumerate(powers[k - 1 :: -1], 1):  # source = P**(k-j)
             for t in range(j % 2, j + 1, 2):  # q**j = sum_t C(j, (j+t)/2) (x**(at) + x**(-at)), halved at t = 0
                 s, w = a * t, comb(k, j) * comb(j, (j + t) // 2) // (1 if t else 2)  # C(2r, r) is even
-                if tracked:
-                    cross = 0
-                    for e, c in source.items():
-                        c *= w
-                        old = get(e + s, 0)
-                        target[e + s] = old + c
-                        cross += old * c
-                        f = abs(e - s)
-                        old = get(f, 0)
-                        target[f] = old + c
-                        cross += old * c
-                    grown += 2 * cross + 2 * w * w * squares[k - j]  # the c*c of both feeds: the source's sum
-                else:
-                    for e, c in source.items():
-                        c *= w
-                        target[e + s] = get(e + s, 0) + c
-                        f = abs(e - s)
-                        target[f] = get(f, 0) + c
+                cross = 0
+                for e, c in source.items():
+                    c *= w
+                    old = get(e + s, 0)
+                    target[e + s] = old + c
+                    cross += old * c
+                    f = abs(e - s)
+                    old = get(f, 0)
+                    target[f] = old + c
+                    cross += old * c
+                grown += 2 * cross + 2 * w * w * squares[k - j]  # the c*c of both feeds: the source's sum
                 if 0 in source:
                     c, old = w * source[0], target[s]
                     target[s] = old - c
@@ -195,8 +185,7 @@ def _add_term(powers: list[SparseLaurent], a: int, squares: list[int]) -> None:
                     c, old = w * source[s], get(0, 0)
                     target[0] = old + c
                     grown += c * (2 * old + c)
-        if tracked:
-            squares[k] += grown
+        squares[k] += grown
 
 
 def _moment_of(powers: list[SparseLaurent], m: int, squares: list[int]) -> int:
@@ -252,8 +241,8 @@ def _oracle_workers() -> int:
 def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     """Float cross-check of E[S_n**m] by equally spaced sampling.
 
-    With N = m * max(a_k) + 1 nodes the rule integrates the degree
-    m * max(a_k) trigonometric polynomial S_n**m without aliasing, so
+    With N = m * max|a_k| + 1 nodes the rule integrates the degree
+    m * max|a_k| trigonometric polynomial S_n**m without aliasing, so
     the only error is float rounding.  S_n(1 - w) = S_n(w), so node N - j
     repeats node j: only the nodes 0 .. N//2 are evaluated, and the sum
     is twice theirs less node 0 and, for even N, less node N/2, each of
@@ -276,7 +265,7 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
         raise ValueError("need m >= 1")
     if not terms:
         raise ValueError("need at least one term")
-    samples = m * max(terms) + 1
+    samples = m * max(map(abs, terms)) + 1
     if samples > MAX_ORACLE_SAMPLES:
         raise TooLarge(f"{samples} quadrature nodes exceed the cap {MAX_ORACLE_SAMPLES}")
     # 2*pi to more digits than an x86 long double holds.

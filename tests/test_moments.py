@@ -117,16 +117,13 @@ def test_half_storage_matches_full_expansion_with_zero_and_negative_frequencies(
 )
 def test_add_term_stores_the_nonnegative_half_of_each_power(terms):
     # [1, 1, 2] and [3, 3] reach both corrections: a source at e = 0 and one at e = s.
-    # Copies grow with running sums of squares of P^0..P^3 and of P^0..P^4, checked by a scan after every term.
+    # Each power's running sum of squares is checked against a scan of that power after every term.
     half = 4
     powers = [{0: 1}] + [{} for _ in range(half)]
-    copies = [([{0: 1}] + [{} for _ in range(half)], [1] + [0] * top) for top in (half - 1, half)]
+    squares = [1] + [0] * half
     for a in terms:
-        moments._add_term(powers, a, [])
-        for tracked, squares in copies:
-            moments._add_term(tracked, a, squares)
-            assert tracked == powers
-            assert squares == [sum(c * c for c in power.values()) for power in powers[: len(squares)]]
+        moments._add_term(powers, a, squares)
+        assert squares == [sum(c * c for c in power.values()) for power in powers]
     poly = laurent_from_terms(terms)
     for k, stored in enumerate(powers):
         assert all(e >= 0 and c > 0 for e, c in stored.items())
@@ -196,9 +193,9 @@ def stored_estimate(terms, m_max):
 
 
 def stored_entries(terms, half):
-    powers = [{0: 1}] + [{} for _ in range(half)]
+    powers, squares = [{0: 1}] + [{} for _ in range(half)], [1] + [0] * half
     for a in terms:
-        moments._add_term(powers, a, [])
+        moments._add_term(powers, a, squares)
     return len(powers[half])
 
 
@@ -248,12 +245,12 @@ def prefix_work_pair(terms, n_from, n_to, m_max):
     """
     half = (m_max + 1) // 2
     tops = list(accumulate(map(abs, terms[:n_to]), max, initial=0))
-    powers = [{0: 1}] + [{} for _ in range(half)]
+    powers, squares = [{0: 1}] + [{} for _ in range(half)], [1] + [0] * half
     work = 0
     for n in range(n_to + 1):
         if n:
             work += sum(len(powers[k - j]) * (j // 2 + 1) for k in range(1, half + 1) for j in range(1, k + 1))
-            moments._add_term(powers, terms[n - 1], [])
+            moments._add_term(powers, terms[n - 1], squares)
         if n >= n_from:
             work += sum(len(powers[m // 2]) for m in range(1, m_max + 1))
     return moments._prefix_work(tops, n_from, n_to, m_max), work
@@ -543,6 +540,9 @@ def test_cumulant_order_guard_trips_before_the_recursion(monkeypatch):
 def test_oracle_simple_values():
     assert abs(moment_oracle_quadrature(terms_of(POW2, 3), 2) - 1.5) < 1e-9
     assert abs(moment_oracle_quadrature(terms_of(FIB, 4), 1)) < 1e-12
+    # Negative frequencies size the rule too: 3 nodes, from max(a_k) = 1, alias [-5, 1] to 2.0; [-3, -1] would get none.
+    assert moment_oracle_quadrature([-5, 1], 2) == 1.0 == moment([-5, 1], 2)
+    assert moment_oracle_quadrature([-3, -1], 2) == 1.0
 
 
 def test_oracle_matches_exact_engine():
