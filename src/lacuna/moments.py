@@ -28,10 +28,9 @@ cumulant over n summands is n times the single-summand cumulant.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from itertools import accumulate
-from math import comb
+from math import comb, isqrt
 
 from .errors import TooLarge
 from .laurent import SparseLaurent
@@ -230,12 +229,7 @@ def independent_cumulants(m_max: int) -> list[int]:
     return moments_to_cumulants([0 if m % 2 else comb(m, m // 2) for m in range(1, m_max + 1)])
 
 
-_ORACLE_SLAB = 1 << 20
-
-
-def _oracle_workers() -> int:
-    """Threads of the quadrature: one per CPU this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_ORACLE_BLOCK = 1 << 13  # nodes per cache-sized block
 
 
 def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
@@ -243,23 +237,15 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
 
     With N = m * max|a_k| + 1 nodes the rule integrates the degree
     m * max|a_k| trigonometric polynomial S_n**m without aliasing, so
-    the only error is float rounding.  S_n(1 - w) = S_n(w), so node N - j
-    repeats node j: only the nodes 0 .. N//2 are evaluated, and the sum
-    is twice theirs less node 0 and, for even N, less node N/2, each of
-    which stands for itself alone.  Arguments are reduced to a_k * j mod N
-    in exact integer arithmetic, so each term gathers from one table of
-    the long-double cosines cos(2*pi*r/N), computed for r <= N/2 and
-    mirrored (16*N bytes, at most 160 MB), into one slab array over at
-    most 2**20 nodes, slab by slab.  Each node is raised to the m-th
-    power by binary multiplication, high bit first, with no libm powl.
-    The table's first half and each slab are filled in one chunk per
-    CPU, each on its own thread with index and gather arrays of its own:
-    numpy's long-double loops release the GIL and evaluate element by
-    element, every node sees the same operations in the same order, and
-    each slab is summed once, whole, so the bits are the same for any CPU count.
+    the only error is float rounding.  S_n(1 - w) = S_n(w), so only the
+    nodes 0 .. N//2 are evaluated: twice their sum, less node 0 and, for
+    even N, node N/2.  With cosines fixed-point integers of at most 2**b,
+    b = 63 - n.bit_length(), each node sum is an exact int64 in any order;
+    one thread holds 8*N bytes of table (at most 80 MB) and 4*N of sums.
+    Blocks of sums are scaled by 2**-b into long doubles, exactly, raised
+    to the m-th power by multiplication, high bit first (no libm powl), and summed.
     """
     import numpy as np  # only the float diagnostics need numpy; keeps start-up fast
-    from concurrent.futures import ThreadPoolExecutor
 
     if m < 1:
         raise ValueError("need m >= 1")
@@ -268,44 +254,58 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     samples = m * max(map(abs, terms)) + 1
     if samples > MAX_ORACLE_SAMPLES:
         raise TooLarge(f"{samples} quadrature nodes exceed the cap {MAX_ORACLE_SAMPLES}")
-    # 2*pi to more digits than an x86 long double holds.
-    step = np.longdouble("6.28318530717958647692528676655900576839") / samples
-    reduced = [a % samples for a in terms]
-    half = samples // 2 + 1  # nodes 0 .. N//2
-    workers = _oracle_workers()
-    table = np.empty(samples, dtype=np.longdouble)
-    acc = np.empty(min(half, _ORACLE_SLAB), dtype=np.longdouble)
-    width = -(-acc.size // workers)
+    scale = 63 - len(terms).bit_length()
+    sums = _oracle_node_sums(terms, _oracle_table(samples, scale))
 
-    def cosines(lo: int, hi: int) -> None:
-        np.cos(step * np.arange(lo, hi, dtype=np.int64).astype(np.longdouble), out=table[lo:hi])
-
-    def fill(start: int, lo: int, hi: int) -> None:  # acc[lo:hi] = S_n**m at nodes start+lo .. start+hi-1
-        index, gathered = np.empty(hi - lo, dtype=np.int64), np.empty(hi - lo, dtype=np.longdouble)
-        grid = np.arange(start + lo, start + hi, dtype=np.int64)
-        out = acc[lo:hi]
-        out.fill(0)
-        for a in reduced:
-            np.remainder(np.multiply(grid, a, out=index), samples, out=index)
-            out += np.take(table, index, out=gathered, mode="clip")  # index already in [0, N)
-        gathered[:] = out
-        for bit in bin(m)[3:]:  # out = S_n**m by squaring and multiplying, high bit first
-            out *= out
+    def power_sum(block) -> np.longdouble:  # sum of (block / 2**b)**m
+        x = np.ldexp(block.astype(np.longdouble), -scale)
+        power = x.copy()
+        for bit in bin(m)[3:]:
+            power *= power
             if bit == "1":
-                out *= gathered
+                power *= x
+        return power.sum(dtype=np.longdouble)
 
-    total = np.longdouble(0)
-    with ThreadPoolExecutor(workers) as pool:
-        bounds = [half * i // workers for i in range(workers + 1)]
-        list(pool.map(cosines, bounds[:-1], bounds[1:]))
-        table[half:] = table[samples - half : 0 : -1]  # table[N - r] = table[r]
-        for start in range(0, half, _ORACLE_SLAB):
-            size = min(_ORACLE_SLAB, half - start)
-            chunks = range(0, size, width)
-            list(pool.map(fill, [start] * len(chunks), chunks, [min(lo + width, size) for lo in chunks]))
-            total += 2 * acc[:size].sum(dtype=np.longdouble)
-            if start == 0:
-                total -= acc[0]
-            if samples % 2 == 0 and start + size == half:
-                total -= acc[size - 1]  # node N/2
-    return float(total / samples)
+    total = sum(power_sum(sums[lo : lo + _ORACLE_BLOCK]) for lo in range(0, sums.size, _ORACLE_BLOCK))
+    ends = power_sum(sums[[0, -1]] if samples % 2 == 0 else sums[:1])  # node 0 and node N/2
+    return float((2 * total - ends) / samples)
+
+
+def _oracle_table(samples: int, scale: int):
+    """round(2**scale * cos(2*pi*r/N)) as int64 for r < N = samples, mirrored from r <= N/2, where
+    cos(uB + t) = cos(uB) cos(t) - sin(uB) sin(t) in long doubles, B ~ sqrt(N/2), in slabs of ~2**15."""
+    import numpy as np
+
+    half = samples // 2 + 1
+    width = isqrt(half - 1) + 1  # B
+    step = np.longdouble("6.28318530717958647692528676655900576839") / samples  # 2*pi past long-double digits
+    t = step * np.arange(width).astype(np.longdouble)
+    u = step * np.arange(0, half, width).astype(np.longdouble)[:, None]
+    cos_t, sin_t, rows = np.cos(t), np.sin(t), max(1, (1 << 15) // width)
+    table = np.empty(samples, dtype=np.int64)
+    for row in range(0, u.size, rows):
+        slab = (np.cos(u[row : row + rows]) * cos_t - np.sin(u[row : row + rows]) * sin_t).ravel()
+        table[row * width : min(half, (row + rows) * width)] = np.rint(np.ldexp(slab[: half - row * width], scale))
+    table[half:] = table[samples - half : 0 : -1]  # table[N - r] = table[r]
+    return table
+
+
+def _oracle_node_sums(terms: Sequence[int], table):
+    """The exact int64 sums of table[a_k j mod N] over the terms, N = table.size, at the nodes j <= N//2.
+
+    Node j = lo + r of the block at lo reads (r t mod N) + (lo t mod N), t = a_k mod N, less N past N:
+    the first part once per term, the second once per block, so no node is divided.
+    """
+    import numpy as np
+
+    samples, half = table.size, table.size // 2 + 1
+    sums = np.zeros(half, dtype=np.int64)
+    offsets = np.arange(min(_ORACLE_BLOCK, half), dtype=np.int64)
+    for a in terms:
+        base = offsets * (t := a % samples) % samples
+        for lo in range(0, half, offsets.size):
+            index = base[: half - lo] + lo * t % samples
+            # index < 2N; as uint64, index - N wraps above index unless index >= N, so the minimum is index mod N.
+            np.minimum(index.view(np.uint64), (index - samples).view(np.uint64), out=index.view(np.uint64))
+            sums[lo : lo + index.size] += table.take(index)
+    return sums

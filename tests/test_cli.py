@@ -530,7 +530,7 @@ def test_long_decimal_ratios_print_their_row(capsys, eta, prec, kappa):
 
 def test_cli_import_is_lean():
     # Every CLI start pays for its imports: no class generator (dataclasses drags in inspect), no
-    # typing, and no numpy or concurrent.futures, which only the quadrature oracle loads.  The probe runs under -S, so no
+    # typing, no concurrent.futures, and no numpy, which only the quadrature oracle loads.  The probe runs under -S, so no
     # site hook can load any of them first and hide the CLI's own.  perfbench/tracer.py wraps all
     # seven layers right after this import, so each must be loaded by it.
     src = str(Path(lacuna.__file__).resolve().parents[1])

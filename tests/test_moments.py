@@ -568,59 +568,52 @@ def test_oracle_pinned_values():
     assert Fraction(two_slabs) == moment(fib, 7)
 
 
-def quadrature_per_term(terms, m):
-    """The oracle's folded rule with one long-double cosine per term and node, on one thread.
-
-    Only nodes 0 .. N//2 are evaluated, each term's residue r folded to min(r, N - r).  Each node
-    is raised to the m-th power by squaring and multiplying, high bit first.  Each slab of
-    ``moments._ORACLE_SLAB`` nodes is summed on its own as twice its sum, less node 0 and, for
-    even N, node N/2, as the oracle sums it.
-    """
+@pytest.mark.parametrize("samples, scale", [(1, 62), (2, 62), (3, 61), (402, 60), (1001, 53), (450_151, 58)])
+def test_oracle_table_is_within_one_of_each_rounded_cosine(samples, scale):
+    # Angle addition moves about 1% of the entries at N = 450,151 (fibonacci, n = 25, m = 6) by exactly 1.
     import numpy as np
 
-    samples = m * max(terms) + 1
+    table = moments._oracle_table(samples, scale)
     half = samples // 2 + 1
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples
-    grid = np.arange(half, dtype=np.int64)
-    acc = np.zeros(half, dtype=np.longdouble)
-    for a in terms:
-        residue = (a % samples) * grid % samples
-        acc += np.cos(step * np.minimum(residue, samples - residue).astype(np.longdouble))
-    powers = acc.copy()
-    for bit in bin(m)[3:]:
-        powers = powers * powers
-        if bit == "1":
-            powers = powers * acc
-    total = np.longdouble(0)
-    for start in range(0, half, moments._ORACLE_SLAB):
-        slab = powers[start : start + moments._ORACLE_SLAB]
-        total += 2 * slab.sum(dtype=np.longdouble)
-        if start == 0:
-            total -= slab[0]
-        if samples % 2 == 0 and start + slab.size == half:
-            total -= slab[-1]
-    return float(total / samples)
+    direct = np.rint(np.ldexp(np.cos(step * np.arange(half).astype(np.longdouble)), scale)).astype(np.int64)
+    nmant = np.finfo(np.longdouble).nmant  # 63 on x86; where long double is double, both sides round at 2**-53
+    assert np.abs(table[:half] - direct).max() <= (1 if nmant >= 63 else 2 ** (scale - nmant + 3))
+    assert table[0] == 1 << scale
+    assert (table[1:] == table[:0:-1]).all()  # table[N - r] = table[r]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.integers(1, 400), min_size=1, max_size=7),
+    st.lists(st.integers(-400, 400), min_size=1, max_size=7),
     st.integers(1, 7),
-    st.sampled_from([1, 2, 3, 5]),
-    st.sampled_from([100, 1000, 1 << 20]),
+    st.sampled_from([1, 3, 100, moments._ORACLE_BLOCK]),
 )
-@example([1, 2, 400], 1, 3, 1000)
-@example([1, 2, 400], 2, 5, 100)
-@example([1, 2, 401], 1, 3, 100)  # N = 402 is even: node N/2 counts once, in the last of three slabs
-@example([1], 1, 2, 1 << 20)  # N = 2: both nodes are ends
-@example([1, 2], 1, 5, 1000)  # 5 workers on a grid of 2 folded nodes
-def test_oracle_matches_per_term_cosines_exactly(terms, m, workers, slab):
-    # The bits depend on neither the worker count nor the slab: a slab of 100 or 1000 nodes splits the
-    # folded grid of up to 1,401 nodes into many slabs, each into up to `workers` chunks, the last of them short.
+@example([1, 2, 399], 1, 3)  # N = 400 is even, its 201 folded nodes end in a short block
+@example([0], 1, 1)  # N = 1: one node
+@example([1], 1, 3)  # N = 2: one short block
+def test_oracle_node_sums_equal_integer_sums(terms, m, block):
+    # The index (r t mod N) + (lo t mod N), less N past N, is a_k j mod N for every block size.
+    samples = m * max(map(abs, terms)) + 1
+    table = moments._oracle_table(samples, 63 - len(terms).bit_length())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(moments, "_oracle_workers", lambda: workers)
-        patch.setattr(moments, "_ORACLE_SLAB", slab)
-        assert moment_oracle_quadrature(terms, m) == quadrature_per_term(terms, m)
+        patch.setattr(moments, "_ORACLE_BLOCK", block)
+        sums = moments._oracle_node_sums(terms, table)
+    entries = [int(v) for v in table]
+    assert [int(v) for v in sums] == [sum(entries[a * j % samples] for a in terms) for j in range(samples // 2 + 1)]
+
+
+@pytest.mark.parametrize("n", [31, 32, 63, 64])
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_oracle_node_sums_stay_below_two_to_the_63(n, m):
+    # n ones put n * 2**b in node 0: 31 * 2**58 and 63 * 2**57 just below 2**63, 32 * 2**57 and 64 * 2**56 at 2**62.
+    assert moment_oracle_quadrature([1] * n, m) == moment([1] * n, m)
+
+
+def test_oracle_on_a_thousand_terms():
+    # b = 53: node 0 sums to 1000 * 2**53; the folded rule is exact at m = 2 for distinct frequencies.
+    terms = random.Random(1).sample(range(1, 10**4), 1000)
+    assert moment_oracle_quadrature(terms, 2) == 500.0 == moment(terms, 2)
 
 
 @settings(max_examples=100, deadline=None)
