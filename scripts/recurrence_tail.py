@@ -23,11 +23,9 @@ import sys
 from collections import namedtuple
 from math import isfinite
 
-import numpy as np
-
 from lacuna.cli import exit_code, positional, slope_modulus
 from lacuna.errors import LacunaError
-from lacuna.moments import moments_to_cumulants, prefix_moments
+from lacuna.moments import load_numpy, moments_to_cumulants, prefix_moments
 from lacuna.recurrence import Poly, detect_affine_tail, structural_slope
 from lacuna.sequences import generate_terms, parse_sequence
 
@@ -48,7 +46,7 @@ def dominant_root_check(p: Poly) -> RootCheck:
     """
     if max(map(abs, p)) > sys.float_info.max:
         raise LacunaError(f"the dominant-root check needs floats, but a coefficient is over {sys.float_info.max:.3g}")
-    roots = [complex(r) for r in np.roots([float(c) for c in reversed(p)])]
+    roots = [complex(r) for r in load_numpy().roots([float(c) for c in reversed(p)])]
     if not all(isfinite(r.real) and isfinite(r.imag) for r in roots):
         raise LacunaError("companion-matrix roots are not finite")
     real_above_one = [r.real for r in roots if abs(r.imag) <= 1e-8 * max(1.0, abs(r)) and r.real > 1.0]

@@ -28,6 +28,8 @@ cumulant over n summands is n times the single-summand cumulant.
 
 from __future__ import annotations
 
+import os
+import sys
 from collections.abc import Sequence
 from itertools import accumulate
 from math import comb, isqrt
@@ -230,6 +232,20 @@ def independent_cumulants(m_max: int) -> list[int]:
 
 
 _ORACLE_BLOCK = 1 << 13  # nodes per cache-sized block
+_BLAS_THREADS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}  # a thread count the user set
+
+
+def load_numpy():
+    """numpy, its OpenBLAS on one thread unless the user set a thread count; os.environ is left as it was."""
+    if "numpy" not in sys.modules and not os.environ.keys() & _BLAS_THREADS:
+        # Callers need no BLAS threads, yet by default OpenBLAS starts a worker per extra CPU that spins ~0.1 s of CPU.
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as numpy loads OpenBLAS
+        try:
+            import numpy
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    import numpy
+    return numpy
 
 
 def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
@@ -241,12 +257,11 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     nodes 0 .. N//2 are evaluated: twice their sum, less node 0 and, for
     even N, node N/2.  With cosines fixed-point integers of at most 2**b,
     b = 63 - n.bit_length(), each node sum is an exact int64 in any order;
-    one thread holds 8*N bytes of table (at most 80 MB) and 4*N of sums.
+    one thread, the process's only one (see ``load_numpy``), holds 8*N bytes of table (at most 80 MB) and 4*N of sums.
     Blocks of sums are scaled by 2**-b into long doubles, exactly, raised
     to the m-th power by multiplication, high bit first (no libm powl), and summed.
     """
-    import numpy as np  # only the float diagnostics need numpy; keeps start-up fast
-
+    np = load_numpy()  # only the float diagnostics need numpy; keeps start-up fast
     if m < 1:
         raise ValueError("need m >= 1")
     if not terms:
@@ -274,8 +289,7 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
 def _oracle_table(samples: int, scale: int):
     """round(2**scale * cos(2*pi*r/N)) as int64 for r < N = samples, mirrored from r <= N/2, where
     cos(uB + t) = cos(uB) cos(t) - sin(uB) sin(t) in long doubles, B ~ sqrt(N/2), in slabs of ~2**15."""
-    import numpy as np
-
+    np = load_numpy()
     half = samples // 2 + 1
     width = isqrt(half - 1) + 1  # B
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples  # 2*pi past long-double digits
@@ -296,8 +310,7 @@ def _oracle_node_sums(terms: Sequence[int], table):
     Node j = lo + r of the block at lo reads (r t mod N) + (lo t mod N), t = a_k mod N, less N past N:
     the first part once per term, the second once per block, so no node is divided.
     """
-    import numpy as np
-
+    np = load_numpy()
     samples, half = table.size, table.size // 2 + 1
     sums = np.zeros(half, dtype=np.int64)
     offsets = np.arange(min(_ORACLE_BLOCK, half), dtype=np.int64)

@@ -1,8 +1,14 @@
+import importlib.util
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -622,3 +628,63 @@ def test_oracle_on_a_thousand_terms():
 def test_oracle_tracks_the_exact_moment(terms, m):
     exact = moment(terms, m)
     assert abs(moment_oracle_quadrature(terms, m) - exact) <= 1e-12 * max(1, abs(exact))
+
+
+# A fresh process under -S, so no site hook loads numpy first; numpy's own directory is put on the path instead.
+# It records every write to os.environ and prints the oracle's value, the writes, whether os.environ is as it
+# was, its OPENBLAS_NUM_THREADS, and the threads of the process after the quadrature.
+_LOADER_PROBE = """
+import json, os, sys
+writes = []
+def recording(method):
+    def wrapper(self, key, *value):
+        writes.append(key)
+        return method(self, key, *value)
+    return wrapper
+os._Environ.__setitem__ = recording(os._Environ.__setitem__)
+os._Environ.__delitem__ = recording(os._Environ.__delitem__)
+if sys.argv[1] == "numpy-first":
+    import numpy
+from lacuna.moments import moment_oracle_quadrature
+before = dict(os.environ)
+value = moment_oracle_quadrature([1, 2, 3], 4)
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+same, blas = dict(os.environ) == before, os.environ.get("OPENBLAS_NUM_THREADS")
+print(json.dumps({"value": value, "writes": writes, "same": same, "blas": blas, "threads": tasks}))
+"""
+
+
+def oracle_in_fresh_process(order="oracle-first", **thread_counts):
+    """The probe's report, run with no BLAS thread count in its environment but ``thread_counts``."""
+    paths = [Path(moments.__file__).parents[1], Path(importlib.util.find_spec("numpy").origin).parents[1]]
+    env = {key: value for key, value in os.environ.items() if key not in moments._BLAS_THREADS}
+    env.update(thread_counts, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADER_PROBE, order], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["value"] == moment([1, 2, 3], 4)
+    return report
+
+
+def test_oracle_loads_numpy_with_one_blas_thread():
+    # OpenBLAS would start a worker per extra CPU; the oracle calls no BLAS routine, so it asks for none.
+    report = oracle_in_fresh_process()
+    assert report["writes"] == ["OPENBLAS_NUM_THREADS", "OPENBLAS_NUM_THREADS"]  # set around the import, then deleted
+    assert (report["same"], report["blas"]) == (True, None)
+    if report["threads"] is None:
+        pytest.skip("no /proc/self/task to count the threads of the process")
+    assert report["threads"] == 1
+
+
+@pytest.mark.parametrize("variable", sorted(moments._BLAS_THREADS))
+def test_oracle_keeps_a_thread_count_the_user_set(variable):
+    report = oracle_in_fresh_process(**{variable: "2"})
+    assert (report["writes"], report["same"]) == ([], True)
+    assert report["blas"] == ("2" if variable == "OPENBLAS_NUM_THREADS" else None)
+
+
+def test_oracle_leaves_the_environment_alone_once_numpy_is_loaded():
+    report = oracle_in_fresh_process("numpy-first")
+    assert (report["writes"], report["same"], report["blas"]) == ([], True, None)
