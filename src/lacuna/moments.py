@@ -37,7 +37,7 @@ from math import comb, isqrt
 from .errors import TooLarge
 from .laurent import SparseLaurent
 
-MAX_ORACLE_SAMPLES = 10**7
+MAX_ORACLE_SAMPLES = 10**7  # quadrature nodes N: the half table takes 4*N bytes, at most 40 MB, plus about 1 MB
 # A-priori stored entries (e >= 0) of the largest held power P^k, times the words of its keys.  Growing
 # P^1..P^4 of pow2plus1 at n = 40 (deep-point's m = 8) takes about 70 B per stored entry: 712,053 of them,
 # 671,288 in P^4, whose estimate is 918,810.  So the cap stands for about 350 MB.
@@ -257,11 +257,10 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     nodes 0 .. N//2 are evaluated: twice their sum, less node 0 and, for
     even N, node N/2.  With cosines fixed-point integers of at most 2**b,
     b = 63 - n.bit_length(), each node sum is an exact int64 in any order;
-    one thread, the process's only one (see ``load_numpy``), holds 8*N bytes of table (at most 80 MB) and 4*N of sums.
+    one thread, the process's only one (see ``load_numpy``), holds 4*N bytes of half table (at most 40 MB).
     Blocks of sums are scaled by 2**-b into long doubles, exactly, raised
     to the m-th power by multiplication, high bit first (no libm powl), and summed.
     """
-    np = load_numpy()  # only the float diagnostics need numpy; keeps start-up fast
     if m < 1:
         raise ValueError("need m >= 1")
     if not terms:
@@ -269,8 +268,8 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     samples = m * max(map(abs, terms)) + 1
     if samples > MAX_ORACLE_SAMPLES:
         raise TooLarge(f"{samples} quadrature nodes exceed the cap {MAX_ORACLE_SAMPLES}")
+    np = load_numpy()  # after the caps, so a refusal loads no numpy; only the float diagnostics need it
     scale = 63 - len(terms).bit_length()
-    sums = _oracle_node_sums(terms, _oracle_table(samples, scale))
 
     def power_sum(block) -> np.longdouble:  # sum of (block / 2**b)**m
         x = np.ldexp(block.astype(np.longdouble), -scale)
@@ -281,44 +280,50 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
                 power *= x
         return power.sum(dtype=np.longdouble)
 
-    total = sum(power_sum(sums[lo : lo + _ORACLE_BLOCK]) for lo in range(0, sums.size, _ORACLE_BLOCK))
-    ends = power_sum(sums[[0, -1]] if samples % 2 == 0 else sums[:1])  # node 0 and node N/2
+    table = _oracle_table(samples, scale)
+    total = sum(power_sum(block) for block in _oracle_node_sums(terms, samples, table))
+    edges = [len(terms) * table[0], sum(table[a % 2 * (samples // 2)] for a in terms)]  # a_k j mod N at j = 0, N/2
+    ends = power_sum(np.array(edges[: 2 - samples % 2]))  # node 0 and, for even N, node N/2
     return float((2 * total - ends) / samples)
 
 
 def _oracle_table(samples: int, scale: int):
-    """round(2**scale * cos(2*pi*r/N)) as int64 for r < N = samples, mirrored from r <= N/2, where
-    cos(uB + t) = cos(uB) cos(t) - sin(uB) sin(t) in long doubles, B ~ sqrt(N/2), in slabs of ~2**15."""
+    """round(2**scale * cos(2*pi*r/N)) as int64 for r <= N/2, N = samples, where
+    cos(uB + t) = cos(uB) cos(t) - sin(uB) sin(t) in long doubles, B ~ sqrt(N/2), in slabs of ~2**13."""
     np = load_numpy()
     half = samples // 2 + 1
     width = isqrt(half - 1) + 1  # B
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples  # 2*pi past long-double digits
     t = step * np.arange(width).astype(np.longdouble)
     u = step * np.arange(0, half, width).astype(np.longdouble)[:, None]
-    cos_t, sin_t, rows = np.cos(t), np.sin(t), max(1, (1 << 15) // width)
-    table = np.empty(samples, dtype=np.int64)
+    cos_t, sin_t, rows = np.cos(t), np.sin(t), max(1, (1 << 13) // width)
+    table = np.empty(half, dtype=np.int64)
     for row in range(0, u.size, rows):
         slab = (np.cos(u[row : row + rows]) * cos_t - np.sin(u[row : row + rows]) * sin_t).ravel()
-        table[row * width : min(half, (row + rows) * width)] = np.rint(np.ldexp(slab[: half - row * width], scale))
-    table[half:] = table[samples - half : 0 : -1]  # table[N - r] = table[r]
+        table[row * width : (row + rows) * width] = np.rint(np.ldexp(slab[: half - row * width], scale))
     return table
 
 
-def _oracle_node_sums(terms: Sequence[int], table):
-    """The exact int64 sums of table[a_k j mod N] over the terms, N = table.size, at the nodes j <= N//2.
+def _oracle_node_sums(terms: Sequence[int], samples: int, table):
+    """The exact int64 sums of table[min(r, N - r)], r = a_k j mod N, N = samples, over the terms at the nodes
+    j <= N//2, one block of _ORACLE_BLOCK at a time: views into the sums of a group of 8 blocks, valid until the next.
 
-    Node j = lo + r of the block at lo reads (r t mod N) + (lo t mod N), t = a_k mod N, less N past N:
-    the first part once per term, the second once per block, so no node is divided.
+    Node j = lo + i of the block at lo reads (i t mod N) + (lo t mod N) - N, t = a_k mod N: the first part
+    once per term and group, the second once per block, so no node is divided and no buffer grows with n or N.
     """
     np = load_numpy()
-    samples, half = table.size, table.size // 2 + 1
-    sums = np.zeros(half, dtype=np.int64)
+    half = table.size
     offsets = np.arange(min(_ORACLE_BLOCK, half), dtype=np.int64)
-    for a in terms:
-        base = offsets * (t := a % samples) % samples
-        for lo in range(0, half, offsets.size):
-            index = base[: half - lo] + lo * t % samples
-            # index < 2N; as uint64, index - N wraps above index unless index >= N, so the minimum is index mod N.
-            np.minimum(index.view(np.uint64), (index - samples).view(np.uint64), out=index.view(np.uint64))
-            sums[lo : lo + index.size] += table.take(index)
-    return sums
+    group = np.empty((8, offsets.size), dtype=np.int64)
+    for start in range(0, half, group.size):
+        group.fill(0)
+        blocks = range(start, min(half, start + group.size), offsets.size)
+        for a in terms:
+            base = offsets * (t := a % samples) % samples
+            for sums, lo in zip(group, blocks):
+                index = base[: half - lo] + (lo * t % samples - samples)
+                # index is r - N or r, so |index| is N - r or r, and min(|index|, N - |index|) = min(r, N - r).
+                np.abs(index, out=index)
+                np.minimum(index, samples - index, out=index)
+                sums[: index.size] += table.take(index)
+        yield from (sums[: half - lo] for sums, lo in zip(group, blocks))

@@ -7,6 +7,8 @@ evidence for both.
 * Laurent powers by repeated multiplication and their constant terms,
   by full expansion or meet-in-the-middle, against ``prefix_moments``.
 * ``moment_dfs``: a pruned depth-first count of signed zero-sum tuples.
+* ``quadrature_full_table``: the quadrature oracle on a full cosine table
+  and all node sums at once, against the streamed half-table oracle.
 * ``cumulant_via_multiplicity``: cumulants as summed tuple
   multiplicities, against the moment route.
 * ``cumulants_to_moments``: the inverse of ``moments_to_cumulants``.
@@ -42,6 +44,7 @@ from itertools import combinations_with_replacement, groupby
 from math import comb, factorial, floor, isqrt
 from typing import Iterable, Sequence
 
+from lacuna import moments
 from lacuna.errors import LacunaError, TooLarge
 from lacuna.laurent import SparseLaurent, laurent_mul
 from lacuna.moments import independent_cumulants, moment_vector, moments_to_cumulants
@@ -147,6 +150,44 @@ def moment_dfs(terms: Sequence[int], m: int) -> Fraction:
 
     descend(0, m, 0, 1)
     return Fraction(total, 2**m)
+
+
+def quadrature_full_table(terms: Sequence[int], m: int) -> float:
+    """``moment_oracle_quadrature`` on a table of all N cosines and a sum for every node j <= N//2.
+
+    The pipeline the streamed oracle replaced: table[N - r] mirrors table[r], cosines come in slabs of
+    ~2**15, and the blocks are cut from the full sums.  It reads ``_ORACLE_BLOCK`` at call time, so a
+    test can patch both sides.  The two must agree bit for bit.
+    """
+    np = moments.load_numpy()
+    samples, scale, block = m * max(map(abs, terms)) + 1, 63 - len(terms).bit_length(), moments._ORACLE_BLOCK
+    half = samples // 2 + 1
+    width = isqrt(half - 1) + 1
+    step = np.longdouble("6.28318530717958647692528676655900576839") / samples
+    t = step * np.arange(width).astype(np.longdouble)
+    u = step * np.arange(0, half, width).astype(np.longdouble)[:, None]
+    cos_t, sin_t, rows = np.cos(t), np.sin(t), max(1, (1 << 15) // width)
+    table = np.empty(samples, dtype=np.int64)
+    for row in range(0, u.size, rows):
+        slab = (np.cos(u[row : row + rows]) * cos_t - np.sin(u[row : row + rows]) * sin_t).ravel()
+        table[row * width : min(half, (row + rows) * width)] = np.rint(np.ldexp(slab[: half - row * width], scale))
+    table[half:] = table[samples - half : 0 : -1]
+    sums = np.zeros(half, dtype=np.int64)
+    for a in terms:
+        sums += table.take(np.arange(half, dtype=np.int64) * (a % samples) % samples)
+
+    def power_sum(values) -> np.longdouble:
+        x = np.ldexp(values.astype(np.longdouble), -scale)
+        power = x.copy()
+        for bit in bin(m)[3:]:
+            power *= power
+            if bit == "1":
+                power *= x
+        return power.sum(dtype=np.longdouble)
+
+    total = sum(power_sum(sums[lo : lo + block]) for lo in range(0, half, block))
+    ends = power_sum(sums[[0, -1]] if samples % 2 == 0 else sums[:1])
+    return float((2 * total - ends) / samples)
 
 
 def cumulants_to_moments(cumulants: Sequence[Fraction]) -> list[Fraction]:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -36,6 +37,7 @@ from oracles import (
     laurent_pow,
     laurent_power_const_term_full,
     moment_dfs,
+    quadrature_full_table,
     unscale,
 )
 
@@ -584,9 +586,9 @@ def test_oracle_table_is_within_one_of_each_rounded_cosine(samples, scale):
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples
     direct = np.rint(np.ldexp(np.cos(step * np.arange(half).astype(np.longdouble)), scale)).astype(np.int64)
     nmant = np.finfo(np.longdouble).nmant  # 63 on x86; where long double is double, both sides round at 2**-53
-    assert np.abs(table[:half] - direct).max() <= (1 if nmant >= 63 else 2 ** (scale - nmant + 3))
+    assert table.size == half  # r <= N/2 only: the node sums fold r to min(r, N - r)
+    assert np.abs(table - direct).max() <= (1 if nmant >= 63 else 2 ** (scale - nmant + 3))
     assert table[0] == 1 << scale
-    assert (table[1:] == table[:0:-1]).all()  # table[N - r] = table[r]
 
 
 @settings(max_examples=100, deadline=None)
@@ -599,14 +601,32 @@ def test_oracle_table_is_within_one_of_each_rounded_cosine(samples, scale):
 @example([0], 1, 1)  # N = 1: one node
 @example([1], 1, 3)  # N = 2: one short block
 def test_oracle_node_sums_equal_integer_sums(terms, m, block):
-    # The index (r t mod N) + (lo t mod N), less N past N, is a_k j mod N for every block size.
+    # The folded index of (i t mod N) + (lo t mod N) - N is min(r, N - r), r = a_k j mod N, for every block size.
     samples = m * max(map(abs, terms)) + 1
     table = moments._oracle_table(samples, 63 - len(terms).bit_length())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(moments, "_ORACLE_BLOCK", block)
-        sums = moments._oracle_node_sums(terms, table)
+        blocks = [[int(v) for v in sums] for sums in moments._oracle_node_sums(terms, samples, table)]
+    assert [len(sums) for sums in blocks[:-1]] == [block] * (len(blocks) - 1)
     entries = [int(v) for v in table]
-    assert [int(v) for v in sums] == [sum(entries[a * j % samples] for a in terms) for j in range(samples // 2 + 1)]
+    expected = [sum(entries[min(r, samples - r)] for r in (a * j % samples for a in terms)) for j in range(len(entries))]
+    assert [v for sums in blocks for v in sums] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-400, 400), min_size=1, max_size=7),
+    st.integers(1, 7),
+    st.sampled_from([1, 3, 100, moments._ORACLE_BLOCK]),
+)
+@example([1, 2, 399], 1, 3)  # N = 400 is even, its 201 nodes end in a short block
+@example([0], 1, 1)  # N = 1: one node
+@example([1], 1, 3)  # N = 2: node N/2 is the last of one short block
+def test_oracle_streams_the_bits_of_the_full_table(terms, m, block):
+    # Same blocks, same order of the block sums, same ends: the half table and the streamed sums move no bit.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "_ORACLE_BLOCK", block)
+        assert moment_oracle_quadrature(terms, m) == quadrature_full_table(terms, m)
 
 
 @pytest.mark.parametrize("n", [31, 32, 63, 64])
@@ -616,10 +636,33 @@ def test_oracle_node_sums_stay_below_two_to_the_63(n, m):
     assert moment_oracle_quadrature([1] * n, m) == moment([1] * n, m)
 
 
+def thousand_terms() -> list[int]:
+    return random.Random(1).sample(range(1, 10**4), 1000)
+
+
 def test_oracle_on_a_thousand_terms():
     # b = 53: node 0 sums to 1000 * 2**53; the folded rule is exact at m = 2 for distinct frequencies.
-    terms = random.Random(1).sample(range(1, 10**4), 1000)
+    terms = thousand_terms()
     assert moment_oracle_quadrature(terms, 2) == 500.0 == moment(terms, 2)
+
+
+@pytest.mark.parametrize(
+    "terms, m",
+    [(terms_of(FIB, 25), 6), (terms_of(FIB, 28), 7), (thousand_terms(), 2)],
+    ids=["fibonacci-25-m6", "fibonacci-28-m7", "thousand-terms-m2"],
+)
+def test_oracle_holds_its_half_table_and_two_mib(terms, m):
+    # The half table is the only array that grows with N, and no buffer grows with n.
+    # numpy reports its buffers to tracemalloc; a first call loads numpy and warms its caches.
+    moment_oracle_quadrature([1, 2], 1)
+    samples = m * max(terms) + 1
+    tracemalloc.start()
+    try:
+        moment_oracle_quadrature(terms, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (samples // 2 + 1) + (2 << 20)
 
 
 @settings(max_examples=100, deadline=None)
@@ -688,3 +731,29 @@ def test_oracle_keeps_a_thread_count_the_user_set(variable):
 def test_oracle_leaves_the_environment_alone_once_numpy_is_loaded():
     report = oracle_in_fresh_process("numpy-first")
     assert (report["writes"], report["same"], report["blas"]) == ([], True, None)
+
+
+# -S and numpy's directory on the path, as for _LOADER_PROBE: each refusal must come before numpy loads.
+_REFUSAL_PROBE = """
+import json, sys
+from lacuna.errors import TooLarge
+from lacuna.moments import moment_oracle_quadrature
+refused = []
+for terms, m in ([2**40 + 1], 6), ([1], 0), ([], 2):
+    try:
+        moment_oracle_quadrature(terms, m)
+    except (TooLarge, ValueError) as error:
+        refused.append(type(error).__name__)
+print(json.dumps({"refused": refused, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_oracle_refuses_before_numpy_loads():
+    # 6 (2**40 + 1) + 1 nodes are over the cap: the refusal costs no numpy import (~100 ms, ~13 MB).
+    paths = [Path(moments.__file__).parents[1], Path(importlib.util.find_spec("numpy").origin).parents[1]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _REFUSAL_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"refused": ["TooLarge", "ValueError", "ValueError"], "numpy": False}
