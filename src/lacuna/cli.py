@@ -36,6 +36,7 @@ from .moments import (
     moment_vector,
     moments_to_cumulants,
     prefix_moments,
+    quadrature_nodes,
 )
 from .multiplicity import atoms, mult_from_profile, zero_sum_profile
 from .partitions import SetPartition, all_partitions
@@ -302,7 +303,8 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
 def _oracle_command(args: argparse.Namespace) -> tuple[str, bool]:
     spec = parse_sequence(args.seq)
     terms = generate_terms(spec, args.n)
-    count = moment_vector(terms, args.m)[-1]  # first: its guards refuse in a-priori time
+    quadrature_nodes(terms, args.m)  # the node cap first: it refuses in start-up time, before any exact count
+    count = moment_vector(terms, args.m)[-1]
     approx = moment_oracle_quadrature(terms, args.m)
     payload = {
         "sequence": spec.text,

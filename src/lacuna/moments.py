@@ -1,24 +1,21 @@
 """Exact moments and cumulants of lacunary cosine sums, as integer counts.
 
 E[S_n**m] for S_n = sum_k cos(2 pi a_k w), w uniform on [0,1], is 2**-m
-times the count N_m of signed zero-sum index tuples.  The production
-path (``prefix_moments``) returns these counts.  Its carry count runs
-from the top index down, memoized, and drops each partial sum that the
-slots left cannot cancel.  Past a budget of moves the prefix engine answers:
-it grows the powers of a sparse Laurent polynomial one term at a time,
-storing only the exponents e >= 0 of each (every power is symmetric
-under x -> 1/x), and extracts constant terms.  An even order is a sum of
-squares, which each power keeps up from its first term as its entries
-change, so no row scans it.  The moment-to-cumulant recursion is
-homogeneous under mu_m -> 2**m mu_m, so on the counts it gives the
-integers K_m = 2**m kappa_m; only a printed value is scaled by 2**-m.
-A-priori support and work estimates refuse a call before anything
-grows, and an order cap refuses a cumulant recursion that would run for
-many seconds.  The ``oracle`` command cross-checks one moment against
-an equally-spaced quadrature rule, exact for trigonometric polynomials
-of the arising degree (up to float rounding).  The independently coded
-test routes (a pruned depth-first tuple count, summed tuple
-multiplicities) live with the tests, not here.
+times the count N_m of signed zero-sum index tuples, which ``prefix_moments``
+returns.  Its carry count runs first: from the top index down, memoized, it
+drops each partial sum that the slots left cannot cancel.  If that count
+gives up within its budget, the prefix engine answers, once its a-priori
+support and work estimates pass their caps: it grows the powers of a sparse
+Laurent polynomial one term at a time, storing only the exponents e >= 0 of
+each (every power is symmetric under x -> 1/x), and extracts constant terms;
+each power keeps its sum of squares, an even order, from its first term on.
+The moment-to-cumulant recursion is homogeneous under mu_m -> 2**m mu_m, so
+on the counts it gives the integers K_m = 2**m kappa_m (an order cap refuses
+one that would run for seconds); only a printed value is scaled by 2**-m.
+The ``oracle`` command cross-checks one moment against an equally-spaced
+quadrature rule, exact for trigonometric polynomials of the arising degree
+(up to float rounding).  The independently coded test routes (a pruned
+depth-first tuple count, summed tuple multiplicities) live with the tests.
 
 The independent comparison model replaces the shared argument w by an
 i.i.d. uniform argument per summand; each summand then follows the
@@ -38,11 +35,11 @@ from .errors import TooLarge
 from .laurent import SparseLaurent
 
 MAX_ORACLE_SAMPLES = 10**7  # quadrature nodes N: the half table takes 4*N bytes, at most 40 MB, plus about 1 MB
-# A-priori stored entries (e >= 0) of the largest held power P^k, times the words of its keys.  Growing
-# P^1..P^4 of pow2plus1 at n = 40 (deep-point's m = 8) takes about 70 B per stored entry: 712,053 of them,
+# A-priori stored entries (e >= 0) of the prefix engine's largest power P^k, times the 64-bit words of
+# m_max max|a_k|.  Growing P^1..P^4 of pow2plus1 at n = 40 takes about 70 B per stored entry: 712,053 of them,
 # 671,288 in P^4, whose estimate is 918,810.  So the cap stands for about 350 MB.
 MAX_POWER_SUPPORT = 5 * 10**6
-MAX_PREFIX_WORK = 5 * 10**7  # a-priori work units of prefix_moments (see _prefix_work)
+MAX_PREFIX_WORK = 5 * 10**7  # a-priori work units of the prefix engine (see _prefix_work)
 MAX_CUMULANT_ORDER = 800  # the integer recursion took 1.9 s at order 800, 3.1 s at 900 (Python 3.11, Xeon)
 
 
@@ -51,27 +48,29 @@ def prefix_moments(
 ) -> list[tuple[int, list[int]]]:
     """(n, [N_1 .. N_m_max]) for every n from n_from to n_to, N_m = 2**m E[S_n**m].
 
-    A list, not a generator, so the work is done inside the call.  The
-    guards bound the prefix engine's largest power and its work; the
-    carry count runs first, under a budget of work >> 5 moves and keys.
+    A list, not a generator, so the work is done inside the call.  The carry count runs first, under
+    min(work >> 5, (MAX_PREFIX_WORK >> 5) // words) units; only if it gives up do the prefix engine's guards run.
     """
     if m_max < 1 or not 0 <= n_from <= n_to <= len(terms):
         raise ValueError(f"need m_max >= 1 and 0 <= n_from <= n_to <= {len(terms)}")
     half = (m_max + 1) // 2
     tops = list(accumulate(map(abs, terms[:n_to]), max, initial=0))  # tops[n] = max |a_k|, k <= n
-    # P^half has at most C(2n+H-1, H) exponents, in [-H max|a|, H max|a|] and symmetric about 0.
-    support = min((comb(2 * n_to + half - 1, half) + 1) // 2, half * tops[n_to] + 1)
-    words = max(1, -(-(half * tops[n_to]).bit_length() // 64))  # 64-bit words of the largest exponent
-    if support * words > MAX_POWER_SUPPORT:
-        each = f" of {words} words each" if words > 1 else ""
-        raise TooLarge(f"P^{half} may store {support} exponents{each}, over the cap {MAX_POWER_SUPPORT}")
+    words = max(1, -(-(m_max * tops[n_to]).bit_length() // 64))  # 64-bit words of the largest sum, m_max max|a|
     work = n_to * half**3 // 12  # a lower bound of the estimate, cheap for any m_max
     if work <= MAX_PREFIX_WORK:
         work = _prefix_work(tops, n_from, n_to, m_max)
+    rows = _carry_rows(terms, tops, n_from, n_to, m_max, min(work >> 5, (MAX_PREFIX_WORK >> 5) // words))
+    if rows is not None:
+        return rows
+    # P^half has at most C(2n+H-1, H) exponents, in [-H max|a|, H max|a|] and symmetric about 0.
+    support = min((comb(2 * n_to + half - 1, half) + 1) // 2, half * tops[n_to] + 1)
+    gave_up = "; the carry count gave up"
+    if support * words > MAX_POWER_SUPPORT:
+        each = f" of {words} words each" if words > 1 else ""
+        raise TooLarge(f"P^{half} may store {support} exponents{each}, over the cap {MAX_POWER_SUPPORT}{gave_up}")
     if work > MAX_PREFIX_WORK:
-        raise TooLarge(f"the prefix engine may take {work} work units, over the cap {MAX_PREFIX_WORK}")
-    rows = _carry_rows(terms, n_from, n_to, m_max, work >> 5)
-    return rows if rows is not None else _prefix_rows(terms, n_from, n_to, m_max)
+        raise TooLarge(f"the prefix engine may take {work} work units, over the cap {MAX_PREFIX_WORK}{gave_up}")
+    return _prefix_rows(terms, n_from, n_to, m_max)
 
 
 def _prefix_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int) -> list[tuple[int, list[int]]]:
@@ -91,7 +90,7 @@ def _prefix_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int) -> li
 def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     """Source entries that ``_add_term`` reads plus products that ``_moment_of`` sums.
 
-    It caps the prefix engine, and 1/32 of it is the carry count's budget.  The per-row
+    It caps the prefix engine, and 1/32 of it bounds the carry count's budget.  The per-row
     term counts a scan for every order; an even order reads its running sum instead, so it
     over-counts those.  P_n**i stores at most S_n(i) = min(C(2n+i-1, i), i*tops[n] + 1)
     exponents; each term reads P**i once per t of q**j, j <= H - i, that is floor(j/2) + 1 times.
@@ -103,8 +102,8 @@ def _prefix_work(tops: list[int], n_from: int, n_to: int, m_max: int) -> int:
     return n_to * reads + sum(held(n, m // 2) for n in range(n_from, n_to + 1) for m in range(1, m_max + 1))
 
 
-def _carry_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int, budget: int) -> list | None:
-    """``prefix_moments``'s rows, or None once the count could pass ``budget`` units.
+def _carry_rows(terms: Sequence[int], tops: list[int], n_from: int, n_to: int, m_max: int, budget: int) -> list | None:
+    """``prefix_moments``'s rows, or None once the count could pass ``budget`` units; tops[j] = max_{k<=j} |a_k|.
 
     T(j, r, S), the fillings of r ordered signed slots from a_1..a_j with sum -S, sums C(r, c) C(c, c+)
     T(j-1, r-c, S + (2c+ - c) a_j) over the c slots of a_j, c+ of them positive; it is even in S and 0
@@ -116,7 +115,6 @@ def _carry_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int, budget
     keys, spent = m_max + 1, comb(m_max + 3, 3)  # the move table's length
     if spent > budget:
         return None
-    tops = list(accumulate(map(abs, terms[:n_to]), max, initial=0))
     moves = [[(r - c, t, comb(r, c) * comb(c, (c + t) // 2)) for c in range(r + 1) for t in range(-c, c + 1, 2)]
              for r in range(keys)]  # (r - c, 2c+ - c, C(r, c) C(c, c+))
     levels, level = [], set()
@@ -248,6 +246,15 @@ def load_numpy():
     return numpy
 
 
+def quadrature_nodes(terms: Sequence[int], m: int) -> int:
+    """N = m * max|a_k| + 1, the nodes of ``moment_oracle_quadrature``, refused over MAX_ORACLE_SAMPLES."""
+    if m < 1 or not terms:
+        raise ValueError("need m >= 1" if m < 1 else "need at least one term")
+    if (samples := m * max(map(abs, terms)) + 1) > MAX_ORACLE_SAMPLES:
+        raise TooLarge(f"{samples} quadrature nodes exceed the cap {MAX_ORACLE_SAMPLES}")
+    return samples
+
+
 def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     """Float cross-check of E[S_n**m] by equally spaced sampling.
 
@@ -261,13 +268,7 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     Blocks of sums are scaled by 2**-b into long doubles, exactly, raised
     to the m-th power by multiplication, high bit first (no libm powl), and summed.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if not terms:
-        raise ValueError("need at least one term")
-    samples = m * max(map(abs, terms)) + 1
-    if samples > MAX_ORACLE_SAMPLES:
-        raise TooLarge(f"{samples} quadrature nodes exceed the cap {MAX_ORACLE_SAMPLES}")
+    samples = quadrature_nodes(terms, m)
     np = load_numpy()  # after the caps, so a refusal loads no numpy; only the float diagnostics need it
     scale = 63 - len(terms).bit_length()
 

@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,10 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lacuna
-from lacuna import cli
+from lacuna import cli, moments
 from lacuna.cli import run
 from lacuna.recurrence import structural_slope
 from oracles import lattice_upset, minimal_members, mult_crosscut, mult_moebius, profile_from_values
+
+
+# range-tables' seed-1 explicit: list, 30 distinct terms in [1, 10^6]: the carry count prunes almost nothing.
+SEED1_SPEC = "explicit:" + ",".join(map(str, random.Random(1).sample(range(1, 10**6 + 1), 30)))
 
 
 def invoke(capsys, *argv):
@@ -401,8 +407,21 @@ def test_help_exits_zero(capsys):
             2,
             r"^error: bad tuple: sign 'x' is not one of \+, -, \+1, -1, 1\n$",
         ),
-        (["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10"], 3, ""),
-        (["moments", "--seq", "explicit:1,2,3", "--n", "3", "--m", "400"], 3, ""),
+        (
+            ["cumulants", "--seq", SEED1_SPEC, "--n-from", "1", "--n-to", "30", "--m-max", "12"],
+            3,
+            r"^error: P\^6 may store 5620267 exponents, over the cap 5000000; the carry count gave up\n$",
+        ),
+        (
+            ["moments", "--seq", "explicit:1,2,3", "--n", "3", "--m", "400"],
+            3,
+            r"prefix engine may take 314165350 work units, over the cap 50000000; the carry count gave up\n$",
+        ),
+        (
+            ["detect-linear", "--seq", "fibonacci", "--m", "20", "--n-from", "40", "--n-to", "60"],
+            3,
+            r"^error: P\^10 may store 15480087559201 exponents, over the cap 5000000; the carry count gave up\n$",
+        ),
         (
             ["mult-inspect", "--seq", "explicit:1,1000,1000000", "--indices", ",".join("1" * 12) + ",2,2,3,3"]
             + ["--signs", ",".join("+-" * 8)],
@@ -476,6 +495,7 @@ def test_help_exits_zero(capsys):
         "bad-sign-token",
         "power-support-guard",
         "engine-work-guard",
+        "fibonacci-m20-past-the-carry-budget",
         "partition-count-guard",
         "pattern-walk-guard",
         "doubled-pattern-walk-guard",
@@ -506,7 +526,7 @@ def test_help_exits_zero(capsys):
     ],
 )
 def test_failures_print_one_error_line(capsys, argv, expected, message):
-    # Each refusal comes before the work it refuses; oracle's quadrature waits for the exact moment's guards.
+    # Each refusal comes before the work it refuses; oracle's node cap comes before the exact moment's guards.
     started = time.perf_counter()
     code, out, err = invoke(capsys, *argv)
     assert time.perf_counter() - started < 5.0
@@ -544,6 +564,69 @@ def test_cli_import_is_lean():
     assert not {"dataclasses", "inspect", "typing", "numpy", "concurrent.futures", "lacuna.record"} & loaded
     layers = ("cli", "sequences", "laurent", "moments", "multiplicity", "partitions", "recurrence")
     assert {f"lacuna.{layer}" for layer in layers} <= loaded
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["cumulants", "--seq", "pow2plus1", "--n", "40", "--m-max", "10", "--format", "csv"], "40,10,8793089595/256"),
+        (["cumulants", "--seq", "pow2plus1", "--n", "100", "--m-max", "8", "--format", "csv"], "100,8,2312163/4"),
+        (
+            ["compare", "--seq", "roundpow:eta=1.73205080756887729353,prec=256", "--n-from", "1", "--n-to", "120"]
+            + ["--m-max", "6", "--format", "csv"],
+            "120,6,885,150,735",
+        ),
+    ],
+    ids=["pow2plus1-n40-m10", "pow2plus1-n100-m8", "sqrt3-roundpow-n120-m6"],
+)
+def test_carry_count_prints_tables_past_the_prefix_guards(capsys, argv, last):
+    # The prefix engine's guards would refuse each table; the carry count answers it first.
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize(
+    "m, n_from, n_to, w, n1",
+    [(12, 14, 30, "1393218242856", 22), (10, 20, 40, "-1838060208", 20), (16, 30, 50, "333191112898138170", 30)],
+)
+def test_carry_count_detects_fibonacci_laws_past_the_prefix_guards(capsys, m, n_from, n_to, w, n1):
+    argv = ["detect-linear", "--seq", "fibonacci", "--m", str(m), "--n-from", str(n_from), "--n-to", str(n_to)]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["w"], payload["n1"], payload["valid"]) == (w, n1, True)
+
+
+def test_oracle_node_cap_refuses_before_the_exact_count(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the node cap must refuse before the exact count runs")
+
+    monkeypatch.setattr(moments, "prefix_moments", never)
+    code, out, err = invoke(capsys, "oracle", "--seq", "pow2plus1", "--n", "40", "--m", "6")
+    assert (code, out, err) == (3, "", "error: 6597069766663 quadrature nodes exceed the cap 10000000\n")
+
+
+# Under -S, with numpy's directory on the path: the oracle's refusals, by its node cap or by the exact moment's guards.
+_ORACLE_REFUSAL_PROBE = """
+import contextlib, io, json, sys
+from lacuna.cli import run
+codes = []
+for seq, n, m in ("pow2plus1", "40", "6"), ("explicit:1,2,24000", "3", "400"), ("explicit:1,2,3", "3", "20000"):
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes.append(run(["oracle", "--seq", seq, "--n", n, "--m", m]))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_oracle_refusals_load_no_numpy():
+    paths = [Path(lacuna.__file__).parents[1], Path(importlib.util.find_spec("numpy").origin).parents[1]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _ORACLE_REFUSAL_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"codes": [3, 3, 3], "numpy": False}
 
 
 def test_guard_errors_exit_three(capsys):

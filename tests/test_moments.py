@@ -55,6 +55,11 @@ def terms_of(spec, n):
     return generate_terms(spec, n)
 
 
+def tops_of(terms):
+    """tops[n] = max |a_k| over k <= n, as prefix_moments hands it to its routes."""
+    return list(accumulate(map(abs, terms), max, initial=0))
+
+
 def moment(terms, m):
     """E[S_n**m] = 2**-m N_m, from the engine's integer count."""
     return Fraction(moment_vector(terms, m)[-1], 2**m)
@@ -154,6 +159,7 @@ def test_power_support_guard_trips_before_growing(monkeypatch):
         raise AssertionError("the guard must fire before any power grows")
 
     monkeypatch.setattr(moments, "_add_term", never)
+    monkeypatch.setattr(moments, "_carry_rows", lambda *args: None)  # the carry count would answer this row
     terms = terms_of(POW2, 40)
     started = time.perf_counter()
     with pytest.raises(TooLarge, match="15436008"):
@@ -195,6 +201,7 @@ def stored_estimate(terms, m_max):
     """The support guard's estimate of the entries P^ceil(m_max/2) stores, read from its refusal."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(moments, "MAX_POWER_SUPPORT", 0)
+        patch.setattr(moments, "_carry_rows", lambda *args: None)  # the guard runs only once the carry count gives up
         with pytest.raises(TooLarge) as refused:
             prefix_moments(terms, len(terms), len(terms), m_max)
     return int(re.search(r"may store (\d+) exponents", str(refused.value)).group(1))
@@ -293,7 +300,7 @@ def lacunary_terms(draw):
 
 
 def counted_carry(terms, n_from, n_to, m_max, budget):
-    """_carry_rows's answer, the keys its sets held and its calls of abs: one per move read, one per term and level."""
+    """_carry_rows's answer, the keys its sets held and its calls of abs: one per move read, two per level."""
     made, absolutes = [], []
 
     class Recorded(set):
@@ -308,7 +315,7 @@ def counted_carry(terms, n_from, n_to, m_max, budget):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(moments, "set", Recorded, raising=False)
         patch.setattr(moments, "abs", counted_abs, raising=False)
-        rows = moments._carry_rows(terms, n_from, n_to, m_max, budget)
+        rows = moments._carry_rows(terms, tops_of(terms), n_from, n_to, m_max, budget)
     return rows, sum(map(len, made)), len(absolutes)  # the sets only grow
 
 
@@ -324,7 +331,7 @@ def test_carry_count_and_prefix_engine_give_equal_rows(data, terms, m_max, budge
     n_to = data.draw(st.integers(0, len(terms)))
     n_from = data.draw(st.integers(0, n_to))
     rows = moments._prefix_rows(terms, n_from, n_to, m_max)
-    assert moments._carry_rows(terms, n_from, n_to, m_max, 10**9) == rows
+    assert moments._carry_rows(terms, tops_of(terms), n_from, n_to, m_max, 10**9) == rows
     # Under any budget the carry count holds at most that many keys, and gives up or answers alike.
     carried, held, _ = counted_carry(terms, n_from, n_to, m_max, budget)
     assert held <= budget and carried in (None, rows)
@@ -332,8 +339,62 @@ def test_carry_count_and_prefix_engine_give_equal_rows(data, terms, m_max, budge
 
 
 def budget_of(terms, n_from, n_to, m_max):
-    """The budget prefix_moments hands the carry count."""
-    return moments._prefix_work(list(accumulate(map(abs, terms), max, initial=0)), n_from, n_to, m_max) >> 5
+    """The budget prefix_moments hands the carry count, under the caps as they are set when called."""
+    tops = tops_of(terms[:n_to])
+    words = max(1, -(-(m_max * tops[-1]).bit_length() // 64))
+    return min(moments._prefix_work(tops, n_from, n_to, m_max) >> 5, (moments.MAX_PREFIX_WORK >> 5) // words)
+
+
+@given(
+    data=st.data(),
+    case=st.one_of(
+        st.tuples(lacunary_terms(), st.integers(1, 8)),
+        st.tuples(st.lists(st.integers(-12, 12), max_size=9), st.integers(1, 8)),
+        st.tuples(st.builds(lambda n, c: [c * 4**k + 1 for k in range(n)], st.integers(16, 20), st.integers(1, 3)),
+                  st.integers(7, 8)),
+    ),
+    shift=st.sampled_from((0, 64, 200)),
+    work_cap=st.one_of(st.integers(0, 20_000), st.integers(10**5, 10**7)),
+    support_cap=st.one_of(st.integers(0, 200), st.integers(10**4, 10**6)),
+)
+@settings(max_examples=200, deadline=None)
+def test_prefix_guards_refuse_only_where_the_carry_count_gives_up(data, case, shift, work_cap, support_cap):
+    # The long ratio-4 lists at m >= 7 are where the carry count answers within work >> 5.  Scaled terms keep
+    # their tuple counts but take 2 or 4 words per key, which shrinks the carry count's budget.
+    terms, m_max = [a << shift for a in case[0]], case[1]
+    n_to = data.draw(st.integers(0, len(terms)))
+    n_from = data.draw(st.integers(0, n_to))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "MAX_PREFIX_WORK", work_cap)
+        patch.setattr(moments, "MAX_POWER_SUPPORT", support_cap)
+        budget = budget_of(terms, n_from, n_to, m_max)
+        try:
+            rows = prefix_moments(terms, n_from, n_to, m_max)
+        except TooLarge as refused:
+            assert re.search(rf", over the cap ({support_cap}|{work_cap}); the carry count gave up$", str(refused))
+            assert moments._carry_rows(terms, tops_of(terms), n_from, n_to, m_max, budget) is None
+        else:
+            assert rows == moments._prefix_rows(terms, n_from, n_to, m_max)
+
+
+def test_dense_big_terms_are_refused_within_their_word_budget():
+    # 30 dense 10,000-bit terms at m <= 10: keys of 157 words, so the carry count gives up past 1,562,500 // 157
+    # units.  At 1,562,500 units it would spend seconds and hundreds of MB on such keys before the refusal.
+    rng = random.Random(0)
+    terms = [rng.getrandbits(10_000) | 1 << 9_999 for _ in range(30)]
+    refusal = r"^P\^5 may store 3812256 exponents of 157 words each, over the cap 5000000; the carry count gave up$"
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match=refusal):
+        prefix_moments(terms, 1, 30, 10)
+    assert time.perf_counter() - started < 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=refusal):
+            prefix_moments(terms, 1, 30, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 << 20
 
 
 def test_dense_benchmark_list_falls_back_within_its_budget(monkeypatch):
@@ -379,7 +440,8 @@ def test_deep_point_row_finishes_on_the_carry_route(monkeypatch):
 
 def test_carry_count_does_not_recurse():
     # 3,000 levels, one per term: a recursive count would pass Python's recursion limit.
-    assert moments._carry_rows(terms_of(POW2, 3000), 3000, 3000, 2, 10**6) == [(3000, [0, 6000])]
+    terms = terms_of(POW2, 3000)
+    assert moments._carry_rows(terms, tops_of(terms), 3000, 3000, 2, 10**6) == [(3000, [0, 6000])]
 
 
 def test_even_moments_are_nonnegative_and_dyadic():
