@@ -8,8 +8,8 @@ so nothing here assumes dense or bounded support.
 For frequencies a_1..a_n, the generating polynomial
 P = sum_k (x**a_k + x**-a_k) has [x^0] P**m equal to the number of
 signed index tuples (i_1..i_m, e_1..e_m) with e_1*a_{i_1} + ... = 0.
-``moments.prefix_moments`` grows each P**k in place, stored for e >= 0
-only as P(x) = P(1/x); the test oracles multiply with ``laurent_mul``.
+``moments.prefix_moments`` grows each P**k in place, as P(x) = P(1/x) stored
+as its orbit sums P[e] + P[-e] over e >= 0; the test oracles use ``laurent_mul``.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ times the count N_m of signed zero-sum index tuples, which ``prefix_moments``
 returns.  Its carry count runs first: from the top index down, memoized, it
 drops each partial sum that the slots left cannot cancel.  If that count
 gives up within its budget, the prefix engine answers, once its a-priori
-support and work estimates pass their caps: it grows the powers of a sparse
-Laurent polynomial one term at a time, storing only the exponents e >= 0 of
-each (every power is symmetric under x -> 1/x), and extracts constant terms;
-each power keeps its sum of squares, an even order, from its first term on.
+support and work estimates pass their caps: it grows the powers P**k of a
+sparse Laurent polynomial one term at a time, each symmetric under x -> 1/x and
+stored as its orbit sums D[e] = P[e] + P[-e] over e >= 0 (D[0] = P[0]), and
+extracts constant terms; each power keeps sum_e D[e]**2 from its first term on.
 The moment-to-cumulant recursion is homogeneous under mu_m -> 2**m mu_m, so
 on the counts it gives the integers K_m = 2**m kappa_m (an order cap refuses
 one that would run for seconds); only a printed value is scaled by 2**-m.
@@ -74,7 +74,7 @@ def prefix_moments(
 
 
 def _prefix_rows(terms: Sequence[int], n_from: int, n_to: int, m_max: int) -> list[tuple[int, list[int]]]:
-    """The prefix engine: grows P**0 .. P**H, H = ceil(m_max/2), one term at a time, each with its sum of squares."""
+    """The prefix engine: grows P**0..P**H, H = ceil(m_max/2), one term at a time, as orbit sums D, with sum D[e]**2."""
     half = (m_max + 1) // 2
     powers: list[SparseLaurent] = [{0: 1}] + [{} for _ in range(half)]
     squares = [1] + [0] * half  # of P**0 = {0: 1} and the empty P**1 .. P**H
@@ -145,17 +145,15 @@ def _carry_rows(terms: Sequence[int], tops: list[int], n_from: int, n_to: int, m
 def _add_term(powers: list[SparseLaurent], a: int, squares: list[int]) -> None:
     """P**k += sum_{j>=1} C(k, j) q**j P**(k-j), q = x**a + x**-a, for each held k > 0.
 
-    Each P**k is symmetric, P(x) = P(1/x), and stored for exponents e >= 0
-    only.  A pass per t = j%2, j%2 + 2, .., j adds the offsets +-s, s = a*t, at
-    weight w = C(k, j) C(j, (j+t)/2), halved at t = 0, so a stored source e
-    feeds e + s and |e - s|.  Two corrections follow: the source e = 0 fed
-    s twice, so w*c_0 comes off target[s]; the source e = s fed 0 once for
-    both sides, so w*c_s goes onto target[0].  (For s = 0 they cancel, and
-    each e is fed once at 2w, so a zero frequency's s = 0 passes just add.)
-    Highest k first, so every P**(k-j) read is still the old power.
-    It keeps squares[k], the running sum of squares of P**k, for every
-    held k: an entry old + d adds 2*old*d + d*d, and the d*d of one pass
-    over P**(k-j) sum to 2*w*w*squares[k-j], still the old power's.
+    Each P**k is symmetric, P(x) = P(1/x), and stored as its orbit sums over e >= 0:
+    D[0] = P[0] and D[e] = P[e] + P[-e] = 2 P[e], so P = sum_e D[e] (x**e + x**-e) / 2.
+    Since (x**e + x**-e)(x**s + x**-s) = (x**(e+s) + x**-(e+s)) + (x**|e-s| + x**-|e-s|),
+    a factor x**s + x**-s feeds each stored e, e = 0 and e = s too, to e + s and |e - s|.
+    A pass per t = j%2, j%2 + 2, .., j adds the offsets +-s, s = a*t, at weight
+    w = C(k, j) C(j, (j+t)/2), halved at t = 0.  Highest k first, so every P**(k-j)
+    read is still the old power.  squares[k] = sum_e D[e]**2 for every held k: an entry
+    old + d adds 2*old*d + d*d, and the d*d of one pass over P**(k-j) sum to
+    2*w*w*squares[k-j], still the old power's.
     """
     a = abs(a)
     for k in range(len(powers) - 1, 0, -1):
@@ -176,26 +174,18 @@ def _add_term(powers: list[SparseLaurent], a: int, squares: list[int]) -> None:
                     target[f] = old + c
                     cross += old * c
                 grown += 2 * cross + 2 * w * w * squares[k - j]  # the c*c of both feeds: the source's sum
-                if 0 in source:
-                    c, old = w * source[0], target[s]
-                    target[s] = old - c
-                    grown += c * (c - 2 * old)
-                if s in source:
-                    c, old = w * source[s], get(0, 0)
-                    target[0] = old + c
-                    grown += c * (2 * old + c)
         squares[k] += grown
 
 
 def _moment_of(powers: list[SparseLaurent], m: int, squares: list[int]) -> int:
-    """[x^0] P**m = 2 sum_e lo[e] hi[e] - lo[0] hi[0] over the stored e >= 0.
+    """[x^0] P**m = (sum_e lo[e] hi[e] + lo[0] hi[0]) / 2 over the stored orbit sums, e >= 0.
 
-    An even m reads its running sum squares[m/2]; an odd m scans lo,
-    which stores no more entries than hi.
+    The sum is P_lo[0] P_hi[0] + 4 sum_{e>0} P_lo[e] P_hi[e], twice the count less lo[0] hi[0].
+    An even m reads its running sum squares[m/2]; an odd m scans lo, which stores no more entries than hi.
     """
     lo, hi = powers[m // 2], powers[(m + 1) // 2]  # P**(m//2) and P**ceil(m/2)
     total = sum(c * hi.get(e, 0) for e, c in lo.items()) if m % 2 else squares[m // 2]
-    return 2 * total - lo.get(0, 0) * hi.get(0, 0)
+    return (total + lo.get(0, 0) * hi.get(0, 0)) >> 1
 
 
 def moment_vector(terms: Sequence[int], m_max: int) -> list[int]:

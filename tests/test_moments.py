@@ -125,11 +125,12 @@ def test_half_storage_matches_full_expansion_with_zero_and_negative_frequencies(
 
 @pytest.mark.parametrize(
     "terms",
-    [[1, 1, 2], [3, 3], [2, 1, 3, 4], [5, 0, 5], [-2, 2, 4], [0, 0], [7, 1, 6, 13]],
+    [[1, 1, 2], [3, 3], [2, 1, 3, 4], [5, 0, 5], [-2, 2, 4], [0, 0], [7, 1, 6, 13], [2, 4, 2]],
     ids=str,
 )
-def test_add_term_stores_the_nonnegative_half_of_each_power(terms):
-    # [1, 1, 2] and [3, 3] reach both corrections: a source at e = 0 and one at e = s.
+def test_add_term_stores_the_orbit_sums_of_each_power(terms):
+    # [1, 1, 2] and [3, 3] feed a source at e = 0 and one at e = s: storing only P[e] for e >= 0, they needed a
+    # correction each; as orbit sums they need none.  In [2, 4, 2] a later term lands on an earlier exponent.
     # Each power's running sum of squares is checked against a scan of that power after every term.
     half = 4
     powers = [{0: 1}] + [{} for _ in range(half)]
@@ -140,8 +141,8 @@ def test_add_term_stores_the_nonnegative_half_of_each_power(terms):
     poly = laurent_from_terms(terms)
     for k, stored in enumerate(powers):
         assert all(e >= 0 and c > 0 for e, c in stored.items())
-        mirrored = {**{-e: c for e, c in stored.items()}, **stored}
-        assert mirrored == laurent_pow(poly, k)
+        full = laurent_pow(poly, k)
+        assert stored == {e: c if e == 0 else 2 * c for e, c in full.items() if e >= 0}
 
 
 def test_prefix_moments_ranges():
