@@ -39,7 +39,7 @@ from .moments import (
     quadrature_nodes,
 )
 from .multiplicity import atoms, mult_from_profile, zero_sum_profile
-from .partitions import SetPartition, all_partitions
+from .partitions import all_partitions
 from .recurrence import Poly, detect_affine_tail, has_rational_root, minimal_polynomial, structural_slope
 from .sequences import FAMILIES, SequenceSpec, generate_terms, parse_sequence
 
@@ -155,11 +155,6 @@ def _rows_text(args: argparse.Namespace, head: dict, rows: Sequence[dict]) -> st
     if len(rows) == 1 and args.command != "compare":
         return _json_text({**head, **rows[0]})
     return _json_text({**head, "rows": rows})
-
-
-def _partition_text(pi: SetPartition) -> str:
-    """A set partition as printed: its blocks in braces, joined by "|", e.g. {1,2}|{3,4}."""
-    return "|".join("{" + ",".join(map(str, block)) + "}" for block in pi.blocks)
 
 
 def _table_command(args: argparse.Namespace) -> tuple[str, bool]:
@@ -287,14 +282,16 @@ def _mult_inspect_command(args: argparse.Namespace) -> tuple[str, bool]:
     cancels = (1 << m) - 1 in masks  # else no partition has only zero-sum blocks
     upset = all_partitions(masks, m) if cancels else []
     minimal = all_partitions(atoms(masks), m) if cancels else []
+    subsets = {s: [e + 1 for e in range(m) if s >> e & 1] for s in sorted(masks)}
+    braces = {s: "{" + ",".join(map(str, subset)) + "}" for s, subset in subsets.items()}  # a partition: {1,2}|{3,4}
     payload = {
         "sequence": spec.text,
         "indices": indices,
         "signs": signs,
         "values": [str(v) for v in values],
-        "zero_sum_subsets": [[e + 1 for e in range(m) if s >> e & 1] for s in sorted(masks)],
-        "zero_sum_partitions": [_partition_text(pi) for pi in upset],
-        "minimal_partitions": [_partition_text(pi) for pi in minimal],
+        "zero_sum_subsets": list(subsets.values()),
+        "zero_sum_partitions": ["|".join(map(braces.__getitem__, pi)) for pi in upset],
+        "minimal_partitions": ["|".join(map(braces.__getitem__, pi)) for pi in minimal],
         "mult": str(mult),
     }
     return _json_text(payload), True

@@ -174,8 +174,6 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
                 f"eta**{k} is {clear / (2 * q_k):.3g} from a half-integer, "
                 f"which its error at {prec} bits plus the guard {float(guard):.3g} covers"
             )
-        if nearest < 1:
-            raise LacunaError(f"round(eta**{k}) = {nearest} is not positive")
         terms.append(nearest)
     return terms
 

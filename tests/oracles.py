@@ -33,11 +33,13 @@ evidence for both.
   alternating count of subfamilies of minimal zero-sum partitions whose
   join is the top partition), with the lattice operations they use and
   the restricted-growth enumeration of every partition of ``{1..m}``
-  (``rgs_partitions``), which ``all_partitions`` is also held against.
+  (``rgs_partitions``), which ``all_partitions`` is also held against
+  through ``block_masks``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
@@ -54,7 +56,6 @@ from lacuna.multiplicity import (
     mult_from_profile,
     zero_sum_profile,
 )
-from lacuna.partitions import SetPartition
 from lacuna.recurrence import _encoded_powers, _validate_pattern_modulus
 from lacuna.sequences import HALF_INTEGER_GUARD
 
@@ -498,6 +499,15 @@ def pattern_multiplicity(pattern: OffsetPattern, p: Sequence[int]) -> int:
 
 class GroundSetMismatch(LacunaError):
     """Partition operands live on different ground sets."""
+
+
+# A partition of {1..m} as sorted 1-based element tuples, ordered by least element.
+SetPartition = namedtuple("SetPartition", "blocks")
+
+
+def block_masks(pi: SetPartition) -> tuple[int, ...]:
+    """The partition as ``all_partitions`` lists it: one bitmask per block (element e is bit e-1)."""
+    return tuple(sum(1 << (e - 1) for e in b) for b in pi.blocks)
 
 
 def rgs_partitions(m: int) -> list[SetPartition]:

@@ -431,6 +431,7 @@ def test_help_exits_zero(capsys):
         # The sweep runs once, at the doubled bound 32, so the refusal gives that sweep's estimate.
         (["slope", "--seq", "fibonacci", "--m", "12", "--gap-bound", "16"], 3, r"2504665152 left half patterns refused"),
         (["slope", "--seq", "fibonacci", "--m", "9", "--gap-bound", "6"], 3, r"913952 left half patterns refused"),
+        (["slope", "--seq", "fibonacci", "--m", "13", "--gap-bound", "1"], 3, r"^error: order 13 exceeds 12\n$"),
         (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2, ""),
         (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2, ""),
         (["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"], 2, ""),
@@ -499,6 +500,7 @@ def test_help_exits_zero(capsys):
         "partition-count-guard",
         "pattern-walk-guard",
         "doubled-pattern-walk-guard",
+        "slope-order-guard",
         "out-into-missing-directory",
         "n-not-an-integer",
         "unknown-option",

@@ -8,7 +8,7 @@ from lacuna.errors import TooLarge
 from lacuna.multiplicity import MAX_PROFILE_MASKS, atoms, mult_from_profile, zero_sum_profile
 from lacuna.partitions import all_partitions
 from lacuna.sequences import generate_terms, parse_sequence
-from oracles import from_blocks, mult_crosscut, mult_moebius, mult_of_values, profile_from_values, top
+from oracles import block_masks, from_blocks, mult_crosscut, mult_moebius, mult_of_values, profile_from_values, top
 
 # The alternating values (1, -1, 1, -1): the canonical case where the
 # multiplicity is neither 0 nor 1.
@@ -81,19 +81,19 @@ def test_zero_sum_profile_guard():
 def test_upset_partitions_worked_example():
     masks = profile(ALTERNATING)
     assert all_partitions(masks, 4) == [
-        top(4),
-        from_blocks([[1, 2], [3, 4]]),
-        from_blocks([[1, 4], [2, 3]]),
+        block_masks(top(4)),
+        block_masks(from_blocks([[1, 2], [3, 4]])),
+        block_masks(from_blocks([[1, 4], [2, 3]])),
     ]
     assert all_partitions(atoms(masks), 4) == [
-        from_blocks([[1, 2], [3, 4]]),
-        from_blocks([[1, 4], [2, 3]]),
+        block_masks(from_blocks([[1, 2], [3, 4]])),
+        block_masks(from_blocks([[1, 4], [2, 3]])),
     ]
 
 
 def test_upset_partitions_edge_profiles():
     assert all_partitions(profile(POW2[:2]), 2) == []
-    assert all_partitions(profile(CONNECTED), 3) == [top(3)]
+    assert all_partitions(profile(CONNECTED), 3) == [block_masks(top(3))]
 
 
 @pytest.mark.parametrize("route", [mult_moebius, mult_crosscut])

@@ -243,6 +243,9 @@ BAD_SPECS = [
     ("geometric:c=x,eta=2", "bad geometric c 'x'"),
     ("recurrence:poly=-1,-1,1;init=1,y", "bad recurrence init '1,y'"),
     ("recurrence:poly=5;init=", "bad recurrence init ''"),
+    # A nonempty init reaches the degree check, then the init length check.
+    ("recurrence:poly=5;init=1", "recurrence polynomial must have degree >= 1"),
+    ("recurrence:poly=-1,-1,1;init=1", "need exactly deg(poly) initial terms"),
     ("roundpow:eta=3,prec=z", "bad roundpow prec 'z'"),
     ("roundpow:eta=inf,prec=10", "bad rounded-power ratio 'inf'"),
     ("roundpow:eta=nan,prec=10", "bad rounded-power ratio 'nan'"),
