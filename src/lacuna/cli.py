@@ -23,11 +23,9 @@ line on stderr, and every warning prints as one ``warning:`` line.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
-from collections.abc import Callable, Sequence
-from fractions import Fraction
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import LacunaError, TooLarge
 from .moments import (
@@ -64,68 +62,6 @@ def _positive(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lacuna", description="Exact moments and cumulants of lacunary cosine sums.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str, handler, seq: bool = True, table: bool = False):
-        p = sub.add_parser(name, help=help_text)
-        if seq:
-            p.add_argument(
-                "--seq",
-                required=True,
-                metavar="SPEC",
-                help=f"sequence, e.g. {', '.join(FAMILIES)}, geometric:c=1,eta=2, "
-                "recurrence:poly=-1,-1,1;init=1,1, explicit:3,5,9, "
-                "roundpow:eta=3.14159265358979323846,prec=128",
-            )
-        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        if table:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        # A command without --n or --m reads them as absent.
-        p.set_defaults(handler=handler, n=None, m=None)
-        return p
-
-    def order(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--m", type=_positive)
-        group.add_argument("--m-max", type=_positive)
-
-    for name, help_text in (("moments", "raw moments E[S_n^m]"), ("cumulants", "cumulants kappa_m(S_n)")):
-        p = command(name, help_text, _table_command, table=True)
-        for flag in ("--n", "--n-from", "--n-to"):
-            p.add_argument(flag, type=_positive)
-        order(p)
-
-    p = command("independent", "cumulants of the i.i.d. comparison model", _independent_command, seq=False, table=True)
-    order(p)
-
-    p = command("compare", "kappa_m(S_n) against n times the model cumulant", _table_command, table=True)
-    for flag in ("--n-from", "--n-to", "--m-max"):
-        p.add_argument(flag, type=_positive, required=True)
-
-    p = command("detect-linear", "detect an eventual affine law for 2^m kappa_m", _detect_linear_command)
-    for flag in ("--m", "--n-from", "--n-to"):
-        p.add_argument(flag, type=_positive, required=True)
-    p.add_argument("--require-linear", action="store_true", help="exit 4 when no affine tail exists")
-
-    p = command("slope", "structural per-unit growth of 2^m kappa_m", _slope_command)
-    p.add_argument("--m", type=_positive, required=True)
-    p.add_argument("--gap-bound", type=_positive, default=8)
-
-    p = command("mult-inspect", "zero-sum structure and multiplicity of one tuple", _mult_inspect_command)
-    p.add_argument("--indices", required=True, help="comma-separated 1-based indices, e.g. 1,2,3")
-    p.add_argument(
-        "--signs", required=True, help="comma-separated signs, e.g. +,+,-; write --signs=-,+ when the first is -"
-    )
-
-    p = command("oracle", "quadrature cross-check of one moment", _oracle_command)
-    for flag in ("--n", "--m"):
-        p.add_argument(flag, type=_positive, required=True)
-
-    return parser
-
-
 def _n_range(args: argparse.Namespace) -> tuple[int, int]:
     if args.n is not None:
         if args.n_from is not None or args.n_to is not None:
@@ -139,11 +75,14 @@ def _n_range(args: argparse.Namespace) -> tuple[int, int]:
 
 
 def scaled(count: int, m: int) -> str:
-    """The exact value 2**-m * count, as printed."""
-    return str(Fraction(count, 2**m))
+    """The exact value 2**-m * count, as printed: "p/q" in lowest terms, or "p" when q is 1."""
+    t = min(m, (count & -count).bit_length() - 1) if count else m  # the power of 2 that cancels
+    return str(count >> t) if t == m else f"{count >> t}/{1 << m - t}"
 
 
 def _json_text(payload) -> str:
+    import json  # only JSON output loads it: a CSV table runs without
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -342,9 +281,70 @@ def positional(index: int, name: str, default: int) -> int:
         raise ValueError(f"argument {name}: {exc}") from None
 
 
+# Each command's help line, its handler and the counts it requires; build_parser adds the rest by name.
+COMMANDS = {
+    "moments": ("raw moments E[S_n^m]", _table_command, ()),
+    "cumulants": ("cumulants kappa_m(S_n)", _table_command, ()),
+    "independent": ("cumulants of the i.i.d. comparison model", _independent_command, ()),
+    "compare": ("kappa_m(S_n) against n times the model cumulant", _table_command, ("--n-from", "--n-to", "--m-max")),
+    "detect-linear": ("detect an eventual affine law for 2^m kappa_m", _detect_linear_command, ("--m", "--n-from", "--n-to")),
+    "slope": ("structural per-unit growth of 2^m kappa_m", _slope_command, ("--m",)),
+    "mult-inspect": ("zero-sum structure and multiplicity of one tuple", _mult_inspect_command, ()),
+    "oracle": ("quadrature cross-check of one moment", _oracle_command, ("--n", "--m")),
+}
+
+
+def build_parser(names: Iterable[str]) -> argparse.ArgumentParser:
+    """The parser with a subparser for each named command, in the order given."""
+    parser = _Parser(prog="lacuna", description="Exact moments and cumulants of lacunary cosine sums.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, handler, counts = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if name != "independent":
+            p.add_argument(
+                "--seq",
+                required=True,
+                metavar="SPEC",
+                help=f"sequence, e.g. {', '.join(FAMILIES)}, geometric:c=1,eta=2, "
+                "recurrence:poly=-1,-1,1;init=1,1, explicit:3,5,9, "
+                "roundpow:eta=3.14159265358979323846,prec=128",
+            )
+        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+        if name in ("moments", "cumulants", "independent", "compare"):
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        # A command without --n or --m reads them as absent.
+        p.set_defaults(handler=handler, n=None, m=None)
+        if name in ("moments", "cumulants"):
+            for flag in ("--n", "--n-from", "--n-to"):
+                p.add_argument(flag, type=_positive)
+        if name in ("moments", "cumulants", "independent"):
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--m", type=_positive)
+            group.add_argument("--m-max", type=_positive)
+        for flag in counts:
+            p.add_argument(flag, type=_positive, required=True)
+        if name == "detect-linear":
+            p.add_argument("--require-linear", action="store_true", help="exit 4 when no affine tail exists")
+        if name == "slope":
+            p.add_argument("--gap-bound", type=_positive, default=8)
+        if name == "mult-inspect":
+            p.add_argument("--indices", required=True, help="comma-separated 1-based indices, e.g. 1,2,3")
+            p.add_argument(
+                "--signs", required=True, help="comma-separated signs, e.g. +,+,-; write --signs=-,+ when the first is -"
+            )
+    return parser
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, compute, write output; returns the exit code."""
-    return exit_code(lambda: _run_parsed(build_parser().parse_args(argv)))
+    """Parse arguments, compute, write output; returns the exit code.
+
+    Only the subparser of the command that argv names is built; an argv
+    that names none (no arguments, --help, a typo) gets all of them.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    return exit_code(lambda: _run_parsed(build_parser(names).parse_args(argv)))
 
 
 def _run_parsed(args: argparse.Namespace) -> int:

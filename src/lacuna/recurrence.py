@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import accumulate, groupby
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from .errors import LacunaError, TooLarge
 from .multiplicity import MAX_GROUND_SIZE, mult_from_profile, zero_sum_profile
@@ -62,32 +61,31 @@ def _strip(coeffs: Sequence[int]) -> list[int]:
 def minimal_polynomial(terms: Sequence[int]) -> Poly:
     """Shortest recurrence polynomial of the terms, primitive and low-to-high.
 
-    Berlekamp-Massey over the rationals (Berlekamp 1968; Massey 1969):
-    the connection polynomial C = 1 + c_1 x + ... + c_L x**L it builds
-    has s_k + c_1 s_{k-1} + ... + c_L s_{k-L} = 0 for every k >= L, and
-    the recurrence polynomial is z**L * C(1/z).  The first 2d terms of a
-    sequence of recurrence order d determine it.
+    Berlekamp-Massey (Berlekamp 1968; Massey 1969), fraction-free: the
+    connection polynomial C = c_0 + c_1 x + ... + c_L x**L it builds has
+    c_0 s_k + c_1 s_{k-1} + ... + c_L s_{k-L} = 0 for every k >= L, and
+    the recurrence polynomial is z**L * C(1/z).  Each update scales C by
+    the last discrepancy instead of dividing by it, so C stays an integer
+    multiple of the rational one.  The first 2d terms of a sequence of
+    recurrence order d determine it.
     """
-    c, b = [Fraction(1)], [Fraction(1)]
-    length, shift, last = 0, 1, Fraction(1)
+    c, b = [1], [1]
+    length, shift, last = 0, 1, 1
     for k in range(len(terms)):
         delta = sum(x * terms[k - i] for i, x in enumerate(c))
         if delta == 0:
             shift += 1
             continue
-        factor = delta / last
-        updated = c + [Fraction(0)] * (len(b) + shift - len(c))
+        updated = [last * x for x in c] + [0] * (len(b) + shift - len(c))
         for i, x in enumerate(b):
-            updated[i + shift] -= factor * x
+            updated[i + shift] -= delta * x
         if 2 * length <= k:
             length, b, last, shift = k + 1 - length, c, delta, 1
         else:
             shift += 1
         c = updated
-    c += [Fraction(0)] * (length + 1 - len(c))
-    scale = lcm(*(x.denominator for x in c))
-    coeffs = [int(x * scale) for x in reversed(c)]
-    common = gcd(*coeffs)
+    coeffs = (c + [0] * (length + 1 - len(c)))[::-1]
+    common = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)  # primitive, with a positive leading coefficient
     return tuple(x // common for x in coeffs)
 
 

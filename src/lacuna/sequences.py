@@ -13,8 +13,6 @@ rather than mis-round.
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 
 from .errors import LacunaError, TooLarge
 
@@ -24,9 +22,9 @@ FAMILIES = {
     "fibonacci": ((-1, -1, 1), (1, 1)),
     "lucas": ((-1, -1, 1), (1, 3)),
 }
-# Rounded powers must clear half-integers by this margin after error
-# propagation, or generation refuses.
-HALF_INTEGER_GUARD = Fraction(1, 256)
+# Rounded powers must clear half-integers by this margin, numerator over
+# denominator (2**-8), after error propagation, or generation refuses.
+HALF_INTEGER_GUARD = (1, 256)
 # Fibonacci's first 20,000 terms hold 1.4e8 bits and `cumulants --m 2` peaks at 53 MB.
 MAX_TERM_BITS = 25 * 10**7  # running total over the generated terms
 # Step k of the integer loop does linear work on k*s-bit integers, s = prec + eta_bits, and one k*s-bit by
@@ -160,7 +158,7 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
         _check_roundpow_work(n, prec, 3 * e, f" of a ratio near 10**{e}")
     p, q = eta.as_integer_ratio()  # a Decimal's has no str -> int digit limit
     _check_roundpow_work(n, prec, p.bit_length() + q.bit_length())
-    guard, hi = HALF_INTEGER_GUARD, (p << prec) + q  # eta + 2**-prec = hi / (q 2**prec)
+    (num, den), hi = HALF_INTEGER_GUARD, (p << prec) + q  # eta + 2**-prec = hi / (q 2**prec)
     p_k = q_k = hi_k = 1
     terms: list[int] = []
     for k in range(1, n + 1):
@@ -169,10 +167,10 @@ def _rounded_powers(eta_decimal: str, prec: int, n: int) -> list[int]:
         clear = q_k - abs(2 * p_k - 2 * nearest * q_k)  # eta**k is clear / (2 q_k) from a half-integer
         error = hi_k - (p_k << prec * k)  # the propagated error is error / (q_k 2**(prec k))
         # clear / (2 q_k) - error / (q_k 2**(prec k)) < guard, multiplied through by 2 q_k 2**(prec k)
-        if ((clear << prec * k) - 2 * error) * guard.denominator < 2 * guard.numerator * (q_k << prec * k):
+        if ((clear << prec * k) - 2 * error) * den < 2 * num * (q_k << prec * k):
             raise LacunaError(
                 f"eta**{k} is {clear / (2 * q_k):.3g} from a half-integer, "
-                f"which its error at {prec} bits plus the guard {float(guard):.3g} covers"
+                f"which its error at {prec} bits plus the guard {num / den:.3g} covers"
             )
         terms.append(nearest)
     return terms
@@ -183,7 +181,11 @@ def _read_ratio(eta_decimal: str) -> tuple[Fraction | Decimal, int]:
 
     eta's leading digit sits at 10**e, so e > 0 means eta >= 10; a ratio
     eta <= 1 is refused, and so is one that is not a finite number.
+    Only ``roundpow`` reads a ratio, so only it loads decimal and fractions.
     """
+    from decimal import Decimal, InvalidOperation
+    from fractions import Fraction
+
     ratio = "/" in eta_decimal
     try:
         if ratio:  # Fraction's own p/q syntax check, on digit runs cut to one digit: its str -> int stops at 4300

@@ -24,9 +24,11 @@ evidence for both.
   the full 2**m subset scan ``profile_from_values``, which
   ``zero_sum_profile`` is also held against at every split of the values.
 * ``poly_reduce_mod``, division with remainder over the rationals,
-  against the integer pseudo-division behind ``_encoded_powers``, and
+  against the integer pseudo-division behind ``_encoded_powers``,
   ``rational_roots_fraction``, the p/q test evaluated on fractions,
-  against the integer ``has_rational_root``.
+  against the integer ``has_rational_root``, and
+  ``minimal_polynomial_fraction``, Berlekamp-Massey over the rationals,
+  against the fraction-free ``minimal_polynomial``.
 * Tuple multiplicities over the partition lattice, against the profile
   recursion ``mult_from_profile``: ``mult_moebius`` (the defining
   Moebius sum over zero-sum partitions) and ``mult_crosscut`` (the
@@ -43,7 +45,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
-from math import comb, factorial, floor, isqrt
+from math import comb, factorial, floor, gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from lacuna import moments
@@ -275,8 +277,9 @@ def rounded_powers_fraction(eta_decimal: str, prec: int, n: int) -> list[int]:
 
     The power eta**k and its upper end (eta + 2**-prec)**k are Fractions;
     the distance to the nearest half-integer less the propagated error
-    must clear ``HALF_INTEGER_GUARD``, else LacunaError.
+    must clear the Fraction of ``HALF_INTEGER_GUARD``, else LacunaError.
     """
+    guard = Fraction(*HALF_INTEGER_GUARD)
     ratio = Fraction(eta_decimal)
     slack = ratio + Fraction(1, 2**prec)
     power = power_hi = Fraction(1)
@@ -286,10 +289,10 @@ def rounded_powers_fraction(eta_decimal: str, prec: int, n: int) -> list[int]:
         power_hi *= slack
         nearest = floor(power + Fraction(1, 2))
         distance_to_half = Fraction(1, 2) - abs(power - nearest)
-        if distance_to_half - (power_hi - power) < HALF_INTEGER_GUARD:
+        if distance_to_half - (power_hi - power) < guard:
             raise LacunaError(
                 f"eta**{k} is {float(distance_to_half):.3g} from a half-integer, "
-                f"which its error at {prec} bits plus the guard {float(HALF_INTEGER_GUARD):.3g} covers"
+                f"which its error at {prec} bits plus the guard {float(guard):.3g} covers"
             )
         if nearest < 1:
             raise LacunaError(f"round(eta**{k}) = {nearest} is not positive")
@@ -404,6 +407,36 @@ def _fraction_strip(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def minimal_polynomial_fraction(terms: Sequence[int]) -> tuple[int, ...]:
+    """Shortest recurrence polynomial of the terms by Berlekamp-Massey over the rationals.
+
+    The connection polynomial C = 1 + c_1 x + ... + c_L x**L keeps its
+    constant term 1, each update divides by the last discrepancy, and the
+    result z**L * C(1/z) is cleared of denominators and made primitive.
+    """
+    c, b = [Fraction(1)], [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for k in range(len(terms)):
+        delta = sum(x * terms[k - i] for i, x in enumerate(c))
+        if delta == 0:
+            shift += 1
+            continue
+        factor = delta / last
+        updated = c + [Fraction(0)] * (len(b) + shift - len(c))
+        for i, x in enumerate(b):
+            updated[i + shift] -= factor * x
+        if 2 * length <= k:
+            length, b, last, shift = k + 1 - length, c, delta, 1
+        else:
+            shift += 1
+        c = updated
+    c += [Fraction(0)] * (length + 1 - len(c))
+    scale = lcm(*(x.denominator for x in c))
+    coeffs = [int(x * scale) for x in reversed(c)]
+    common = gcd(*coeffs)
+    return tuple(x // common for x in coeffs)
 
 
 def poly_reduce_mod(q: Sequence[int | Fraction], p: Sequence[int | Fraction]) -> tuple[Fraction, ...]:

@@ -13,12 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lacuna
 from lacuna import cli, moments
 from lacuna.cli import run
+from lacuna.moments import MAX_CUMULANT_ORDER
 from lacuna.recurrence import structural_slope
 from oracles import lattice_upset, minimal_members, mult_crosscut, mult_moebius, profile_from_values
 
@@ -377,156 +378,157 @@ def test_help_exits_zero(capsys):
     assert out.startswith("usage: lacuna cumulants") and err == ""
 
 
-@pytest.mark.parametrize(
-    "argv, expected, message",
-    [
-        (["cumulants", "--seq", "explicit:1,2", "--n", "5", "--m", "2"], 2, ""),
-        (["compare", "--seq", "explicit:1,2", "--n-from", "1", "--n-to", "5", "--m-max", "2"], 2, ""),
-        (
-            ["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"],
-            2,
-            r"^error: bad tuple: indices are 1-based, got 0\n$",
-        ),
-        (
-            ["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"],
-            2,
-            r"^error: bad tuple: indices are 1-based, got -2\n$",
-        ),
-        (
-            ["mult-inspect", "--seq", "fibonacci", "--indices", "1,2,3", "--signs", "+,-"],
-            2,
-            r"^error: bad tuple: indices and signs must have equal length\n$",
-        ),
-        (
-            ["mult-inspect", "--seq", "fibonacci", "--indices", "1,x", "--signs", "+,+"],
-            2,
-            r"^error: bad tuple: index 'x' is not an integer\n$",
-        ),
-        (
-            ["mult-inspect", "--seq", "fibonacci", "--indices", "1,2", "--signs", "+,x"],
-            2,
-            r"^error: bad tuple: sign 'x' is not one of \+, -, \+1, -1, 1\n$",
-        ),
-        (
-            ["cumulants", "--seq", SEED1_SPEC, "--n-from", "1", "--n-to", "30", "--m-max", "12"],
-            3,
-            r"^error: P\^6 may store 5620267 exponents, over the cap 5000000; the carry count gave up\n$",
-        ),
-        (
-            ["moments", "--seq", "explicit:1,2,3", "--n", "3", "--m", "400"],
-            3,
-            r"prefix engine may take 314165350 work units, over the cap 50000000; the carry count gave up\n$",
-        ),
-        (
-            ["detect-linear", "--seq", "fibonacci", "--m", "20", "--n-from", "40", "--n-to", "60"],
-            3,
-            r"^error: P\^10 may store 15480087559201 exponents, over the cap 5000000; the carry count gave up\n$",
-        ),
-        (
-            ["mult-inspect", "--seq", "explicit:1,1000,1000000", "--indices", ",".join("1" * 12) + ",2,2,3,3"]
-            + ["--signs", ",".join("+-" * 8)],
-            3,
-            r"605215 partitions of \[16\] refused",
-        ),
-        # The sweep runs once, at the doubled bound 32, so the refusal gives that sweep's estimate.
-        (["slope", "--seq", "fibonacci", "--m", "12", "--gap-bound", "16"], 3, r"2504665152 left half patterns refused"),
-        (["slope", "--seq", "fibonacci", "--m", "9", "--gap-bound", "6"], 3, r"913952 left half patterns refused"),
-        (["slope", "--seq", "fibonacci", "--m", "13", "--gap-bound", "1"], 3, r"^error: order 13 exceeds 12\n$"),
-        (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2, ""),
-        (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2, ""),
-        (["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"], 2, ""),
-        (["wat"], 2, ""),
-        ([], 2, ""),
-        (["cumulants", "--seq", "fibonacci", "--n-from", "3", "--m", "2"], 2, ""),
-        (
-            ["cumulants", "--seq", "fibonacci", "--n", "3", "--n-from", "1", "--n-to", "3", "--m", "2"],
-            2,
-            r"^error: give either --n or --n-from/--n-to, not both\n$",
-        ),
-        (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "2", "--m-max", "3"], 2, ""),
-        (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "0"], 2, ""),
-        (["slope", "--seq", "fibonacci", "--m", "3", "--gap-bound", "0"], 2, ""),
-        (
-            ["detect-linear", "--seq", "fibonacci", "--m", "4", "--n-from", "5", "--n-to", "7"],
-            2,
-            r"--n-to >= --n-from \+ 3",
-        ),
-        (["cumulants", "--seq", "roundpow:eta=1/0,prec=5", "--n", "3", "--m", "2"], 2, r"'1/0': zero denominator$"),
-        (["cumulants", "--seq", "geometric:c=1,eta=2,c=3", "--n", "2", "--m", "2"], 2, r"repeats parameter 'c'"),
-        (["independent", "--m-max", "3000"], 3, ""),
-        (["cumulants", "--seq", "fibonacci", "--n", "1000000", "--m", "2"], 3, ""),
-        (["cumulants", "--seq", "roundpow:eta=3.14,prec=99999999999", "--n", "22", "--m", "2"], 3, ""),
-        (["slope", "--seq", "fibonacci", "--m", "2", "--gap-bound", "1000000000"], 3, ""),
-        (
-            ["cumulants", "--seq", "roundpow:eta=1e2000000,prec=8", "--n", "5", "--m", "2"],
-            3,
-            r"5 rounded powers of a ratio near 10\*\*2000000 ",
-        ),
-        # 15**3 = 3375 is an integer: the refusal names the error at 8 bits, not a near half-integer.
-        (
-            ["cumulants", "--seq", "roundpow:eta=1.5e1,prec=8", "--n", "3", "--m", "2"],
-            3,
-            r"^error: eta\*\*3 is 0.5 from a half-integer, which its error at 8 bits plus the guard 0.00391 covers\n$",
-        ),
-        (
-            ["cumulants", "--seq", f"roundpow:eta={'3' * 5000},prec=8", "--n", "2", "--m", "2"],
-            3,
-            r"^error: eta\*\*2 is 0.5 from a half-integer, which its error at 8 bits plus",
-        ),
-        (
-            ["cumulants", "--seq", f"roundpow:eta={'3' * 5000}/7,prec=8", "--n", "2", "--m", "2"],
-            3,
-            r"^error: eta\*\*2 is 0.276 from a half-integer, which its error at 8 bits plus",
-        ),
-        (["oracle", "--seq", "explicit:1,2,24000", "--n", "3", "--m", "400"], 3, r"prefix engine may take"),
-        (["oracle", "--seq", "explicit:1,2,3", "--n", "3", "--m", "20000"], 3, r"prefix engine may take 250000000000 "),
-        (
-            ["mult-inspect", "--seq", "fibonacci", "--indices", ",".join("1" * 21), "--signs", ",".join("+" * 21)],
-            3,
-            r"zero-sum profile of 21 entries refused before it is built \(limit m <= 20\)$",
-        ),
-    ],
-    ids=[
-        "explicit-too-short",
-        "compare-explicit-too-short",
-        "index-zero",
-        "negative-index",
-        "mismatched-lengths",
-        "bad-index-token",
-        "bad-sign-token",
-        "power-support-guard",
-        "engine-work-guard",
-        "fibonacci-m20-past-the-carry-budget",
-        "partition-count-guard",
-        "pattern-walk-guard",
-        "doubled-pattern-walk-guard",
-        "slope-order-guard",
-        "out-into-missing-directory",
-        "n-not-an-integer",
-        "unknown-option",
-        "unknown-subcommand",
-        "no-subcommand",
-        "missing-n-to",
-        "n-with-range",
-        "m-with-m-max",
-        "m-zero",
-        "gap-bound-zero",
-        "detect-linear-short-range",
-        "roundpow-zero-denominator",
-        "repeated-spec-parameter",
-        "cumulant-order-guard",
-        "term-bit-guard",
-        "roundpow-work-guard",
-        "pattern-offset-guard",
-        "roundpow-exponent-guard",
-        "roundpow-integer-power-error-guard",
-        "roundpow-5000-digit-ratio-error-guard",
-        "roundpow-5000-digit-fraction-error-guard",
-        "oracle-exact-moment-guard",
-        "oracle-refused-before-float-overflow",
-        "profile-size-guard",
-    ],
-)
+# Each row: an argv that fails, its exit code, and a pattern its one error line must match.
+ERROR_ROWS = [
+    (["cumulants", "--seq", "explicit:1,2", "--n", "5", "--m", "2"], 2, ""),
+    (["compare", "--seq", "explicit:1,2", "--n-from", "1", "--n-to", "5", "--m-max", "2"], 2, ""),
+    (
+        ["mult-inspect", "--seq", "fibonacci", "--indices", "0", "--signs", "+"],
+        2,
+        r"^error: bad tuple: indices are 1-based, got 0\n$",
+    ),
+    (
+        ["mult-inspect", "--seq", "fibonacci", "--indices=-2,1", "--signs", "+,+"],
+        2,
+        r"^error: bad tuple: indices are 1-based, got -2\n$",
+    ),
+    (
+        ["mult-inspect", "--seq", "fibonacci", "--indices", "1,2,3", "--signs", "+,-"],
+        2,
+        r"^error: bad tuple: indices and signs must have equal length\n$",
+    ),
+    (
+        ["mult-inspect", "--seq", "fibonacci", "--indices", "1,x", "--signs", "+,+"],
+        2,
+        r"^error: bad tuple: index 'x' is not an integer\n$",
+    ),
+    (
+        ["mult-inspect", "--seq", "fibonacci", "--indices", "1,2", "--signs", "+,x"],
+        2,
+        r"^error: bad tuple: sign 'x' is not one of \+, -, \+1, -1, 1\n$",
+    ),
+    (
+        ["cumulants", "--seq", SEED1_SPEC, "--n-from", "1", "--n-to", "30", "--m-max", "12"],
+        3,
+        r"^error: P\^6 may store 5620267 exponents, over the cap 5000000; the carry count gave up\n$",
+    ),
+    (
+        ["moments", "--seq", "explicit:1,2,3", "--n", "3", "--m", "400"],
+        3,
+        r"prefix engine may take 314165350 work units, over the cap 50000000; the carry count gave up\n$",
+    ),
+    (
+        ["detect-linear", "--seq", "fibonacci", "--m", "20", "--n-from", "40", "--n-to", "60"],
+        3,
+        r"^error: P\^10 may store 15480087559201 exponents, over the cap 5000000; the carry count gave up\n$",
+    ),
+    (
+        ["mult-inspect", "--seq", "explicit:1,1000,1000000", "--indices", ",".join("1" * 12) + ",2,2,3,3"]
+        + ["--signs", ",".join("+-" * 8)],
+        3,
+        r"605215 partitions of \[16\] refused",
+    ),
+    # The sweep runs once, at the doubled bound 32, so the refusal gives that sweep's estimate.
+    (["slope", "--seq", "fibonacci", "--m", "12", "--gap-bound", "16"], 3, r"2504665152 left half patterns refused"),
+    (["slope", "--seq", "fibonacci", "--m", "9", "--gap-bound", "6"], 3, r"913952 left half patterns refused"),
+    (["slope", "--seq", "fibonacci", "--m", "13", "--gap-bound", "1"], 3, r"^error: order 13 exceeds 12\n$"),
+    (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2, ""),
+    (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2, ""),
+    (["cumulants", "--seq", "pow2plus1", "--n", "3", "--m", "2", "--threads", "2"], 2, ""),
+    (["wat"], 2, ""),
+    ([], 2, ""),
+    (["cumulants", "--seq", "fibonacci", "--n-from", "3", "--m", "2"], 2, ""),
+    (
+        ["cumulants", "--seq", "fibonacci", "--n", "3", "--n-from", "1", "--n-to", "3", "--m", "2"],
+        2,
+        r"^error: give either --n or --n-from/--n-to, not both\n$",
+    ),
+    (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "2", "--m-max", "3"], 2, ""),
+    (["cumulants", "--seq", "fibonacci", "--n", "3", "--m", "0"], 2, ""),
+    (["slope", "--seq", "fibonacci", "--m", "3", "--gap-bound", "0"], 2, ""),
+    (
+        ["detect-linear", "--seq", "fibonacci", "--m", "4", "--n-from", "5", "--n-to", "7"],
+        2,
+        r"--n-to >= --n-from \+ 3",
+    ),
+    (["cumulants", "--seq", "roundpow:eta=1/0,prec=5", "--n", "3", "--m", "2"], 2, r"'1/0': zero denominator$"),
+    (["cumulants", "--seq", "geometric:c=1,eta=2,c=3", "--n", "2", "--m", "2"], 2, r"repeats parameter 'c'"),
+    (["independent", "--m-max", "3000"], 3, ""),
+    (["cumulants", "--seq", "fibonacci", "--n", "1000000", "--m", "2"], 3, ""),
+    (["cumulants", "--seq", "roundpow:eta=3.14,prec=99999999999", "--n", "22", "--m", "2"], 3, ""),
+    (["slope", "--seq", "fibonacci", "--m", "2", "--gap-bound", "1000000000"], 3, ""),
+    (
+        ["cumulants", "--seq", "roundpow:eta=1e2000000,prec=8", "--n", "5", "--m", "2"],
+        3,
+        r"5 rounded powers of a ratio near 10\*\*2000000 ",
+    ),
+    # 15**3 = 3375 is an integer: the refusal names the error at 8 bits, not a near half-integer.
+    (
+        ["cumulants", "--seq", "roundpow:eta=1.5e1,prec=8", "--n", "3", "--m", "2"],
+        3,
+        r"^error: eta\*\*3 is 0.5 from a half-integer, which its error at 8 bits plus the guard 0.00391 covers\n$",
+    ),
+    (
+        ["cumulants", "--seq", f"roundpow:eta={'3' * 5000},prec=8", "--n", "2", "--m", "2"],
+        3,
+        r"^error: eta\*\*2 is 0.5 from a half-integer, which its error at 8 bits plus",
+    ),
+    (
+        ["cumulants", "--seq", f"roundpow:eta={'3' * 5000}/7,prec=8", "--n", "2", "--m", "2"],
+        3,
+        r"^error: eta\*\*2 is 0.276 from a half-integer, which its error at 8 bits plus",
+    ),
+    (["oracle", "--seq", "explicit:1,2,24000", "--n", "3", "--m", "400"], 3, r"prefix engine may take"),
+    (["oracle", "--seq", "explicit:1,2,3", "--n", "3", "--m", "20000"], 3, r"prefix engine may take 250000000000 "),
+    (
+        ["mult-inspect", "--seq", "fibonacci", "--indices", ",".join("1" * 21), "--signs", ",".join("+" * 21)],
+        3,
+        r"zero-sum profile of 21 entries refused before it is built \(limit m <= 20\)$",
+    ),
+]
+ERROR_IDS = [
+    "explicit-too-short",
+    "compare-explicit-too-short",
+    "index-zero",
+    "negative-index",
+    "mismatched-lengths",
+    "bad-index-token",
+    "bad-sign-token",
+    "power-support-guard",
+    "engine-work-guard",
+    "fibonacci-m20-past-the-carry-budget",
+    "partition-count-guard",
+    "pattern-walk-guard",
+    "doubled-pattern-walk-guard",
+    "slope-order-guard",
+    "out-into-missing-directory",
+    "n-not-an-integer",
+    "unknown-option",
+    "unknown-subcommand",
+    "no-subcommand",
+    "missing-n-to",
+    "n-with-range",
+    "m-with-m-max",
+    "m-zero",
+    "gap-bound-zero",
+    "detect-linear-short-range",
+    "roundpow-zero-denominator",
+    "repeated-spec-parameter",
+    "cumulant-order-guard",
+    "term-bit-guard",
+    "roundpow-work-guard",
+    "pattern-offset-guard",
+    "roundpow-exponent-guard",
+    "roundpow-integer-power-error-guard",
+    "roundpow-5000-digit-ratio-error-guard",
+    "roundpow-5000-digit-fraction-error-guard",
+    "oracle-exact-moment-guard",
+    "oracle-refused-before-float-overflow",
+    "profile-size-guard",
+]
+
+
+@pytest.mark.parametrize("argv, expected, message", ERROR_ROWS, ids=ERROR_IDS)
 def test_failures_print_one_error_line(capsys, argv, expected, message):
     # Each refusal comes before the work it refuses; oracle's node cap comes before the exact moment's guards.
     started = time.perf_counter()
@@ -550,22 +552,45 @@ def test_long_decimal_ratios_print_their_row(capsys, eta, prec, kappa):
     assert json.loads(out)["kappa"] == kappa
 
 
+# Modules that only some runs need: fractions and decimal read a roundpow ratio, json writes JSON output.
+_ON_DEMAND = {"fractions", "decimal", "json"}
+
+
+def _modules_after(probe: str) -> tuple[set[str], str]:
+    """The modules loaded once the probe has run under -S, and its stdout before the module list."""
+    src = str(Path(lacuna.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe += "\nprint('--- modules'); print(*sys.modules, sep='\\n')"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    out, _, modules = result.stdout.partition("--- modules\n")
+    return set(modules.split()), out
+
+
 def test_cli_import_is_lean():
     # Every CLI start pays for its imports: no class generator (dataclasses drags in inspect), no
     # typing, no concurrent.futures, and no numpy, which only the quadrature oracle loads.  The probe runs under -S, so no
     # site hook can load any of them first and hide the CLI's own.  perfbench/tracer.py wraps all
     # seven layers right after this import, so each must be loaded by it.
-    src = str(Path(lacuna.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, lacuna.cli; print(*sys.modules, sep='\\n')"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
+    loaded, _ = _modules_after("import sys, lacuna.cli")
     assert not {"dataclasses", "inspect", "typing", "numpy", "concurrent.futures", "lacuna.record"} & loaded
+    assert not _ON_DEMAND & loaded
     layers = ("cli", "sequences", "laurent", "moments", "multiplicity", "partitions", "recurrence")
     assert {f"lacuna.{layer}" for layer in layers} <= loaded
+
+
+def test_a_csv_table_run_loads_no_on_demand_module():
+    argv = ["cumulants", "--seq", "pow2plus1", "--n", "5", "--m-max", "4", "--format", "csv"]
+    loaded, out = _modules_after(f"import sys; from lacuna import cli; assert cli.run({argv!r}) == 0")
+    assert out.splitlines() == ["n,m,kappa", "5,1,0", "5,2,5/2", "5,3,0", "5,4,13/8"]
+    assert not _ON_DEMAND & loaded
+    # The positive control: a roundpow ratio is read through decimal, and the JSON output loads json.
+    argv = ["cumulants", "--seq", "roundpow:eta=1.7,prec=64", "--n", "3", "--m", "2"]
+    loaded, out = _modules_after(f"import sys; from lacuna import cli; assert cli.run({argv!r}) == 0")
+    assert json.loads(out)["kappa"] == "3/2"
+    assert {"decimal", "fractions", "json"} <= loaded
 
 
 @pytest.mark.parametrize(
@@ -777,3 +802,95 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
     else:  # 4 is detect-linear --require-linear: the report is written, valid is false
         assert errors == [] and out.getvalue()
         assert code == 0 or json.loads(out.getvalue())["valid"] is False
+
+
+# --- one subparser per run ------------------------------------------------------
+
+
+def _parsed(names, argv):
+    """What the parser of the named commands makes of argv: its namespace, its error, or its help text."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(cli.build_parser(names).parse_args(argv))
+    except ValueError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_prints_the_full_parser_help(name):
+    full = _parsed(cli.COMMANDS, [name, "--help"])
+    assert full[0] == 0 and full[1].startswith(f"usage: lacuna {name} ")
+    assert _parsed([name], [name, "--help"]) == full
+
+
+def test_one_command_parser_parses_every_cli_row_as_the_full_one():
+    rows = [argv for argv, _, _ in ERROR_ROWS if argv[:1] and argv[0] in cli.COMMANDS] + [[name] for name in cli.COMMANDS]
+    rows += [
+        ["cumulants", "--seq", "pow2plus1", "--n", "7", "--m", "6"],
+        ["independent", "--m-max", "10", "--format=csv"],
+        ["compare", "--seq", "pow2plus1", "--n-fr", "4", "--n-to", "4", "--m-max", "4"],  # an abbreviated flag
+        ["detect-linear", "--seq", "fibonacci", "--m", "8", "--n-from", "15", "--n-to", "30", "--require-linear"],
+        ["slope", "--seq", "fibonacci", "--m", "4"],
+        ["mult-inspect", "--seq", "explicit:1", "--indices", "1,1", "--signs=-,+", "--out", "x.json"],
+        ["oracle", "--seq", "fibonacci", "--n", "5", "--m", "3"],
+    ]
+    for argv in rows:
+        assert _parsed([argv[0]], argv) == _parsed(cli.COMMANDS, argv), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_one_command_parser_parses_fuzzed_argv_as_the_full_one(argv):
+    if argv[0] in cli.COMMANDS:
+        assert _parsed([argv[0]], argv) == _parsed(cli.COMMANDS, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["independent", "--m", "2"], ["independent"]),
+        (["oracle", "--help"], ["oracle"]),
+        (["slope", "--seq", "fibonacci", "--m", "0"], ["slope"]),
+        ([], list(cli.COMMANDS)),
+        (["--help"], list(cli.COMMANDS)),
+        (["wat"], list(cli.COMMANDS)),
+        (["--", "cumulants"], list(cli.COMMANDS)),
+    ],
+)
+def test_run_builds_the_subparser_of_the_named_command_only(capsys, monkeypatch, argv, built):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names: calls.append(list(names)) or build(names))
+    run(argv)
+    capsys.readouterr()
+    assert calls == [built]
+
+
+def test_a_line_without_a_command_lists_every_command(capsys):
+    names = list(cli.COMMANDS)
+    assert invoke(capsys) == (2, "", "error: the following arguments are required: command\n")
+    code, out, err = invoke(capsys, "wat")
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert re.findall(r"'([a-z-]+)'", err.partition("choose from")[2]) == names
+    code, out, err = invoke(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: lacuna [-h]") and "{" + ",".join(names) + "}" in out
+    assert re.findall(r"^    ([a-z-]+) +(.+)$", out, re.M) == [(name, row[0]) for name, row in cli.COMMANDS.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    count=st.one_of(
+        st.integers(-(2**100), 2**100),
+        st.builds(lambda a, s: a << s, st.integers(-(2**20), 2**20), st.integers(0, 900)),
+    ),
+    m=st.integers(0, MAX_CUMULANT_ORDER),
+)
+@example(count=0, m=MAX_CUMULANT_ORDER)
+@example(count=-(3 << 900), m=MAX_CUMULANT_ORDER)  # every power of 2 cancels: an integer
+@example(count=-(5 << 12), m=13)
+def test_scaled_prints_the_reduced_fraction(count, m):
+    assert cli.scaled(count, m) == str(Fraction(count, 2**m))

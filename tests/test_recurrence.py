@@ -2,6 +2,7 @@ import importlib.util
 import time
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from lacuna.sequences import generate_terms, parse_sequence
 from oracles import (
     OffsetPattern,
     eta_relation_holds,
+    minimal_polynomial_fraction,
     pattern_multiplicity,
     poly_reduce_mod,
     rational_roots_fraction,
@@ -449,6 +451,32 @@ def test_minimal_polynomial_divides_and_annihilates(lower, init):
     deg = len(found) - 1
     for k in range(deg, len(terms)):
         assert sum(c * terms[k - deg + j] for j, c in enumerate(found)) == 0
+
+
+@st.composite
+def integer_recurrences(draw):
+    """Integer terms of a recurrence of degree d <= 5, leading coefficient +-1, 2 or 3, 2d to 2d + 6 of them.
+
+    The terms are run over the rationals and scaled by one common
+    denominator, which keeps every relation; negative and zero terms occur.
+    """
+    d = draw(st.integers(0, 5))
+    lead = draw(st.sampled_from([1, -1, 2, 3]))
+    lower = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    terms = [Fraction(t) for t in draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))]
+    count = 2 * d + draw(st.integers(0, 6))
+    while len(terms) < count:
+        terms.append(Fraction(-sum(c * terms[len(terms) - d + j] for j, c in enumerate(lower)), lead))
+    scale = lcm(*(t.denominator for t in terms))
+    return [int(t * scale) for t in terms]
+
+
+@given(integer_recurrences())
+@example([0, 0, 0, 3])
+@example([2, -4, 0, 0, 5])
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_minimal_polynomial_equals_the_rational_one(terms):
+    assert minimal_polynomial(terms) == minimal_polynomial_fraction(terms)
 
 
 # --- affine tail detection ------------------------------------------------------

@@ -1,3 +1,4 @@
+import decimal
 import time
 import warnings
 from decimal import Decimal
@@ -179,7 +180,7 @@ def test_roundpow_exponent_is_read_before_the_fraction(monkeypatch):
             raise AssertionError("the ratio's integers may not be built past the cap")
 
     started = time.perf_counter()
-    monkeypatch.setattr(sequences, "Decimal", ExponentOnly)
+    monkeypatch.setattr(decimal, "Decimal", ExponentOnly)  # the ratio reader imports it when it runs
     spec = parse_sequence("roundpow:eta=1e2000000,prec=8")  # a positive exponent means eta >= 10
     with pytest.raises(TooLarge, match="^5 rounded powers of a ratio near 10\\*\\*2000000 at 8 bits"):
         generate_terms(spec, 5)  # 5**2 * 6e6 * (6e6**0.585 + 10) = 1.4e12
