@@ -281,16 +281,46 @@ def positional(index: int, name: str, default: int) -> int:
         raise ValueError(f"argument {name}: {exc}") from None
 
 
-# Each command's help line, its handler and the counts it requires; build_parser adds the rest by name.
+def _arg(*flags: str, **kwargs) -> Callable[[argparse.ArgumentParser], object]:
+    """A builder that adds one argument to the subparser it is given."""
+    return lambda p: p.add_argument(*flags, **kwargs)
+
+
+def _counts(*flags: str, required: bool = True) -> tuple:
+    """Builders of count and order arguments, each an integer >= 1."""
+    return tuple(_arg(flag, type=_positive, required=required) for flag in flags)
+
+
+def _order(p: argparse.ArgumentParser) -> None:
+    """Exactly one of --m (one order) and --m-max (every order up to it)."""
+    group = p.add_mutually_exclusive_group(required=True)
+    for flag in ("--m", "--m-max"):
+        group.add_argument(flag, type=_positive)
+
+
+_SEQ = _arg("--seq", required=True, metavar="SPEC", help=f"sequence, e.g. {', '.join(FAMILIES)}, geometric:c=1,eta=2, "
+            "recurrence:poly=-1,-1,1;init=1,1, explicit:3,5,9, roundpow:eta=3.14159265358979323846,prec=128")
+_OUT = _arg("--out", metavar="PATH", help="write output here instead of stdout")
+_FORMAT = _arg("--format", choices=("json", "csv"), default="json")
+_PREFIX_TABLE = (_SEQ, _OUT, _FORMAT, *_counts("--n", "--n-from", "--n-to", required=False), _order)
+
+# Each command's help line, its handler and the builders of its arguments, in --help order.
 COMMANDS = {
-    "moments": ("raw moments E[S_n^m]", _table_command, ()),
-    "cumulants": ("cumulants kappa_m(S_n)", _table_command, ()),
-    "independent": ("cumulants of the i.i.d. comparison model", _independent_command, ()),
-    "compare": ("kappa_m(S_n) against n times the model cumulant", _table_command, ("--n-from", "--n-to", "--m-max")),
-    "detect-linear": ("detect an eventual affine law for 2^m kappa_m", _detect_linear_command, ("--m", "--n-from", "--n-to")),
-    "slope": ("structural per-unit growth of 2^m kappa_m", _slope_command, ("--m",)),
-    "mult-inspect": ("zero-sum structure and multiplicity of one tuple", _mult_inspect_command, ()),
-    "oracle": ("quadrature cross-check of one moment", _oracle_command, ("--n", "--m")),
+    "moments": ("raw moments E[S_n^m]", _table_command, _PREFIX_TABLE),
+    "cumulants": ("cumulants kappa_m(S_n)", _table_command, _PREFIX_TABLE),
+    "independent": ("cumulants of the i.i.d. comparison model", _independent_command, (_OUT, _FORMAT, _order)),
+    "compare": ("kappa_m(S_n) against n times the model cumulant", _table_command,
+                (_SEQ, _OUT, _FORMAT, *_counts("--n-from", "--n-to", "--m-max"))),
+    "detect-linear": ("detect an eventual affine law for 2^m kappa_m", _detect_linear_command,
+                      (_SEQ, _OUT, *_counts("--m", "--n-from", "--n-to"),
+                       _arg("--require-linear", action="store_true", help="exit 4 when no affine tail exists"))),
+    "slope": ("structural per-unit growth of 2^m kappa_m", _slope_command,
+              (_SEQ, _OUT, *_counts("--m"), _arg("--gap-bound", type=_positive, default=8))),
+    "mult-inspect": ("zero-sum structure and multiplicity of one tuple", _mult_inspect_command,
+                     (_SEQ, _OUT, _arg("--indices", required=True, help="comma-separated 1-based indices, e.g. 1,2,3"),
+                      _arg("--signs", required=True,
+                           help="comma-separated signs, e.g. +,+,-; write --signs=-,+ when the first is -"))),
+    "oracle": ("quadrature cross-check of one moment", _oracle_command, (_SEQ, _OUT, *_counts("--n", "--m"))),
 }
 
 
@@ -299,40 +329,11 @@ def build_parser(names: Iterable[str]) -> argparse.ArgumentParser:
     parser = _Parser(prog="lacuna", description="Exact moments and cumulants of lacunary cosine sums.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        help_text, handler, counts = COMMANDS[name]
+        help_text, handler, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        if name != "independent":
-            p.add_argument(
-                "--seq",
-                required=True,
-                metavar="SPEC",
-                help=f"sequence, e.g. {', '.join(FAMILIES)}, geometric:c=1,eta=2, "
-                "recurrence:poly=-1,-1,1;init=1,1, explicit:3,5,9, "
-                "roundpow:eta=3.14159265358979323846,prec=128",
-            )
-        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        if name in ("moments", "cumulants", "independent", "compare"):
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        # A command without --n or --m reads them as absent.
-        p.set_defaults(handler=handler, n=None, m=None)
-        if name in ("moments", "cumulants"):
-            for flag in ("--n", "--n-from", "--n-to"):
-                p.add_argument(flag, type=_positive)
-        if name in ("moments", "cumulants", "independent"):
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--m", type=_positive)
-            group.add_argument("--m-max", type=_positive)
-        for flag in counts:
-            p.add_argument(flag, type=_positive, required=True)
-        if name == "detect-linear":
-            p.add_argument("--require-linear", action="store_true", help="exit 4 when no affine tail exists")
-        if name == "slope":
-            p.add_argument("--gap-bound", type=_positive, default=8)
-        if name == "mult-inspect":
-            p.add_argument("--indices", required=True, help="comma-separated 1-based indices, e.g. 1,2,3")
-            p.add_argument(
-                "--signs", required=True, help="comma-separated signs, e.g. +,+,-; write --signs=-,+ when the first is -"
-            )
+        for add in arguments:
+            add(p)
+        p.set_defaults(handler=handler, n=None, m=None)  # a command without --n or --m reads them as absent
     return parser
 
 

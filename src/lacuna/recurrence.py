@@ -65,9 +65,10 @@ def minimal_polynomial(terms: Sequence[int]) -> Poly:
     connection polynomial C = c_0 + c_1 x + ... + c_L x**L it builds has
     c_0 s_k + c_1 s_{k-1} + ... + c_L s_{k-L} = 0 for every k >= L, and
     the recurrence polynomial is z**L * C(1/z).  Each update scales C by
-    the last discrepancy instead of dividing by it, so C stays an integer
-    multiple of the rational one.  The first 2d terms of a sequence of
-    recurrence order d determine it.
+    the last discrepancy instead of dividing by it, then divides out C's
+    content, so C stays the primitive integer multiple of the rational
+    one and its coefficients grow no faster than the rational ones do.
+    The first 2d terms of a sequence of recurrence order d determine it.
     """
     c, b = [1], [1]
     length, shift, last = 0, 1, 1
@@ -83,7 +84,8 @@ def minimal_polynomial(terms: Sequence[int]) -> Poly:
             length, b, last, shift = k + 1 - length, c, delta, 1
         else:
             shift += 1
-        c = updated
+        content = gcd(*updated)
+        c = [x // content for x in updated]
     coeffs = (c + [0] * (length + 1 - len(c)))[::-1]
     common = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)  # primitive, with a positive leading coefficient
     return tuple(x // common for x in coeffs)

@@ -455,12 +455,12 @@ def test_minimal_polynomial_divides_and_annihilates(lower, init):
 
 @st.composite
 def integer_recurrences(draw):
-    """Integer terms of a recurrence of degree d <= 5, leading coefficient +-1, 2 or 3, 2d to 2d + 6 of them.
+    """Integer terms of a recurrence of degree d <= 12, leading coefficient +-1, 2 or 3, 2d to 2d + 6 of them.
 
     The terms are run over the rationals and scaled by one common
     denominator, which keeps every relation; negative and zero terms occur.
     """
-    d = draw(st.integers(0, 5))
+    d = draw(st.integers(0, 12))
     lead = draw(st.sampled_from([1, -1, 2, 3]))
     lower = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
     terms = [Fraction(t) for t in draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))]
@@ -477,6 +477,24 @@ def integer_recurrences(draw):
 @settings(max_examples=300, deadline=None)
 def test_fraction_free_minimal_polynomial_equals_the_rational_one(terms):
     assert minimal_polynomial(terms) == minimal_polynomial_fraction(terms)
+
+
+@pytest.mark.parametrize("d", [19, 25])
+def test_fraction_free_minimal_polynomial_stays_small_at_high_degree(d):
+    """A generic positive recurrence of degree d on 2d terms, the input slope_modulus builds.
+
+    Its discrepancy is nonzero at almost every step, so an update that
+    kept the last discrepancy as a factor would compound it: d = 19 took
+    about 6 s that way, and d = 25 would not finish.
+    """
+    lower = [-(7 * k % 4) for k in range(d)]
+    init = [1 + 5 * k % 9 for k in range(d)]
+    spec = parse_sequence(f"recurrence:poly={','.join(map(str, lower))},1;init={','.join(map(str, init))}")
+    terms = generate_terms(spec, 2 * d)
+    started = time.perf_counter()
+    found = minimal_polynomial(terms)
+    assert time.perf_counter() - started < 2.0
+    assert found == minimal_polynomial_fraction(terms)
 
 
 # --- affine tail detection ------------------------------------------------------
