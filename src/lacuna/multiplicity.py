@@ -8,16 +8,19 @@ cancel.  Multiplicities are what cumulants sum:
 kappa_m(S_n) = 2**-m * sum over all tuples of mult(T).
 
 The one route is ``mult_from_profile``: the set-partition
-moment-cumulant recursion over the zero-sum profile alone, at a cost
-quadratic in the number of zero-sum subsets.  Every profile is built by
-``zero_sum_profile``, which joins the subset sums of two halves by
-value, split where the caller chooses: the offset-pattern sweep of
-``recurrence.structural_slope`` splits each pattern where its halves
-meet, and ``mult-inspect`` splits a tuple at position m // 2.  A profile
-is a frozenset of bitmasks; ``mult-inspect`` lists the zero-sum
+moment-cumulant recursion over the zero-sum profile alone, each subset
+scanning only the earlier subsets that share its lowest element.  Every
+profile is built by ``join_profile``, which joins a left half's
+``closing_table`` with a right half's ``subset_sums`` by value.
+``zero_sum_profile`` builds both tables for ``mult-inspect``, split at
+position m // 2; the offset-pattern sweep of
+``recurrence.structural_slope`` keeps each left half's table and each
+right prefix's sums, and joins them where a pattern's halves meet.  A
+profile is a frozenset of bitmasks; ``mult-inspect`` lists the zero-sum
 partitions by ``partitions.all_partitions`` from its masks and the
 minimal ones from its ``atoms``, and prints them.  The lattice routes
-that the tests hold it against live in ``tests/oracles.py``.
+and the quadratic recursion that the tests hold it against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,12 +34,25 @@ MAX_PROFILE_SIZE = 20  # a profile holds up to 2**m masks, built before MAX_PROF
 MAX_PROFILE_MASKS = 2**MAX_GROUND_SIZE  # the recursion tests up to len(masks)**2 / 2 pairs
 
 
-def _subset_sums(values: Sequence[int]) -> list[int]:
-    """Sum of every subset of the values, at the index whose bit i marks value i."""
-    sums = [0]
+def subset_sums(values: Sequence[int], sums: Sequence[int] = (0,)) -> list[int]:
+    """Extend the subset sums ``sums`` of earlier values by the values; bit i of an index marks value i."""
+    sums = list(sums)
     for value in values:
         sums += [x + value for x in sums]
     return sums
+
+
+def closing_table(values: Sequence[int]) -> dict[int, list[int]]:
+    """Minus each subset sum of the values -> the bitmasks of the subsets with that sum."""
+    table: dict[int, list[int]] = {}
+    for mask, value in enumerate(subset_sums(values)):
+        table.setdefault(-value, []).append(mask)
+    return table
+
+
+def join_profile(table: dict[int, list[int]], sums: Sequence[int], shift: int) -> frozenset[int]:
+    """The nonempty zero-sum subsets of a left half of ``shift`` values and a right half, by ``table`` and ``sums``."""
+    return frozenset(i | j << shift for j, value in enumerate(sums) for i in table.get(value, ()) if i | j)
 
 
 def zero_sum_profile(left: Sequence[int], right: Sequence[int]) -> frozenset[int]:
@@ -47,10 +63,7 @@ def zero_sum_profile(left: Sequence[int], right: Sequence[int]) -> frozenset[int
     m = len(left) + len(right)
     if m > MAX_PROFILE_SIZE:
         raise TooLarge(f"zero-sum profile of {m} entries refused before it is built (limit m <= {MAX_PROFILE_SIZE})")
-    by_value: dict[int, list[int]] = {}
-    for j, value in enumerate(_subset_sums(right)):
-        by_value.setdefault(value, []).append(j << len(left))
-    return frozenset(i | j for i, value in enumerate(_subset_sums(left)) for j in by_value.get(-value, ()) if i | j)
+    return join_profile(closing_table(left), subset_sums(right), len(left))
 
 
 def atoms(masks: frozenset[int]) -> frozenset[int]:
@@ -70,15 +83,18 @@ def mult_from_profile(masks: frozenset[int], m: int) -> int:
     the profile's indicator as the moments: visiting the masks by size,
     kappa(S) = 1 - sum kappa(B) over profile masks B, strictly inside S,
     that hold the lowest element of S and leave S ^ B in the profile.
-    Equals the Moebius sum over the zero-sum partition upset.
+    Such a B has that element as its own lowest, so only the earlier
+    masks of that element's group are scanned.  Equals the Moebius sum
+    over the zero-sum partition upset.
     """
     if len(masks) > MAX_PROFILE_MASKS:
         raise TooLarge(f"zero-sum profile of {len(masks)} subsets refused (limit {MAX_PROFILE_MASKS})")
     full = (1 << m) - 1
     if full not in masks:
         return 0
-    kappa: dict[int, int] = {}
+    by_low: dict[int, list[tuple[int, int]]] = {}  # lowest bit -> the visited masks holding it, with their kappa
     for s in sorted(masks, key=int.bit_count):
-        low = s & -s
-        kappa[s] = 1 - sum(k for b, k in kappa.items() if b & low and b & s == b and s ^ b in kappa)
-    return kappa[full]
+        group = by_low.setdefault(s & -s, [])
+        kappa = 1 - sum(k for b, k in group if b & s == b and s ^ b in masks)
+        group.append((s, kappa))
+    return kappa  # the full mask is the largest, so visited last

@@ -27,14 +27,14 @@ from itertools import accumulate, groupby
 from math import factorial, gcd, prod
 
 from .errors import LacunaError, TooLarge
-from .multiplicity import MAX_GROUND_SIZE, mult_from_profile, zero_sum_profile
+from .multiplicity import MAX_GROUND_SIZE, closing_table, join_profile, mult_from_profile, subset_sums
 
 Poly = tuple[int, ...]
 
 # The slope's halves and joins, timed on a 2-core host with Fibonacci.  Left halves are held, ~230 bytes
-# each: m = 12, g = 4 held 152,975 (estimate 200,000) in 35 MB.  Right halves are streamed, ~0.6 us each:
-# m = 8, g = 20 probed 12,002,256 in 7.3 s.  A join costs ~2**m * 50-150 ns, so at most MAX_JOIN_WORK >> m
-# are made: m = 10, g = 5 joined 59,610 in 3.7 s; m = 12, g = 2 reached the cap, 24,414, after 13-15 s.
+# each: m = 12, g = 4 holds 80,750 from (0, +) (estimate 100,000).  Right halves are streamed, ~0.6 us each:
+# m = 8, g = 20 probed 12,002,256 in 7.3 s.  A join costs ~2**m * 20-40 ns, so at most MAX_JOIN_WORK >> m
+# are made: m = 10, g = 5 joined 39,909 in 0.9 s; m = 12, g = 2 reached the cap, 24,414, after 3.5 s.
 MAX_LEFT_HALVES = 200_000
 MAX_RIGHT_HALVES = 15_000_000
 MAX_JOIN_WORK = 10**8
@@ -156,9 +156,9 @@ def _encoded_powers(p: Poly, max_offset: int, order: int) -> list[int]:
 
 
 def _half_sizes(m: int, gap_bound: int) -> tuple[int, int]:
-    """Bounds on the left halves (h = ceil(m/2) entries from offset 0) and the right halves, m >= 2."""
+    """Bounds on the left halves (h = ceil(m/2) entries from (0, +)) and the right halves, m >= 2."""
     h, successors = (m + 1) // 2, 2 * (gap_bound + 1)  # each entry has at most 2g + 2 successors
-    return 2 * successors ** (h - 1), 2 * (h * gap_bound + 1) * successors ** (m - h - 1)
+    return successors ** (h - 1), 2 * (h * gap_bound + 1) * successors ** (m - h - 1)
 
 
 def _successors(entry: tuple[int, int], gap_bound: int) -> list[tuple[int, int]]:
@@ -186,14 +186,20 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> list[int]:
     A bound is a working cutoff, not a proven one: the CLI compares w(g) with w(2g).
 
     Patterns are sorted (offset, sign) entries, ``+`` before ``-`` at one
-    offset, so each multiset is met once.  Only zero-sum ones are built,
-    by meet in the middle (Horowitz & Sahni 1974): left halves of
-    h = ceil(m/2) entries from offset 0 are indexed by packed sum, and the
+    offset, so each multiset is met once.  Negating every sign keeps a
+    zero-sum pattern's profile, repeats and gaps, and maps the patterns
+    that start (0, -) onto those that start (0, +) and hold no (0, -);
+    so only the latter are met, weighed twice.  Only zero-sum ones are
+    built, by meet in the middle (Horowitz & Sahni 1974): left halves of
+    h = ceil(m/2) entries from (0, +) are indexed by packed sum, and the
     right halves, streamed one first entry at a time (Schroeppel & Shamir
     1981), look up the left halves that close them and may precede them.
-    The halves' subset sums give the profile, ``mult_from_profile`` runs
-    once per distinct profile, and the weight is m! over the factorials
-    of the runs of equal entries.
+    A left half's ``closing_table`` is built at its first join and kept,
+    a right prefix's ``subset_sums`` once per prefix, and
+    ``join_profile`` joins them by value into the pattern's profile.
+    ``mult_from_profile`` runs once per distinct profile, and a pattern
+    of nonzero multiplicity weighs m! over the factorials of its runs of
+    equal entries.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
@@ -213,9 +219,9 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> list[int]:
     encoded = _encoded_powers(modulus, (m - 1) * gap_bound, m)
     signed = {(off, sign): sign * value for off, value in enumerate(encoded) for sign in (1, -1)}
     closing: dict[int, list[tuple[tuple[int, int], ...]]] = {}  # minus a left half's sum -> the halves
-    for first in ((0, 1), (0, -1)):
-        for left, left_sum in _halves(first, h, gap_bound, signed):
-            closing.setdefault(-left_sum, []).append(left)
+    for left, left_sum in _halves((0, 1), h, gap_bound, signed):
+        closing.setdefault(-left_sum, []).append(left)
+    tables: dict[tuple[tuple[int, int], ...], dict[int, list[int]]] = {}  # a joined left half -> its closing table
     mults: dict[frozenset[int], int] = {}
     joins, max_joins = 0, MAX_JOIN_WORK >> m
     by_gap = [0] * (gap_bound + 1)  # the patterns' weight by their largest gap
@@ -223,22 +229,28 @@ def structural_slope(m: int, p: Sequence[int], gap_bound: int) -> list[int]:
         for first in ((f, 1), (f, -1)):
             # A right half's last entry is probed, not stored: only a join builds its tuple.
             for prefix, prefix_sum in _halves(first, m - h - 1, gap_bound, signed):
+                prefix_sums = None  # built at the prefix's first join
                 for last in _successors(prefix[-1], gap_bound) if prefix else (first,):
                     for left in closing.get(prefix_sum + signed[last], ()):
                         last_off, last_sign = left[-1]  # ``first`` must be among its _successors
                         if not (last_off < f <= last_off + gap_bound or (f == last_off and first[1] <= last_sign)):
                             continue
-                        right = prefix + (last,)
                         joins += 1
                         if joins > max_joins:
                             raise TooLarge(f"over {max_joins} zero-sum patterns of order {m} refused")
-                        profile = zero_sum_profile([signed[e] for e in left], [signed[e] for e in right])
+                        if left not in tables:
+                            tables[left] = closing_table([signed[e] for e in left])
+                        if prefix_sums is None:
+                            prefix_sums = subset_sums([signed[e] for e in prefix])
+                        profile = join_profile(tables[left], subset_sums((signed[last],), prefix_sums), h)
                         if profile not in mults:
                             mults[profile] = mult_from_profile(profile, m)
-                        pattern = left + right
-                        repeats = prod(factorial(len(list(equal))) for _, equal in groupby(pattern))
-                        gap = max(b[0] - a[0] for a, b in zip(pattern, pattern[1:]))
-                        by_gap[gap] += factorial(m) // repeats * mults[profile]
+                        if mults[profile]:
+                            pattern = left + prefix + (last,)
+                            repeats = prod(factorial(len(list(equal))) for _, equal in groupby(pattern))
+                            gap = max(b[0] - a[0] for a, b in zip(pattern, pattern[1:]))
+                            flips = 1 if (0, -1) in pattern else 2  # its negation starts (0, -)
+                            by_gap[gap] += flips * factorial(m) // repeats * mults[profile]
     return list(accumulate(by_gap))
 
 

@@ -23,6 +23,12 @@ evidence for both.
   ``mult_of_values``, a tuple's multiplicity from its signed values, on
   the full 2**m subset scan ``profile_from_values``, which
   ``zero_sum_profile`` is also held against at every split of the values.
+  ``slope_sweep_both_signs`` is the meet in the middle without the
+  sign-flip symmetry: left halves from both (0, +) and (0, -), and each
+  join's profile rebuilt by ``zero_sum_profile`` from both halves.
+* ``mult_from_profile_quadratic``: the profile recursion scanning every
+  earlier mask, against ``mult_from_profile``'s scan of the masks that
+  share the subset's lowest element.
 * ``poly_reduce_mod``, division with remainder over the rationals,
   against the integer pseudo-division behind ``_encoded_powers``,
   ``rational_roots_fraction``, the p/q test evaluated on fractions,
@@ -44,8 +50,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
-from math import comb, factorial, floor, gcd, isqrt, lcm
+from itertools import accumulate, combinations_with_replacement, groupby
+from math import comb, factorial, floor, gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from lacuna import moments
@@ -58,7 +64,7 @@ from lacuna.multiplicity import (
     mult_from_profile,
     zero_sum_profile,
 )
-from lacuna.recurrence import _encoded_powers, _validate_pattern_modulus
+from lacuna.recurrence import _encoded_powers, _halves, _successors, _validate_pattern_modulus
 from lacuna.sequences import HALF_INTEGER_GUARD
 
 MAX_SWEEP_ORDER = 6
@@ -366,6 +372,57 @@ def slope_walk(m: int, p: Sequence[int], gap_bound: int) -> int:
     # The first entry sits at offset 0; a virtual (0, +) before it allows either sign.
     walk(0, 0, 1, 0)
     return total
+
+
+def slope_sweep_both_signs(m: int, p: Sequence[int], gap_bound: int) -> list[int]:
+    """``structural_slope(m, p, gap_bound)`` with left halves from both first signs.
+
+    Left halves of h = ceil(m/2) entries from (0, +) and from (0, -) are
+    indexed by minus their packed sum; right halves of m - h entries,
+    from every first entry an offset pattern may reach, look up the left
+    halves that close them and may precede them.  Each join rebuilds the
+    pattern's profile with ``zero_sum_profile`` and scores it with
+    ``mult_from_profile_quadratic``; every pattern weighs m! over the
+    factorials of its runs of equal entries, in the bucket of its
+    largest gap.  Unguarded, m >= 2.
+    """
+    h = (m + 1) // 2
+    encoded = _encoded_powers(_validate_pattern_modulus(p), (m - 1) * gap_bound, m)
+    signed = {(off, sign): sign * value for off, value in enumerate(encoded) for sign in (1, -1)}
+    closing: dict[int, list[tuple]] = {}
+    for first in ((0, 1), (0, -1)):
+        for left, left_sum in _halves(first, h, gap_bound, signed):
+            closing.setdefault(-left_sum, []).append(left)
+    by_gap = [0] * (gap_bound + 1)
+    for f in range(h * gap_bound + 1):
+        for first in ((f, 1), (f, -1)):
+            for right, right_sum in _halves(first, m - h, gap_bound, signed):
+                for left in closing.get(right_sum, ()):
+                    if first not in _successors(left[-1], gap_bound):
+                        continue
+                    profile = zero_sum_profile([signed[e] for e in left], [signed[e] for e in right])
+                    pattern = left + right
+                    repeats = prod(factorial(len(list(equal))) for _, equal in groupby(pattern))
+                    gap = max(b[0] - a[0] for a, b in zip(pattern, pattern[1:]))
+                    by_gap[gap] += factorial(m) // repeats * mult_from_profile_quadratic(profile, m)
+    return list(accumulate(by_gap))
+
+
+def mult_from_profile_quadratic(masks: frozenset[int], m: int) -> int:
+    """``mult_from_profile`` with every earlier mask scanned for each subset S.
+
+    kappa(S) = 1 - sum kappa(B) over the visited masks B strictly inside
+    S that hold the lowest element of S and leave S ^ B in the profile,
+    visiting the masks by size.  Quadratic in the number of masks.
+    """
+    full = (1 << m) - 1
+    if full not in masks:
+        return 0
+    kappa: dict[int, int] = {}
+    for s in sorted(masks, key=int.bit_count):
+        low = s & -s
+        kappa[s] = 1 - sum(k for b, k in kappa.items() if b & low and b & s == b and s ^ b in kappa)
+    return kappa[full]
 
 
 

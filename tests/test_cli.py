@@ -429,8 +429,8 @@ ERROR_ROWS = [
         r"605215 partitions of \[16\] refused",
     ),
     # The sweep runs once, at the doubled bound 32, so the refusal gives that sweep's estimate.
-    (["slope", "--seq", "fibonacci", "--m", "12", "--gap-bound", "16"], 3, r"2504665152 left half patterns refused"),
-    (["slope", "--seq", "fibonacci", "--m", "9", "--gap-bound", "6"], 3, r"913952 left half patterns refused"),
+    (["slope", "--seq", "fibonacci", "--m", "12", "--gap-bound", "16"], 3, r"1252332576 left half patterns refused"),
+    (["slope", "--seq", "fibonacci", "--m", "9", "--gap-bound", "6"], 3, r"456976 left half patterns refused"),
     (["slope", "--seq", "fibonacci", "--m", "13", "--gap-bound", "1"], 3, r"^error: order 13 exceeds 12\n$"),
     (["independent", "--m", "2", "--out", "/nonexistent/dir/x"], 2, ""),
     (["cumulants", "--seq", "fibonacci", "--n", "abc", "--m", "2"], 2, ""),

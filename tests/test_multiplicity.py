@@ -8,7 +8,16 @@ from lacuna.errors import TooLarge
 from lacuna.multiplicity import MAX_PROFILE_MASKS, atoms, mult_from_profile, zero_sum_profile
 from lacuna.partitions import all_partitions
 from lacuna.sequences import generate_terms, parse_sequence
-from oracles import block_masks, from_blocks, mult_crosscut, mult_moebius, mult_of_values, profile_from_values, top
+from oracles import (
+    block_masks,
+    from_blocks,
+    mult_crosscut,
+    mult_from_profile_quadratic,
+    mult_moebius,
+    mult_of_values,
+    profile_from_values,
+    top,
+)
 
 # The alternating values (1, -1, 1, -1): the canonical case where the
 # multiplicity is neither 0 nor 1.
@@ -164,6 +173,21 @@ def test_mult_of_values_matches_tuple_route():
 def test_profile_recursion_matches_lattice(values):
     # Small values make many zero-sum subsets, so the profiles are rich.
     assert mult_of_values(values) == mult_moebius(values)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=10), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_profile_recursion_by_lowest_bit_matches_the_full_scan(values, close):
+    # Closing the sum makes the full mask zero-sum, so most drawn profiles reach the recursion.
+    if close and len(values) < 10:
+        values = values + [-sum(values)]
+    masks = profile_from_values(values)
+    assert mult_from_profile(masks, len(values)) == mult_from_profile_quadratic(masks, len(values))
+
+
+def test_profile_recursion_by_lowest_bit_on_the_all_zero_profile():
+    masks = frozenset(range(1, 1 << 12))  # every subset of twelve zeros cancels
+    assert mult_from_profile(masks, 12) == mult_from_profile_quadratic(masks, 12) == 0
 
 
 def test_profile_recursion_large_order():

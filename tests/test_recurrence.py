@@ -30,6 +30,7 @@ from oracles import (
     pattern_multiplicity,
     poly_reduce_mod,
     rational_roots_fraction,
+    slope_sweep_both_signs,
     slope_walk,
 )
 
@@ -281,8 +282,8 @@ def test_structural_slope_order_one_is_zero():
 
 
 def test_structural_slope_guard():
-    # 2**6 * 17**5 = 90,870,848 left halves of six entries: refused before any is enumerated.
-    with pytest.raises(TooLarge, match="90870848 left half patterns"):
+    # 34**5 = 45,435,424 left halves of six entries from (0, +): refused before any is enumerated.
+    with pytest.raises(TooLarge, match="45435424 left half patterns"):
         structural_slope(12, FIB_POLY, 16)
     # The (m - 1) * g reduced powers are checked first, before the half patterns.
     with pytest.raises(TooLarge, match="1000000000 pattern offsets"):
@@ -299,11 +300,11 @@ def test_structural_slope_guards_both_halves_and_the_joins(monkeypatch):
     # m = 4, g = 1666: 2 * 3,333 first entries times 3,334 successors is over the right half cap.
     with pytest.raises(TooLarge, match="22224444 right half patterns"):
         structural_slope(4, FIB_POLY, 1666)
-    # Fibonacci m = 8, g = 5 joins 3,368 zero-sum patterns; the running cap is MAX_JOIN_WORK >> m.
-    monkeypatch.setattr(recurrence, "MAX_JOIN_WORK", 3368 << 8)
+    # Fibonacci m = 8, g = 5 joins 2,266 zero-sum patterns from (0, +); the running cap is MAX_JOIN_WORK >> m.
+    monkeypatch.setattr(recurrence, "MAX_JOIN_WORK", 2266 << 8)
     assert structural_slope(8, FIB_POLY, 5)[-1] == -4174982
-    monkeypatch.setattr(recurrence, "MAX_JOIN_WORK", 3367 << 8)
-    with pytest.raises(TooLarge, match="over 3367 zero-sum patterns of order 8"):
+    monkeypatch.setattr(recurrence, "MAX_JOIN_WORK", 2265 << 8)
+    with pytest.raises(TooLarge, match="over 2265 zero-sum patterns of order 8"):
         structural_slope(8, FIB_POLY, 5)
 
 
@@ -312,7 +313,7 @@ def test_structural_slope_guards_both_halves_and_the_joins(monkeypatch):
 def test_half_size_estimates_bound_the_enumerated_halves(m, gap_bound):
     h = (m + 1) // 2
     signed = dict.fromkeys(((o, s) for o in range((m - 1) * gap_bound + 1) for s in (1, -1)), 0)
-    left = sum(len(_halves(first, h, gap_bound, signed)) for first in ((0, 1), (0, -1)))
+    left = len(_halves((0, 1), h, gap_bound, signed))  # the sweep holds the left halves from (0, +) only
     right = sum(
         len(_halves((f, s), m - h, gap_bound, signed)) for f in range(h * gap_bound + 1) for s in (1, -1)
     )
@@ -329,6 +330,19 @@ def test_half_size_estimates_bound_the_enumerated_halves(m, gap_bound):
 def test_structural_slope_matches_the_oracle_walk(m, gap_bound, poly):
     # One sweep gives the slope at every bound b <= gap_bound; the walk is run at each b.
     assert structural_slope(m, poly, gap_bound) == [slope_walk(m, poly, b) for b in range(gap_bound + 1)]
+
+
+# Monic and not, degree one to three, and the reducible (z - 1)(z - 2), under which a pattern
+# often holds both (0, +) and (0, -): both cancel to zero, so the sign flip must count it once.
+SWEEP_MODULI = [FIB_POLY, DOUBLE_POLY, (-1, -1, -1, 1), (-1, -1, 3), (2, -3, 1)]
+
+
+@given(m=st.integers(2, 8), gap_bound=st.integers(0, 3), poly=st.sampled_from(SWEEP_MODULI))
+@example(m=8, gap_bound=3, poly=(2, -3, 1))
+@example(m=7, gap_bound=2, poly=(-1, -1, 3))
+@settings(max_examples=40, deadline=None)
+def test_structural_slope_matches_the_sweep_over_both_first_signs(m, gap_bound, poly):
+    assert structural_slope(m, poly, gap_bound) == slope_sweep_both_signs(m, poly, gap_bound)
 
 
 # Monic and not, a negative lead, degree one and degree three.
@@ -396,8 +410,11 @@ def test_structural_slope_matches_ordered_enumeration():
         ("fibonacci", 8, 1, -912870, -5322310),
         ("geometric:c=1,eta=2", 8, 1, -146062, -141582),
         ("recurrence:poly=-1,-1,-1,1;init=1,1,2", 8, 1, -501270, -553350),
+        ("fibonacci", 9, 3, -110362560, -103300368),
+        ("fibonacci", 10, 2, -661024728, -1853120088),
+        ("fibonacci", 11, 1, 35717524920, 42023508120),
     ],
-    ids=["fibonacci-5", "fibonacci-8", "double-8", "tribonacci-8"],
+    ids=["fibonacci-5", "fibonacci-8", "double-8", "tribonacci-8", "fibonacci-9", "fibonacci-10", "fibonacci-11"],
 )
 def test_structural_slope_pinned_values(seq, m, bound, w, w_doubled):
     # The slopes the CLI reads at the bound and at its double, from one sweep at the double.
