@@ -332,8 +332,8 @@ def test_structural_slope_matches_the_oracle_walk(m, gap_bound, poly):
     assert structural_slope(m, poly, gap_bound) == [slope_walk(m, poly, b) for b in range(gap_bound + 1)]
 
 
-# Monic and not, degree one to three, and the reducible (z - 1)(z - 2), under which a pattern
-# often holds both (0, +) and (0, -): both cancel to zero, so the sign flip must count it once.
+# Monic and not, degree one to three, and the reducible (z - 1)(z - 2), whose many zero-sum patterns
+# often hold both (0, +) and (0, -): the sign flip must weigh those once, not twice.
 SWEEP_MODULI = [FIB_POLY, DOUBLE_POLY, (-1, -1, -1, 1), (-1, -1, 3), (2, -3, 1)]
 
 
