@@ -220,6 +220,7 @@ def independent_cumulants(m_max: int) -> list[int]:
 
 
 _ORACLE_BLOCK = 1 << 13  # nodes per cache-sized block
+_ORACLE_RUN = 256  # nodes a run must average to be added as one strided slice, not gathered
 _BLAS_THREADS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}  # a thread count the user set
 
 
@@ -253,20 +254,25 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     the only error is float rounding.  S_n(1 - w) = S_n(w), so only the
     nodes 0 .. N//2 are evaluated: twice their sum, less node 0 and, for
     even N, node N/2.  With cosines fixed-point integers of at most 2**b,
-    b = 63 - n.bit_length(), each node sum is an exact int64 in any order;
-    one thread, the process's only one (see ``load_numpy``), holds 4*N bytes of half table (at most 40 MB).
-    Blocks of sums are scaled by 2**-b into long doubles, exactly, raised
-    to the m-th power by multiplication, high bit first (no libm powl), and summed.
+    b = 63 - n.bit_length(), each node sum is an exact int64 in any order,
+    whether a term's cosines are read as strided runs or gathered (see
+    ``_oracle_node_sums``); one thread, the process's only one (see
+    ``load_numpy``), holds 4*N bytes of half table (at most 40 MB).
+    Blocks of sums are multiplied by 2**-b into long doubles, exactly (a
+    power of two), raised to the m-th power by multiplication, high bit
+    first (no libm powl), and summed.
     """
     samples = quadrature_nodes(terms, m)
     np = load_numpy()  # after the caps, so a refusal loads no numpy; only the float diagnostics need it
     scale = 63 - len(terms).bit_length()
+    unit = np.ldexp(np.longdouble(1), -scale)
 
     def power_sum(block) -> np.longdouble:  # sum of (block / 2**b)**m
-        x = np.ldexp(block.astype(np.longdouble), -scale)
-        power = x.copy()
+        x = block.astype(np.longdouble)
+        x *= unit
+        power = x
         for bit in bin(m)[3:]:
-            power *= power
+            power = np.multiply(power, power, out=None if power is x else power)  # x itself stays unsquared
             if bit == "1":
                 power *= x
         return power.sum(dtype=np.longdouble)
@@ -280,18 +286,19 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
 
 def _oracle_table(samples: int, scale: int):
     """round(2**scale * cos(2*pi*r/N)) as int64 for r <= N/2, N = samples, where
-    cos(uB + t) = cos(uB) cos(t) - sin(uB) sin(t) in long doubles, B ~ sqrt(N/2), in slabs of ~2**13."""
+    cos(uB + t) = cos(uB) cos(t) - sin(uB) sin(t) in long doubles, B ~ sqrt(N/2), in slabs of ~2**13;
+    cos(t) and sin(t) carry the factor 2**scale, which rounds nothing."""
     np = load_numpy()
     half = samples // 2 + 1
     width = isqrt(half - 1) + 1  # B
     step = np.longdouble("6.28318530717958647692528676655900576839") / samples  # 2*pi past long-double digits
     t = step * np.arange(width).astype(np.longdouble)
     u = step * np.arange(0, half, width).astype(np.longdouble)[:, None]
-    cos_t, sin_t, rows = np.cos(t), np.sin(t), max(1, (1 << 13) // width)
+    cos_t, sin_t, rows = np.ldexp(np.cos(t), scale), np.ldexp(np.sin(t), scale), max(1, (1 << 13) // width)
     table = np.empty(half, dtype=np.int64)
     for row in range(0, u.size, rows):
         slab = (np.cos(u[row : row + rows]) * cos_t - np.sin(u[row : row + rows]) * sin_t).ravel()
-        table[row * width : (row + rows) * width] = np.rint(np.ldexp(slab[: half - row * width], scale))
+        table[row * width : (row + rows) * width] = np.rint(slab, out=slab)[: half - row * width]
     return table
 
 
@@ -299,8 +306,11 @@ def _oracle_node_sums(terms: Sequence[int], samples: int, table):
     """The exact int64 sums of table[min(r, N - r)], r = a_k j mod N, N = samples, over the terms at the nodes
     j <= N//2, one block of _ORACLE_BLOCK at a time: views into the sums of a group of 8 blocks, valid until the next.
 
-    Node j = lo + i of the block at lo reads (i t mod N) + (lo t mod N) - N, t = a_k mod N: the first part
-    once per term and group, the second once per block, so no node is divided and no buffer grows with n or N.
+    A term reads as t = min(a_k mod N, N - a_k mod N), which folds to the same index.  Over j that index
+    climbs and falls by t, in runs of about N/(2t) nodes: when a run averages _ORACLE_RUN nodes or more,
+    each is added as one strided slice of the table (``_add_runs``).  Otherwise node j = lo + i of the
+    block at lo gathers (i t mod N) + (lo t mod N) - N: the first part once per term and group, the second
+    once per block.  No node is divided and no buffer grows with n or N.
     """
     np = load_numpy()
     half = table.size
@@ -309,8 +319,13 @@ def _oracle_node_sums(terms: Sequence[int], samples: int, table):
     for start in range(0, half, group.size):
         group.fill(0)
         blocks = range(start, min(half, start + group.size), offsets.size)
+        nodes = group.reshape(-1)[: half - start]  # a view: node j at j - start
         for a in terms:
-            base = offsets * (t := a % samples) % samples
+            t = min(a % samples, -a % samples)
+            if 2 * _ORACLE_RUN * t <= samples:
+                _add_runs(nodes, table, t, start, samples)
+                continue
+            base = offsets * t % samples
             for sums, lo in zip(group, blocks):
                 index = base[: half - lo] + (lo * t % samples - samples)
                 # index is r - N or r, so |index| is N - r or r, and min(|index|, N - |index|) = min(r, N - r).
@@ -318,3 +333,24 @@ def _oracle_node_sums(terms: Sequence[int], samples: int, table):
                 np.minimum(index, samples - index, out=index)
                 sums[: index.size] += table.take(index)
         yield from (sums[: half - lo] for sums, lo in zip(group, blocks))
+
+
+def _add_runs(sums, table, t: int, start: int, samples: int) -> None:
+    """sums[i] += table[min(r, N - r)], r = t (start + i) mod N, N = samples, for every i.
+
+    The index is r while 2r <= N and N - r after, so each run of nodes between turns is one strided slice.
+    """
+    if t == 0:
+        sums += table[0]
+        return
+    i, r = 0, t * start % samples
+    while i < sums.size:
+        if 2 * r <= samples:  # climbing to r <= N/2
+            count = min(sums.size - i, (samples // 2 - r) // t + 1)
+            sums[i : i + count] += table[r : r + count * t : t]
+        else:  # falling from N - r to N - r_last >= 1
+            count = min(sums.size - i, (samples - 1 - r) // t + 1)
+            top = samples - r
+            sums[i : i + count] += table[top - (count - 1) * t : top + 1 : t][::-1]
+        i += count
+        r = (r + count * t) % samples

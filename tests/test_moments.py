@@ -637,6 +637,11 @@ def test_oracle_pinned_values():
     two_slabs = moment_oracle_quadrature(fib, 7)
     assert two_slabs == 1308736.078125
     assert Fraction(two_slabs) == moment(fib, 7)
+    pow2 = terms_of(POW2, 16)
+    # N = 6 * 65537 + 1 = 393,223 is odd; at m = 7 the even N = 458,760 leaves a rounding residue for the exact 0,
+    # so any change in the order of the long-double operations shows.
+    assert moment_oracle_quadrature(pow2, 6) == 8362.8125 == moment(pow2, 6)
+    assert moment_oracle_quadrature(pow2, 7) == -2.740617045363362e-14
 
 
 @pytest.mark.parametrize("samples, scale", [(1, 62), (2, 62), (3, 61), (402, 60), (1001, 53), (450_151, 58)])
@@ -654,21 +659,33 @@ def test_oracle_table_is_within_one_of_each_rounded_cosine(samples, scale):
     assert table[0] == 1 << scale
 
 
+# Both index paths in one call.  N = 2801 (m = 7, max 400) takes a term as strided runs when its folded
+# t = min(a mod N, N - a mod N) has 2 * 256 * t <= N, so t <= 5: t = 0, t = 1, t = 3 from -3 (a mod N = 2798,
+# past N/2) and t = 5 run, while the repeated 6 and 400 gather.  N = 1001 (m = 1): 1000 and -1000 fold to t = 1.
+MIXED_PATHS = [([0, 1, -3, 5, 6, 6, 400], 7), ([1000, 2, -1000, 7], 1)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(-400, 400), min_size=1, max_size=7),
     st.integers(1, 7),
     st.sampled_from([1, 3, 100, moments._ORACLE_BLOCK]),
+    st.sampled_from([1, moments._ORACLE_RUN]),
 )
-@example([1, 2, 399], 1, 3)  # N = 400 is even, its 201 folded nodes end in a short block
-@example([0], 1, 1)  # N = 1: one node
-@example([1], 1, 3)  # N = 2: one short block
-def test_oracle_node_sums_equal_integer_sums(terms, m, block):
-    # The folded index of (i t mod N) + (lo t mod N) - N is min(r, N - r), r = a_k j mod N, for every block size.
+@example([1, 2, 399], 1, 3, moments._ORACLE_RUN)  # N = 400 is even, its 201 folded nodes end in a short block
+@example([0], 1, 1, moments._ORACLE_RUN)  # N = 1: one node
+@example([1], 1, 3, moments._ORACLE_RUN)  # N = 2: one short block
+@example(*MIXED_PATHS[0], 100, moments._ORACLE_RUN)  # runs cross blocks of 100 and groups of 800 nodes
+@example(*MIXED_PATHS[0], moments._ORACLE_BLOCK, moments._ORACLE_RUN)
+@example(*MIXED_PATHS[1], 3, moments._ORACLE_RUN)
+def test_oracle_node_sums_equal_integer_sums(terms, m, block, run):
+    # The folded index of (i t mod N) + (lo t mod N) - N, and of each strided run, is min(r, N - r), r = a_k j mod N,
+    # for every block size; run = 1 reads every term as strided runs.
     samples = m * max(map(abs, terms)) + 1
     table = moments._oracle_table(samples, 63 - len(terms).bit_length())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(moments, "_ORACLE_BLOCK", block)
+        patch.setattr(moments, "_ORACLE_RUN", run)
         blocks = [[int(v) for v in sums] for sums in moments._oracle_node_sums(terms, samples, table)]
     assert [len(sums) for sums in blocks[:-1]] == [block] * (len(blocks) - 1)
     entries = [int(v) for v in table]
@@ -681,14 +698,20 @@ def test_oracle_node_sums_equal_integer_sums(terms, m, block):
     st.lists(st.integers(-400, 400), min_size=1, max_size=7),
     st.integers(1, 7),
     st.sampled_from([1, 3, 100, moments._ORACLE_BLOCK]),
+    st.sampled_from([1, moments._ORACLE_RUN]),
 )
-@example([1, 2, 399], 1, 3)  # N = 400 is even, its 201 nodes end in a short block
-@example([0], 1, 1)  # N = 1: one node
-@example([1], 1, 3)  # N = 2: node N/2 is the last of one short block
-def test_oracle_streams_the_bits_of_the_full_table(terms, m, block):
-    # Same blocks, same order of the block sums, same ends: the half table and the streamed sums move no bit.
+@example([1, 2, 399], 1, 3, moments._ORACLE_RUN)  # N = 400 is even, its 201 nodes end in a short block
+@example([0], 1, 1, moments._ORACLE_RUN)  # N = 1: one node
+@example([1], 1, 3, moments._ORACLE_RUN)  # N = 2: node N/2 is the last of one short block
+@example(*MIXED_PATHS[0], 100, moments._ORACLE_RUN)
+@example(*MIXED_PATHS[0], moments._ORACLE_BLOCK, moments._ORACLE_RUN)
+@example(*MIXED_PATHS[1], 3, moments._ORACLE_RUN)  # N = 1001 is odd: no node N/2
+def test_oracle_streams_the_bits_of_the_full_table(terms, m, block, run):
+    # Same blocks, same order of the block sums, same ends: the half table, the strided runs and the
+    # power-of-two scaling by multiplication move no bit against ldexp on a full table.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(moments, "_ORACLE_BLOCK", block)
+        patch.setattr(moments, "_ORACLE_RUN", run)
         assert moment_oracle_quadrature(terms, m) == quadrature_full_table(terms, m)
 
 
