@@ -254,13 +254,10 @@ def moment_oracle_quadrature(terms: Sequence[int], m: int) -> float:
     the only error is float rounding.  S_n(1 - w) = S_n(w), so only the
     nodes 0 .. N//2 are evaluated: twice their sum, less node 0 and, for
     even N, node N/2.  With cosines fixed-point integers of at most 2**b,
-    b = 63 - n.bit_length(), each node sum is an exact int64 in any order,
-    whether a term's cosines are read as strided runs or gathered (see
-    ``_oracle_node_sums``); one thread, the process's only one (see
-    ``load_numpy``), holds 4*N bytes of half table (at most 40 MB).
-    Blocks of sums are multiplied by 2**-b into long doubles, exactly (a
-    power of two), raised to the m-th power by multiplication, high bit
-    first (no libm powl), and summed.
+    b = 63 - n.bit_length(), each node sum is an exact int64 in any order, strided or gathered;
+    one thread, the process's only one (see ``load_numpy``), holds 4*N bytes of half table (at most 40 MB).
+    Blocks of sums are multiplied by 2**-b into long doubles, exact for a power of two, raised
+    to the m-th power by multiplication, high bit first (no libm powl), and summed.
     """
     samples = quadrature_nodes(terms, m)
     np = load_numpy()  # after the caps, so a refusal loads no numpy; only the float diagnostics need it
@@ -306,11 +303,10 @@ def _oracle_node_sums(terms: Sequence[int], samples: int, table):
     """The exact int64 sums of table[min(r, N - r)], r = a_k j mod N, N = samples, over the terms at the nodes
     j <= N//2, one block of _ORACLE_BLOCK at a time: views into the sums of a group of 8 blocks, valid until the next.
 
-    A term reads as t = min(a_k mod N, N - a_k mod N), which folds to the same index.  Over j that index
-    climbs and falls by t, in runs of about N/(2t) nodes: when a run averages _ORACLE_RUN nodes or more,
-    each is added as one strided slice of the table (``_add_runs``).  Otherwise node j = lo + i of the
-    block at lo gathers (i t mod N) + (lo t mod N) - N: the first part once per term and group, the second
-    once per block.  No node is divided and no buffer grows with n or N.
+    A term reads as t = min(a_k mod N, N - a_k mod N), which folds to the same index.  If its runs of about
+    N/(2t) nodes average _ORACLE_RUN or more, each run is one strided slice (``_add_runs``); otherwise node
+    j = lo + i of the block at lo gathers (i t mod N) + (lo t mod N) - N: the first part once per term and group,
+    the second once per block.  No node is divided and no buffer grows with n or N.
     """
     np = load_numpy()
     half = table.size
@@ -336,10 +332,8 @@ def _oracle_node_sums(terms: Sequence[int], samples: int, table):
 
 
 def _add_runs(sums, table, t: int, start: int, samples: int) -> None:
-    """sums[i] += table[min(r, N - r)], r = t (start + i) mod N, N = samples, for every i.
-
-    The index is r while 2r <= N and N - r after, so each run of nodes between turns is one strided slice.
-    """
+    """sums[i] += table[min(r, N - r)], r = t (start + i) mod N, N = samples: the index climbs by t while
+    2r <= N and falls by t after, so each run of nodes between turns is one strided slice."""
     if t == 0:
         sums += table[0]
         return
